@@ -5,14 +5,22 @@
 // fault plan of bench/fleet_chaos, so the retry, breaker and degradation
 // paths run in every round.  The client submits a round and waits for
 // it (closed loop); one round is one timed operation.
+//
+// The scheduler sets its tenants up inside run(), where that cannot be
+// timed apart from their units, so setup_s times the same set-up done
+// outside it: the round's testbed, then for each tenant the shard opened
+// through the counting VFS, its host on the split seed and network, its
+// suite, begin().
 #include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <thread>
 
+#include "apps/host.hpp"
 #include "fleet/fleet.hpp"
 #include "harness.hpp"
 #include "measure/schema.hpp"
+#include "obs/metrics.hpp"
 #include "scion/scionlab.hpp"
 #include "util/stats.hpp"
 #include "util/strings.hpp"
@@ -21,6 +29,7 @@ namespace upin::e2e {
 namespace {
 
 constexpr int kTenants = 8;
+constexpr int kSetups = 10;  ///< timed set-ups per run (setup_s median)
 
 simnet::NetworkConfig chaos_network() {
   simnet::NetworkConfig config;
@@ -59,6 +68,53 @@ std::vector<fleet::CampaignSpec> fleet_specs(std::size_t offset,
   specs[0].net_config = chaos_network();
   specs[0].priority = 0;
   return specs;
+}
+
+/// Time setting up round `index`'s tenants as the scheduler does, one
+/// after the other (see the file comment).  Untimed: tearing the tenants
+/// down and removing their shards.
+void time_tenant_setup(const Options& options, std::size_t offset,
+                       std::size_t index, docdb::Vfs* vfs, Report& report) {
+  struct World {
+    obs::Registry registry;
+    std::unique_ptr<docdb::Database> db;
+    std::unique_ptr<apps::ScionHost> host;
+    std::unique_ptr<measure::TestSuite> suite;
+  };
+  const std::string dir =
+      options.data_dir + "/setup_" + std::to_string(index);
+  std::filesystem::create_directories(dir);
+  std::vector<std::unique_ptr<World>> worlds;
+
+  const std::int64_t start = now_ns();
+  const scion::ScionlabEnv env = scion::scionlab_topology();
+  const fleet::FleetConfig config =
+      fleet_config(options, derive_seed(options.seed, index + 1));
+  for (const fleet::CampaignSpec& spec : fleet_specs(offset + index, vfs)) {
+    auto world = std::make_unique<World>();
+    auto opened = docdb::Database::open(
+        dir + "/" + fleet::shard_filename(spec.campaign_id), spec.storage);
+    if (!opened.ok()) {
+      report.check(false, "set-up shard: " + opened.error().message);
+      break;
+    }
+    world->db = std::move(opened).value();
+    world->host = std::make_unique<apps::ScionHost>(
+        env, fleet::campaign_seed(config.seed, spec.campaign_id), env.user_as,
+        "10.0.8.1", spec.net_config.value_or(config.net_config));
+    measure::TestSuiteConfig suite = config.suite;
+    suite.server_ids = spec.server_ids;
+    suite.registry = &world->registry;
+    world->suite =
+        std::make_unique<measure::TestSuite>(*world->host, *world->db, suite);
+    const util::Status begun = world->suite->begin();
+    report.check(begun.ok(), "set-up begin failed");
+    worlds.push_back(std::move(world));
+  }
+  report.setup(start, now_ns());
+
+  worlds.clear();
+  std::filesystem::remove_all(dir);
 }
 
 std::string read_file(const std::string& path) {
@@ -130,14 +186,12 @@ Report run_fleet_mixed(const Options& options) {
   bool solo_checked = false;
 
   const auto round = [&](std::size_t index, bool timed) {
-    const std::int64_t setup_start = now_ns();
     const scion::ScionlabEnv env = scion::scionlab_topology();
     fleet::FleetConfig config =
         fleet_config(options, derive_seed(options.seed, index + 1));
     const std::vector<fleet::CampaignSpec> specs =
         fleet_specs(offset + index, &vfs);
     config.data_dir = options.data_dir + "/round_" + std::to_string(index);
-    if (timed) report.setup_s.push_back(seconds_since(setup_start));
 
     const Counters before = Counters::read(&vfs);
     const std::int64_t start = now_ns();
@@ -189,11 +243,17 @@ Report run_fleet_mixed(const Options& options) {
     totals.quarantined += static_cast<double>(result.value().quarantined);
     totals.failed += static_cast<double>(result.value().failed);
     report.op(start, end, docs);
+    report.probe.tick();
   };
 
   round(0, false);  // warm-up
   totals.reopen_ms.clear();
   totals.user_bytes = 0.0;
+  for (int i = 0; i < (options.smoke ? 1 : kSetups); ++i) {
+    report.probe.sample();
+    time_tenant_setup(options, offset, static_cast<std::size_t>(i) + 1, &vfs,
+                      report);
+  }
   const std::int64_t deadline =
       now_ns() + static_cast<std::int64_t>(options.seconds * 1e9);
   std::size_t index = 1;

@@ -19,6 +19,81 @@ std::uint64_t derive_seed(std::uint64_t seed, std::uint64_t index) {
   return util::splitmix64(state);
 }
 
+// ---- SpeedProbe -----------------------------------------------------------
+
+namespace {
+
+/// One cycle through 2^20 slots (4 MiB, more than a core's L2), built by
+/// Sattolo's shuffle from a fixed LCG stream.
+const std::vector<std::uint32_t>& probe_cycle() {
+  static const std::vector<std::uint32_t> cycle = [] {
+    std::vector<std::uint32_t> next(1U << 20);
+    for (std::uint32_t i = 0; i < next.size(); ++i) next[i] = i;
+    std::uint64_t state = 12345;
+    for (std::size_t i = next.size() - 1; i > 0; --i) {
+      state = state * 6364136223846793005ULL + 1442695040888963407ULL;
+      std::swap(next[i], next[(state >> 33) % i]);
+    }
+    return next;
+  }();
+  return cycle;
+}
+
+/// The kernel's results end here, so the compiler cannot drop its work.
+/// Only the thread that drives a workload runs the probe.
+volatile std::uint64_t probe_sink = 0;
+
+/// The probe kernel's wall time in ms.
+double probe_kernel_ms() {
+  const std::vector<std::uint32_t>& next = probe_cycle();
+  const std::int64_t start = now_ns();
+  std::uint32_t at = 0;
+  for (int k = 0; k < 20000; ++k) at = next[at];
+  std::map<int, int> map;
+  for (int k = 0; k < 3000; ++k) map[(k * 7919) % 10007] = k;
+  std::string text;
+  for (int k = 0; k < 3000; ++k) text += std::to_string(k * 31);
+  std::vector<std::uint64_t> values(20000);
+  for (std::size_t k = 0; k < values.size(); ++k) {
+    values[k] = (k * 2654435761ULL) % 100003;
+  }
+  std::sort(values.begin(), values.end());
+  const auto last = static_cast<std::uint64_t>(map.rbegin()->second);
+  probe_sink = probe_sink + at + last + text.size() + values[100];
+  return static_cast<double>(now_ns() - start) * 1e-6;
+}
+
+}  // namespace
+
+void SpeedProbe::tick() {
+  if (now_ns() - last_ns_ >= 100'000'000) sample();
+}
+
+void SpeedProbe::sample() {
+  const double ms = probe_kernel_ms();
+  last_ns_ = now_ns();
+  samples_.push_back(Sample{last_ns_, ms});
+}
+
+double SpeedProbe::median_ms(std::int64_t from_ns, std::int64_t to_ns) const {
+  const std::size_t wanted = std::min<std::size_t>(3, samples_.size());
+  // Widen the window half a second a side until it holds 3 samples.
+  for (std::int64_t pad = 0;; pad += 500'000'000) {
+    std::vector<double> inside;
+    for (const Sample& s : samples_) {
+      if (s.at_ns >= from_ns - pad && s.at_ns < to_ns + pad) {
+        inside.push_back(s.ms);
+      }
+    }
+    if (inside.size() >= wanted) return quantile(inside, 0.5);
+  }
+}
+
+double SpeedProbe::scale(std::int64_t from_ns, std::int64_t to_ns) const {
+  const double ms = median_ms(from_ns, to_ns);
+  return ms > 0.0 ? kNominalMs / ms : 1.0;
+}
+
 // ---- Tracer -------------------------------------------------------------
 
 Tracer::Span::Span(Tracer& tracer, const char* name, std::uint64_t id)

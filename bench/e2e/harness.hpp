@@ -28,7 +28,7 @@ namespace upin::e2e {
 struct Options {
   std::string workload;
   std::uint64_t seed = 1;
-  double seconds = 20.0;  ///< length of the measured phase
+  double seconds = 25.0;  ///< length of the measured phase
   bool trace = false;     ///< traced replay + per-layer metrics
   bool smoke = false;     ///< tiny inputs: exercises every check quickly
   std::string data_dir;   ///< journals and shards (private to this run)
@@ -62,14 +62,48 @@ struct Op {
   double docs = 0.0;
 };
 
+/// Host speed probe (README: "Host speed").  A fixed kernel that uses no
+/// code of the system — pointer chasing over 4 MiB, an ordered map,
+/// number formatting, a sort — timed every 100 ms of wall between the
+/// timed operations.  Its time tracks how fast the shared host runs at
+/// that moment; main() scales operation times by it.
+class SpeedProbe {
+ public:
+  /// The kernel's time on an unloaded host of the kind the baseline was
+  /// taken on; scaled times read as if every probe had taken this long.
+  static constexpr double kNominalMs = 3.5;
+
+  /// Sample when 100 ms have passed since the last sample.
+  void tick();
+  /// Sample now.
+  void sample();
+  /// Median kernel time, in ms, of the samples taken in [from_ns, to_ns),
+  /// widened half a second a side at a time until it holds three samples
+  /// (or all of them); 0 when there are none.
+  [[nodiscard]] double median_ms(std::int64_t from_ns,
+                                 std::int64_t to_ns) const;
+  /// kNominalMs over median_ms(from_ns, to_ns): what a wall time taken
+  /// then is multiplied by (1 when there are no samples).
+  [[nodiscard]] double scale(std::int64_t from_ns, std::int64_t to_ns) const;
+
+ private:
+  struct Sample {
+    std::int64_t at_ns;
+    double ms;
+  };
+  std::vector<Sample> samples_;
+  std::int64_t last_ns_ = 0;
+};
+
 /// What one workload run measured.  End-to-end inputs are raw samples;
 /// main() turns them into the named metrics.
 struct Report {
   std::vector<std::string> failures;  ///< failed output checks
   std::size_t attempted = 0;          ///< timed operations started
   std::size_t failed = 0;             ///< timed operations that errored
-  std::vector<double> setup_s;        ///< one entry per set-up
+  std::vector<Op> setups;             ///< every timed set-up
   std::vector<Op> ops;                ///< every timed operation, in order
+  SpeedProbe probe;                   ///< host speed during the run
   std::map<std::string, double> layer;  ///< per-layer metrics (--trace)
   std::vector<std::string> notes;     ///< extra human-readable lines
 
@@ -79,6 +113,10 @@ struct Report {
   void op(std::int64_t start_ns, std::int64_t end_ns, double docs) {
     ops.push_back(
         Op{start_ns, static_cast<double>(end_ns - start_ns) * 1e-6, docs});
+  }
+  void setup(std::int64_t start_ns, std::int64_t end_ns) {
+    setups.push_back(
+        Op{start_ns, static_cast<double>(end_ns - start_ns) * 1e-6, 0.0});
   }
   /// Documents per second of operation time, over the whole run.
   [[nodiscard]] double docs_per_s() const {

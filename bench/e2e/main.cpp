@@ -24,6 +24,7 @@
 #include "harness.hpp"
 #include "util/json.hpp"
 #include "util/log.hpp"
+#include "util/strings.hpp"
 
 extern char** environ;
 
@@ -130,21 +131,28 @@ int run_all(int argc, char** argv) {
 
 /// The median, over consecutive one-second blocks of the measured phase,
 /// of each block's p50 and p90 operation time and its documents per
-/// second.  Outside load on a shared machine comes in bursts; it spoils
-/// a few blocks rather than the run's numbers.
+/// second, each scaled to nominal host speed by the probe samples of its
+/// block (`probe` null: wall time as measured).  Outside load on a shared
+/// machine comes in bursts; it spoils a few blocks rather than the run's
+/// numbers.
 struct BlockMedians {
   double p50 = 0.0;
   double p90 = 0.0;
   double docs_per_s = 0.0;
 };
 
-BlockMedians block_medians(const std::vector<e2e::Op>& ops) {
+BlockMedians block_medians(const std::vector<e2e::Op>& ops,
+                           const e2e::SpeedProbe* probe) {
+  constexpr std::int64_t kBlockNs = 1'000'000'000;
   std::map<std::int64_t, std::vector<e2e::Op>> blocks;
   for (const e2e::Op& op : ops) {
-    blocks[(op.start_ns - ops.front().start_ns) / 1'000'000'000].push_back(op);
+    blocks[(op.start_ns - ops.front().start_ns) / kBlockNs].push_back(op);
   }
   std::vector<double> p50, p90, rate;
   for (const auto& [index, block] : blocks) {
+    const std::int64_t from = ops.front().start_ns + index * kBlockNs;
+    const double scale =
+        probe == nullptr ? 1.0 : probe->scale(from, from + kBlockNs);
     std::vector<double> ms;
     double docs = 0.0;
     double total_ms = 0.0;
@@ -153,12 +161,26 @@ BlockMedians block_medians(const std::vector<e2e::Op>& ops) {
       docs += op.docs;
       total_ms += op.ms;
     }
-    p50.push_back(e2e::quantile(ms, 0.5));
-    p90.push_back(e2e::quantile(ms, 0.9));
-    rate.push_back(docs / (total_ms * 1e-3));
+    p50.push_back(e2e::quantile(ms, 0.5) * scale);
+    p90.push_back(e2e::quantile(ms, 0.9) * scale);
+    rate.push_back(docs / (total_ms * 1e-3 * scale));
   }
   return BlockMedians{e2e::quantile(p50, 0.5), e2e::quantile(p90, 0.5),
                       e2e::quantile(rate, 0.5)};
+}
+
+/// Median set-up time in seconds, each set-up scaled like the blocks.
+double setup_median_s(const std::vector<e2e::Op>& setups,
+                      const e2e::SpeedProbe* probe) {
+  std::vector<double> seconds;
+  for (const e2e::Op& setup : setups) {
+    const auto end =
+        setup.start_ns + static_cast<std::int64_t>(setup.ms * 1e6);
+    const double scale =
+        probe == nullptr ? 1.0 : probe->scale(setup.start_ns, end);
+    seconds.push_back(setup.ms * 1e-3 * scale);
+  }
+  return e2e::quantile(seconds, 0.5);
 }
 
 util::Value metric(double value, const char* unit) {
@@ -259,9 +281,9 @@ int main(int argc, char** argv) {
       report.check(listed.contains(name), "unlisted per-layer metric " + name);
     }
   } else {
-    const BlockMedians blocks = block_medians(report.ops);
+    const BlockMedians blocks = block_medians(report.ops, &report.probe);
     const double values[] = {
-        e2e::quantile(report.setup_s, 0.5),
+        setup_median_s(report.setups, &report.probe),
         blocks.p50,
         blocks.p90,
         blocks.docs_per_s,
@@ -272,6 +294,16 @@ int main(int argc, char** argv) {
       report.check(values[m] > 0.0,
                    std::string(kEndToEnd[m].name) + " measured as 0");
     }
+    // The same metrics as the wall clock read them, and the host speed.
+    const BlockMedians wall = block_medians(report.ops, nullptr);
+    report.notes.push_back(util::format(
+        "wall setup_s %.6g op_ms_p50 %.6g op_ms_p90 %.6g docs_per_s %.6g",
+        setup_median_s(report.setups, nullptr), wall.p50, wall.p90,
+        wall.docs_per_s));
+    report.notes.push_back(util::format(
+        "probe median %.4g ms (nominal %.4g ms)",
+        report.probe.median_ms(INT64_MIN / 2, INT64_MAX / 2),
+        e2e::SpeedProbe::kNominalMs));
   }
   for (const std::string& note : report.notes) {
     std::printf("# %s %s\n", options.workload.c_str(), note.c_str());

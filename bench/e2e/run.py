@@ -7,12 +7,12 @@ Run from the repository root:
                            [--trace 0|1] [--smoke] [--out DIR]
   python3 bench/e2e/run.py --compare DIR_A DIR_B [--bounds BENCHMARK.json]
 
-The first form builds upin_e2e (CMake project bench/e2e, which compiles
-the libraries under src/ it links) into $CARGO_TARGET_DIR, or
-.bench_build when that is unset, then runs it.  Build output goes to
-standard error; the last line of standard output is upin_e2e's JSON
-result.  Journals, shards and trace files stay inside the build
-directory.
+The first form configures the repository build with bench/e2e attached
+(attach.cmake) into $CARGO_TARGET_DIR, or .bench_build when that is
+unset, builds the upin_e2e target and its libraries, then runs it.
+Build output goes to standard error; the last line of standard output
+is upin_e2e's JSON result.  Journals, shards and trace files stay
+inside the build directory.
 
 The second form reads the --out files of two sets of runs (DIR_A the
 parent, DIR_B the change), pairs runs by seed, and prints for each
@@ -28,15 +28,19 @@ import subprocess
 import sys
 
 HERE = os.path.dirname(os.path.abspath(__file__))
+ROOT = os.path.dirname(os.path.dirname(HERE))
 
 
 def build(build_dir):
-    """Configure once, then build the upin_e2e target; exit on failure."""
+    """Configure the repository build once, with bench/e2e attached, then
+    build the upin_e2e target; exit on failure."""
     jobs = str(min(4, os.cpu_count() or 1))
     steps = []
     if not os.path.exists(os.path.join(build_dir, "CMakeCache.txt")):
-        steps.append(["cmake", "-S", HERE, "-B", build_dir,
-                      "-DCMAKE_BUILD_TYPE=RelWithDebInfo"])
+        steps.append(["cmake", "-S", ROOT, "-B", build_dir,
+                      "-DCMAKE_BUILD_TYPE=RelWithDebInfo",
+                      "-DCMAKE_PROJECT_upin_scion_INCLUDE="
+                      + os.path.join(HERE, "attach.cmake")])
     steps.append(["cmake", "--build", build_dir, "--target", "upin_e2e",
                   "-j", jobs])
     for step in steps:
@@ -143,7 +147,7 @@ def main():
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--workload")
     parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--seconds", type=float, default=20.0)
+    parser.add_argument("--seconds", type=float, default=25.0)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     parser.add_argument("--smoke", action="store_true")
     parser.add_argument("--out")

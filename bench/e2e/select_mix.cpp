@@ -62,6 +62,7 @@ std::unique_ptr<Population> populate(const Options& options,
   measure::TestSuite suite(population->host, population->db, config);
   util::Status status = suite.begin();
   while (status.ok()) {
+    report.probe.tick();
     const Result<measure::TestSuite::StepOutcome> outcome = suite.step();
     if (!outcome.ok()) {
       status = util::Status(outcome.error());
@@ -328,7 +329,7 @@ Report run_select_mix(const Options& options) {
     population.reset();
     const std::int64_t start = now_ns();
     population = populate(options, population_seed, report);
-    report.setup_s.push_back(seconds_since(start));
+    report.setup(start, now_ns());
   }
   const std::vector<Request> requests =
       make_requests(*population, derive_seed(options.seed, 1));
@@ -357,6 +358,7 @@ Report run_select_mix(const Options& options) {
 
   SelectReplay replay;
   std::size_t next = kWarmupRequests;
+  report.probe.sample();
   const std::int64_t deadline =
       now_ns() + static_cast<std::int64_t>(options.seconds * 1e9);
   do {
@@ -386,6 +388,7 @@ Report run_select_mix(const Options& options) {
       continue;
     }
     report.op(start, end, request.docs);
+    report.probe.tick();
     check_selection(report, selector, request, selection.value(),
                     paths_per_server[request.user.server_id],
                     *strategies[request.strategy]);

@@ -141,6 +141,8 @@ void check_reopen(SurveyRun& run, std::unique_ptr<Campaign> campaign,
 struct Stepped {
   std::size_t units = 0;
   StatsDigest digest;
+  Counters counters;            ///< delta over the whole campaign
+  double snapshot_bytes = 0.0;  ///< its final metrics snapshot
 };
 
 /// Run one campaign through TestSuite::step() until the plan is done or
@@ -149,11 +151,12 @@ struct Stepped {
 Stepped run_stepped(SurveyRun& run, std::uint64_t seed,
                     std::int64_t deadline_ns, Report* timed) {
   Stepped result;
+  const Counters before = Counters::read(&run.vfs);
   const std::string journal = run.next_journal();
   const std::int64_t setup_start = now_ns();
   std::unique_ptr<Campaign> campaign = set_up(run, seed, journal);
   if (campaign == nullptr) return result;
-  if (timed != nullptr) timed->setup_s.push_back(seconds_since(setup_start));
+  if (timed != nullptr) timed->setup(setup_start, now_ns());
 
   while (result.units == 0 || now_ns() < deadline_ns) {
     const std::size_t stored = campaign->suite->progress().stats_inserted;
@@ -172,10 +175,14 @@ Stepped run_stepped(SurveyRun& run, std::uint64_t seed,
       const std::size_t docs =
           campaign->suite->progress().stats_inserted - stored;
       timed->op(start, end, static_cast<double>(docs));
+      timed->probe.tick();
     }
   }
   const util::Status finished = campaign->suite->finish();
   run.report.check(finished.ok(), "finish failed");
+  result.counters = Counters::read(&run.vfs) - before;
+  result.snapshot_bytes =
+      static_cast<double>(campaign->registry.snapshot().dump().size());
 
   const measure::TestSuiteProgress& progress = campaign->suite->progress();
   check_campaign(run.report, *campaign->db, progress, "campaign");
@@ -203,12 +210,30 @@ struct Replay {
   std::size_t inserts = 0;
   std::size_t retries = 0;
   double checkpoint_bytes = 0.0;
-  double snapshot_bytes = 0.0;
+  double docs = 0.0;
+  double wall_s = 0.0;
+  OpTally tally;
+};
+
+/// The replayed campaigns' stepped runs, summed: what the real
+/// TestSuite path did to the VFS, the journal, the query planner and the
+/// path cache, and what it stored.
+struct SteppedTotals {
+  Counters counters;
+  double units = 0.0;
   double docs = 0.0;
   double user_bytes = 0.0;
-  double wall_s = 0.0;
-  std::size_t campaigns = 0;
-  OpTally tally;
+  double snapshot_bytes = 0.0;
+  double campaigns = 0.0;
+
+  void add(const Stepped& stepped) {
+    counters += stepped.counters;
+    units += static_cast<double>(stepped.units);
+    docs += static_cast<double>(stepped.digest.docs);
+    user_bytes += static_cast<double>(stepped.digest.bytes);
+    snapshot_bytes += stepped.snapshot_bytes;
+    campaigns += 1.0;
+  }
 };
 
 /// One (destination, iteration) unit, through the calls
@@ -439,15 +464,11 @@ void replay_campaign(SurveyRun& run, std::uint64_t seed, std::size_t units,
   }
   replay.units += units;
   replay.retries += progress.retry.retries;
-  ++replay.campaigns;
-  replay.snapshot_bytes +=
-      static_cast<double>(campaign->registry.snapshot().dump().size());
   replay.docs += static_cast<double>(progress.stats_inserted);
   replay.tally.add(progress);
   check_campaign(run.report, *campaign->db, progress, "replay");
 
   const StatsDigest digest = stats_digest(*campaign->db);
-  replay.user_bytes += static_cast<double>(digest.bytes);
   run.report.check(digest == expected,
                    "replay paths_stats digest " + digest.hex +
                        " != stepped run " + expected.hex);
@@ -457,10 +478,11 @@ void replay_campaign(SurveyRun& run, std::uint64_t seed, std::size_t units,
   }
 }
 
-/// Per-layer metrics of the replayed units (per unit unless the name
-/// says ratio, share or coverage).
+/// Per-layer metrics (per unit unless the name says ratio, share or
+/// coverage): span self times from the replay, counters and byte counts
+/// from the stepped runs it replayed.
 void report_layers(Report& report, const Replay& replay,
-                   const Counters& delta, double untraced_docs_per_s) {
+                   const SteppedTotals& stepped, double untraced_docs_per_s) {
   const double units = static_cast<double>(replay.units);
   const Tracer& tracer = replay.tracer;
   auto& layer = report.layer;
@@ -481,9 +503,9 @@ void report_layers(Report& report, const Replay& replay,
   layer["docdb.insert.self_us"] = tracer.self_us("docdb.insert", units);
   layer["docdb.insert.calls"] = static_cast<double>(replay.inserts) / units;
   layer["obs.snapshot.self_us"] = tracer.self_us("obs.snapshot", units);
-  layer["obs.snapshot.bytes"] =
-      replay.snapshot_bytes / static_cast<double>(replay.campaigns);
-  add_counter_layers(report, delta, units, replay.docs, replay.user_bytes);
+  layer["obs.snapshot.bytes"] = stepped.snapshot_bytes / stepped.campaigns;
+  add_counter_layers(report, stepped.counters, stepped.units, stepped.docs,
+                     stepped.user_bytes);
   const double coverage = add_trace_layers(
       report, tracer, "unit", untraced_docs_per_s, replay.docs / replay.wall_s);
   report.check(coverage >= 0.90,
@@ -502,17 +524,19 @@ Report run_survey(const Options& options, bool durable) {
   // A run sees only ~10 campaigns and set-up takes milliseconds, so it
   // also times set-ups alone for a steadier setup_s median.
   for (int i = 0; i < 20; ++i) {
+    report.probe.tick();
     const std::string journal = run.next_journal();
     const std::int64_t start = now_ns();
     std::unique_ptr<Campaign> campaign =
         set_up(run, derive_seed(options.seed, 1), journal);
-    report.setup_s.push_back(seconds_since(start));
+    report.setup(start, now_ns());
     campaign.reset();
     if (durable) std::filesystem::remove(journal);
   }
 
   Replay replay;
-  Counters replay_delta;
+  SteppedTotals replayed;
+  report.probe.sample();
   const std::int64_t deadline =
       now_ns() + static_cast<std::int64_t>(options.seconds * 1e9);
   std::uint64_t index = 1;
@@ -520,11 +544,8 @@ Report run_survey(const Options& options, bool durable) {
     const std::uint64_t seed = derive_seed(options.seed, index++);
     const Stepped stepped = run_stepped(run, seed, deadline, &report);
     if (options.trace && stepped.units > 0) {
-      // Counter deltas over the replays only: the stepped runs share the
-      // global registry and the counting VFS.
-      const Counters before = Counters::read(&run.vfs);
       replay_campaign(run, seed, stepped.units, stepped.digest, replay);
-      replay_delta += Counters::read(&run.vfs) - before;
+      replayed.add(stepped);
     }
   } while (now_ns() < deadline);
 
@@ -534,7 +555,7 @@ Report run_survey(const Options& options, bool durable) {
                            filesystem_type(options.data_dir));
   }
   if (options.trace && replay.units > 0) {
-    report_layers(report, replay, replay_delta, report.docs_per_s());
+    report_layers(report, replay, replayed, report.docs_per_s());
     if (!run.reopen_ms.empty()) {
       report.layer["docdb.replay_ms"] = util::mean(run.reopen_ms);
     }
