@@ -1,10 +1,19 @@
 #include "harness.hpp"
 
+#include <fcntl.h>
 #include <sys/vfs.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <cstdio>
+#include <ctime>
 #include <fstream>
+#include <functional>
+#include <regex>
+#include <set>
+#include <sstream>
+#include <unordered_map>
+#include <variant>
 
 #include "measure/schema.hpp"
 #include "obs/metrics.hpp"
@@ -19,68 +28,233 @@ std::uint64_t derive_seed(std::uint64_t seed, std::uint64_t index) {
   return util::splitmix64(state);
 }
 
+std::int64_t thread_cpu_ns() {
+  timespec now{};
+  ::clock_gettime(CLOCK_THREAD_CPUTIME_ID, &now);
+  return std::int64_t{now.tv_sec} * 1'000'000'000 + now.tv_nsec;
+}
+
+std::int64_t process_cpu_ns() {
+  timespec now{};
+  ::clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &now);
+  return std::int64_t{now.tv_sec} * 1'000'000'000 + now.tv_nsec;
+}
+
+Op Report::make_op(std::int64_t start_ns, std::int64_t end_ns,
+                   std::int64_t cpu_ns, double docs, int threads) {
+  const auto wall_ns = static_cast<double>(end_ns - start_ns);
+  const double share =
+      wall_ns > 0.0 ? static_cast<double>(cpu_ns) / (wall_ns * threads) : 1.0;
+  return Op{start_ns, wall_ns * 1e-6, docs, std::clamp(share, 0.0, 1.0)};
+}
+
 // ---- SpeedProbe -----------------------------------------------------------
 
 namespace {
 
-/// One cycle through 2^20 slots (4 MiB, more than a core's L2), built by
-/// Sattolo's shuffle from a fixed LCG stream.
-const std::vector<std::uint32_t>& probe_cycle() {
-  static const std::vector<std::uint32_t> cycle = [] {
-    std::vector<std::uint32_t> next(1U << 20);
-    for (std::uint32_t i = 0; i < next.size(); ++i) next[i] = i;
-    std::uint64_t state = 12345;
-    for (std::size_t i = next.size() - 1; i > 0; --i) {
-      state = state * 6364136223846793005ULL + 1442695040888963407ULL;
-      std::swap(next[i], next[(state >> 33) % i]);
+std::uint64_t lcg(std::uint64_t state) {
+  return state * 6364136223846793005ULL + 1442695040888963407ULL;
+}
+
+/// The CPU kernel's own little document store, written with the standard
+/// library only: documents of short-keyed fields (integer, real or
+/// string values) in insertion-ordered vectors, and an ordered index from
+/// a bucket key to the documents in it.  Short-lived blocks are allocated
+/// between the documents, so they scatter over the heap as a populated
+/// database's do.
+struct ProbeStore {
+  using Field =
+      std::pair<std::string, std::variant<std::int64_t, double, std::string>>;
+  using Document = std::vector<Field>;
+
+  static constexpr std::size_t kDocuments = 4000;
+  static constexpr std::size_t kFields = 20;
+  static constexpr std::int64_t kBuckets = 100;  ///< 40 documents each
+
+  std::vector<std::string> keys;
+  std::vector<Document> documents;
+  std::map<std::int64_t, std::vector<std::size_t>> index;
+  std::regex address{"([0-9]+)-ff00:0:([0-9a-f]+)"};
+
+  ProbeStore() {
+    for (std::size_t k = 0; k < kFields; ++k) {
+      keys.push_back("field_" + std::to_string(k * 7));
     }
-    return next;
-  }();
-  return cycle;
+    std::vector<std::unique_ptr<std::string>> transient;
+    documents.reserve(kDocuments);
+    for (std::size_t d = 0; d < kDocuments; ++d) {
+      Document document;
+      for (std::size_t k = 0; k < kFields; ++k) {
+        if (k % 5 == 0) {
+          document.emplace_back(keys[k], "1-ff00:0:" + std::to_string(d) +
+                                             " 2>3 1-ff00:0:110 " +
+                                             std::to_string(k));
+        } else if (k % 2 == 0) {
+          document.emplace_back(keys[k],
+                                static_cast<std::int64_t>(d * 13 + k));
+        } else {
+          document.emplace_back(keys[k], static_cast<double>(d) * 0.37 +
+                                             static_cast<double>(k));
+        }
+        transient.push_back(
+            std::make_unique<std::string>(64 + d % 7 * 16, 'x'));
+      }
+      documents.push_back(std::move(document));
+      index[static_cast<std::int64_t>(d) % kBuckets].push_back(d);
+      if (transient.size() > 5000) {
+        transient.erase(transient.begin(), transient.begin() + 2500);
+      }
+    }
+  }
+};
+
+const ProbeStore& probe_store() {
+  static const ProbeStore store;
+  return store;
 }
 
 /// The kernel's results end here, so the compiler cannot drop its work.
 /// Only the thread that drives a workload runs the probe.
 volatile std::uint64_t probe_sink = 0;
+std::uint64_t probe_state = 12345;
 
-/// The probe kernel's wall time in ms.
-double probe_kernel_ms() {
-  const std::vector<std::uint32_t>& next = probe_cycle();
-  const std::int64_t start = now_ns();
-  std::uint32_t at = 0;
-  for (int k = 0; k < 20000; ++k) at = next[at];
-  std::map<int, int> map;
-  for (int k = 0; k < 3000; ++k) map[(k * 7919) % 10007] = k;
-  std::string text;
-  for (int k = 0; k < 3000; ++k) text += std::to_string(k * 31);
-  std::vector<std::uint64_t> values(20000);
-  for (std::size_t k = 0; k < values.size(); ++k) {
-    values[k] = (k * 2654435761ULL) % 100003;
+/// What a selection does to a database, on the probe's store: two index
+/// lookups, a copy of each of the 40 documents found, five numeric fields
+/// read from each by key, and the values sorted.
+std::size_t document_chores(const ProbeStore& store) {
+  std::vector<double> values;
+  for (int lookup = 0; lookup < 2; ++lookup) {
+    probe_state = lcg(probe_state);
+    const auto bucket = static_cast<std::int64_t>(
+        (probe_state >> 33) % static_cast<std::uint64_t>(ProbeStore::kBuckets));
+    std::vector<ProbeStore::Document> found;
+    for (const std::size_t id : store.index.find(bucket)->second) {
+      found.push_back(store.documents[id]);
+    }
+    for (const ProbeStore::Document& document : found) {
+      for (std::size_t k = 1; k < ProbeStore::kFields; k += 4) {
+        for (const ProbeStore::Field& field : document) {
+          if (field.first != store.keys[k]) continue;
+          if (const auto* real = std::get_if<double>(&field.second)) {
+            values.push_back(*real);
+          } else if (const auto* integer =
+                         std::get_if<std::int64_t>(&field.second)) {
+            values.push_back(static_cast<double>(*integer));
+          }
+          break;
+        }
+      }
+    }
   }
   std::sort(values.begin(), values.end());
-  const auto last = static_cast<std::uint64_t>(map.rbegin()->second);
-  probe_sink = probe_sink + at + last + text.size() + values[100];
-  return static_cast<double>(now_ns() - start) * 1e-6;
+  return values.size();
+}
+
+/// Many small jobs through different parts of the standard library, as a
+/// request's set-up and bookkeeping run through many parts of the
+/// program: numbers formatted through a stream, AS-like names built and
+/// kept in a hashed and an ordered map, a regex over some of them, a
+/// stable sort, and calls through std::function.
+std::size_t library_chores(const ProbeStore& store) {
+  std::size_t total = 0;
+  std::ostringstream formatted;
+  formatted.precision(6);
+  std::unordered_map<std::string, int> hashed;
+  std::set<std::string> ordered;
+  std::vector<std::string> names;
+  for (int k = 0; k < 60; ++k) {
+    probe_state = lcg(probe_state);
+    formatted << static_cast<double>(probe_state >> 40) * 1e-3 << ' ';
+    std::string name = std::to_string(1 + (probe_state >> 60)) + "-ff00:0:" +
+                       std::to_string((probe_state >> 40) % 4096);
+    hashed[name] += k;
+    ordered.insert(name);
+    names.push_back(std::move(name));
+  }
+  for (std::size_t k = 0; k < 12; ++k) {
+    std::smatch match;
+    if (std::regex_search(names[k], match, store.address)) {
+      total += static_cast<std::size_t>(match[2].length());
+    }
+  }
+  std::stable_sort(names.begin(), names.end());
+  const std::vector<std::function<std::size_t(const std::string&)>> calls = {
+      [](const std::string& s) { return s.size(); },
+      [](const std::string& s) { return s.find(':'); },
+      [](const std::string& s) { return std::hash<std::string>{}(s) & 7U; }};
+  for (const std::string& name : names) {
+    for (const auto& call : calls) total += call(name);
+  }
+  return total + formatted.str().size() + hashed.size() + ordered.size();
+}
+
+/// The CPU kernel's wall time in ms.
+double cpu_kernel_ms() {
+  const ProbeStore& store = probe_store();
+  const std::int64_t start = now_ns();
+  const std::size_t work = document_chores(store) + library_chores(store);
+  const std::int64_t end = now_ns();
+  probe_sink = probe_sink + work;
+  return static_cast<double>(end - start) * 1e-6;
+}
+
+/// The I/O kernel's wall time in ms: a 512-byte append and fsync through
+/// POSIX calls (not the docdb VFS); 0 when the file cannot be written.
+double io_kernel_ms(const std::string& path) {
+  const int fd = ::open(path.c_str(), O_WRONLY | O_CREAT | O_APPEND | O_CLOEXEC,
+                        0644);
+  if (fd < 0) return 0.0;
+  static const std::string record(512, 'p');
+  const std::int64_t start = now_ns();
+  const bool ok =
+      ::write(fd, record.data(), record.size()) ==
+          static_cast<ssize_t>(record.size()) &&
+      ::fsync(fd) == 0;
+  const std::int64_t end = now_ns();
+  ::close(fd);
+  return ok ? static_cast<double>(end - start) * 1e-6 : 0.0;
 }
 
 }  // namespace
 
+SpeedProbe::SpeedProbe() { (void)probe_store(); }
+
+void SpeedProbe::enable_io(const std::string& dir) {
+  io_path_ = dir + "/io_probe";
+}
+
 void SpeedProbe::tick() {
-  if (now_ns() - last_ns_ >= 100'000'000) sample();
+  const std::int64_t now = now_ns();
+  if (now - last_cpu_ns_ >= 50'000'000) sample_cpu();
+  if (!io_path_.empty() && now - last_io_ns_ >= 100'000'000) sample_io();
 }
 
 void SpeedProbe::sample() {
-  const double ms = probe_kernel_ms();
-  last_ns_ = now_ns();
-  samples_.push_back(Sample{last_ns_, ms});
+  sample_cpu();
+  if (!io_path_.empty()) sample_io();
 }
 
-double SpeedProbe::median_ms(std::int64_t from_ns, std::int64_t to_ns) const {
-  const std::size_t wanted = std::min<std::size_t>(3, samples_.size());
+void SpeedProbe::sample_cpu() {
+  const double ms = cpu_kernel_ms();
+  last_cpu_ns_ = now_ns();
+  cpu_samples_.push_back(Sample{last_cpu_ns_, ms});
+}
+
+void SpeedProbe::sample_io() {
+  const double ms = io_kernel_ms(io_path_);
+  last_io_ns_ = now_ns();
+  if (ms > 0.0) io_samples_.push_back(Sample{last_io_ns_, ms});
+}
+
+double SpeedProbe::median_ms(Kernel kernel, std::int64_t from_ns,
+                             std::int64_t to_ns) const {
+  const std::vector<Sample>& samples =
+      kernel == Kernel::kCpu ? cpu_samples_ : io_samples_;
+  const std::size_t wanted = std::min<std::size_t>(3, samples.size());
   // Widen the window half a second a side until it holds 3 samples.
   for (std::int64_t pad = 0;; pad += 500'000'000) {
     std::vector<double> inside;
-    for (const Sample& s : samples_) {
+    for (const Sample& s : samples) {
       if (s.at_ns >= from_ns - pad && s.at_ns < to_ns + pad) {
         inside.push_back(s.ms);
       }
@@ -89,9 +263,12 @@ double SpeedProbe::median_ms(std::int64_t from_ns, std::int64_t to_ns) const {
   }
 }
 
-double SpeedProbe::scale(std::int64_t from_ns, std::int64_t to_ns) const {
-  const double ms = median_ms(from_ns, to_ns);
-  return ms > 0.0 ? kNominalMs / ms : 1.0;
+SpeedProbe::Scales SpeedProbe::scales(std::int64_t from_ns,
+                                      std::int64_t to_ns) const {
+  const double cpu = median_ms(Kernel::kCpu, from_ns, to_ns);
+  const double io = median_ms(Kernel::kIo, from_ns, to_ns);
+  return Scales{cpu > 0.0 ? kNominalCpuMs / cpu : 1.0,
+                io > 0.0 ? kNominalIoMs / io : 1.0};
 }
 
 // ---- Tracer -------------------------------------------------------------

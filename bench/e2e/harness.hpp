@@ -53,46 +53,84 @@ struct Options {
 [[nodiscard]] std::uint64_t derive_seed(std::uint64_t seed,
                                         std::uint64_t index);
 
-/// One timed operation: when it started, how long it took, and how many
+/// CPU time used so far by the calling thread, in nanoseconds.
+[[nodiscard]] std::int64_t thread_cpu_ns();
+/// CPU time used so far by all threads of the process, in nanoseconds.
+[[nodiscard]] std::int64_t process_cpu_ns();
+
+/// One timed operation: when it started, how long it took, how many
 /// paths_stats documents it committed (campaigns) or aggregated
-/// (selections).
+/// (selections), and the share of its threads' wall time they spent on
+/// a CPU (the rest they waited: for an fsync, a lock, or a vCPU the host
+/// took away).
 struct Op {
   std::int64_t start_ns = 0;
   double ms = 0.0;
   double docs = 0.0;
+  double cpu_share = 1.0;
 };
 
-/// Host speed probe (README: "Host speed").  A fixed kernel that uses no
-/// code of the system — pointer chasing over 4 MiB, an ordered map,
-/// number formatting, a sort — timed every 100 ms of wall between the
-/// timed operations.  Its time tracks how fast the shared host runs at
-/// that moment; main() scales operation times by it.
+/// Host speed probes (README: "Host speed").  Two fixed kernels that use
+/// no code of the system, timed between the timed operations:
+///  - the CPU kernel, every 50 ms: index lookups, document copies and
+///    field reads on a small document store of its own, then a round of
+///    standard-library chores (number formatting, hashed and ordered
+///    string maps, a regex, a stable sort, calls through std::function);
+///  - the I/O kernel, every 100 ms once enable_io() named a directory: a
+///    512-byte append and fsync on a file of its own.
+/// Their times track how fast the shared host runs and how fast its disk
+/// syncs at that moment; main() scales the on-CPU part of each operation
+/// by the first and the waiting part by the second.
 class SpeedProbe {
  public:
-  /// The kernel's time on an unloaded host of the kind the baseline was
-  /// taken on; scaled times read as if every probe had taken this long.
-  static constexpr double kNominalMs = 3.5;
+  /// The kernels' times on a quiet host of the kind the baseline was
+  /// taken on; scaled times read as if every sample had taken this long.
+  static constexpr double kNominalCpuMs = 0.3;
+  static constexpr double kNominalIoMs = 0.12;
 
-  /// Sample when 100 ms have passed since the last sample.
+  enum class Kernel { kCpu, kIo };
+
+  /// Multipliers for wall time taken at one time: the nominal kernel time
+  /// over the kernel's median sample then (1 without samples).
+  struct Scales {
+    double cpu = 1.0;
+    double io = 1.0;
+    /// For a wall time of which a share `cpu_share` was spent on a CPU.
+    [[nodiscard]] double of(double cpu_share) const {
+      return cpu_share * cpu + (1.0 - cpu_share) * io;
+    }
+  };
+
+  /// Builds the CPU kernel's store (once per process), so that no timed
+  /// region pays for it.
+  SpeedProbe();
+  /// Also run the I/O kernel, on a file in `dir` (on the disk the
+  /// workload's journals use).
+  void enable_io(const std::string& dir);
+  /// Sample each kernel whose interval has passed since its last sample.
   void tick();
-  /// Sample now.
+  /// Sample every kernel now.
   void sample();
-  /// Median kernel time, in ms, of the samples taken in [from_ns, to_ns),
-  /// widened half a second a side at a time until it holds three samples
-  /// (or all of them); 0 when there are none.
-  [[nodiscard]] double median_ms(std::int64_t from_ns,
+  /// Median time, in ms, of the kernel's samples taken in [from_ns,
+  /// to_ns), widened half a second a side at a time until it holds three
+  /// samples (or all of them); 0 when there are none.
+  [[nodiscard]] double median_ms(Kernel kernel, std::int64_t from_ns,
                                  std::int64_t to_ns) const;
-  /// kNominalMs over median_ms(from_ns, to_ns): what a wall time taken
-  /// then is multiplied by (1 when there are no samples).
-  [[nodiscard]] double scale(std::int64_t from_ns, std::int64_t to_ns) const;
+  [[nodiscard]] Scales scales(std::int64_t from_ns, std::int64_t to_ns) const;
 
  private:
   struct Sample {
     std::int64_t at_ns;
     double ms;
   };
-  std::vector<Sample> samples_;
-  std::int64_t last_ns_ = 0;
+  void sample_cpu();
+  void sample_io();
+
+  std::vector<Sample> cpu_samples_;
+  std::vector<Sample> io_samples_;
+  std::string io_path_;  ///< empty: no I/O kernel
+  std::int64_t last_cpu_ns_ = 0;
+  std::int64_t last_io_ns_ = 0;
 };
 
 /// What one workload run measured.  End-to-end inputs are raw samples;
@@ -110,14 +148,20 @@ struct Report {
   void check(bool ok, const std::string& what) {
     if (!ok) failures.push_back(what);
   }
-  void op(std::int64_t start_ns, std::int64_t end_ns, double docs) {
-    ops.push_back(
-        Op{start_ns, static_cast<double>(end_ns - start_ns) * 1e-6, docs});
+  /// An operation of `threads` threads that used `cpu_ns` of CPU time
+  /// between `start_ns` and `end_ns`.
+  void op(std::int64_t start_ns, std::int64_t end_ns, std::int64_t cpu_ns,
+          double docs, int threads = 1) {
+    ops.push_back(make_op(start_ns, end_ns, cpu_ns, docs, threads));
   }
-  void setup(std::int64_t start_ns, std::int64_t end_ns) {
-    setups.push_back(
-        Op{start_ns, static_cast<double>(end_ns - start_ns) * 1e-6, 0.0});
+  /// A set-up, run on the calling thread.
+  void setup(std::int64_t start_ns, std::int64_t end_ns,
+             std::int64_t cpu_ns) {
+    setups.push_back(make_op(start_ns, end_ns, cpu_ns, 0.0, 1));
   }
+  [[nodiscard]] static Op make_op(std::int64_t start_ns, std::int64_t end_ns,
+                                  std::int64_t cpu_ns, double docs,
+                                  int threads);
   /// Documents per second of operation time, over the whole run.
   [[nodiscard]] double docs_per_s() const {
     double docs = 0.0;

@@ -131,10 +131,11 @@ int run_all(int argc, char** argv) {
 
 /// The median, over consecutive one-second blocks of the measured phase,
 /// of each block's p50 and p90 operation time and its documents per
-/// second, each scaled to nominal host speed by the probe samples of its
-/// block (`probe` null: wall time as measured).  Outside load on a shared
-/// machine comes in bursts; it spoils a few blocks rather than the run's
-/// numbers.
+/// second.  Each operation's time is scaled to a quiet host by the probe
+/// samples of its block: its on-CPU share by the CPU kernel, the rest by
+/// the I/O kernel (`probe` null: wall time as measured).  Outside load on
+/// a shared machine comes in bursts; it spoils a few blocks rather than
+/// the run's numbers.
 struct BlockMedians {
   double p50 = 0.0;
   double p90 = 0.0;
@@ -151,34 +152,36 @@ BlockMedians block_medians(const std::vector<e2e::Op>& ops,
   std::vector<double> p50, p90, rate;
   for (const auto& [index, block] : blocks) {
     const std::int64_t from = ops.front().start_ns + index * kBlockNs;
-    const double scale =
-        probe == nullptr ? 1.0 : probe->scale(from, from + kBlockNs);
+    const e2e::SpeedProbe::Scales scales =
+        probe == nullptr ? e2e::SpeedProbe::Scales{}
+                         : probe->scales(from, from + kBlockNs);
     std::vector<double> ms;
     double docs = 0.0;
     double total_ms = 0.0;
     for (const e2e::Op& op : block) {
-      ms.push_back(op.ms);
+      ms.push_back(op.ms * scales.of(op.cpu_share));
       docs += op.docs;
-      total_ms += op.ms;
+      total_ms += ms.back();
     }
-    p50.push_back(e2e::quantile(ms, 0.5) * scale);
-    p90.push_back(e2e::quantile(ms, 0.9) * scale);
-    rate.push_back(docs / (total_ms * 1e-3 * scale));
+    p50.push_back(e2e::quantile(ms, 0.5));
+    p90.push_back(e2e::quantile(ms, 0.9));
+    rate.push_back(docs / (total_ms * 1e-3));
   }
   return BlockMedians{e2e::quantile(p50, 0.5), e2e::quantile(p90, 0.5),
                       e2e::quantile(rate, 0.5)};
 }
 
-/// Median set-up time in seconds, each set-up scaled like the blocks.
+/// Median set-up time in seconds, each set-up scaled like an operation.
 double setup_median_s(const std::vector<e2e::Op>& setups,
                       const e2e::SpeedProbe* probe) {
   std::vector<double> seconds;
   for (const e2e::Op& setup : setups) {
     const auto end =
         setup.start_ns + static_cast<std::int64_t>(setup.ms * 1e6);
-    const double scale =
-        probe == nullptr ? 1.0 : probe->scale(setup.start_ns, end);
-    seconds.push_back(setup.ms * 1e-3 * scale);
+    const e2e::SpeedProbe::Scales scales =
+        probe == nullptr ? e2e::SpeedProbe::Scales{}
+                         : probe->scales(setup.start_ns, end);
+    seconds.push_back(setup.ms * 1e-3 * scales.of(setup.cpu_share));
   }
   return e2e::quantile(seconds, 0.5);
 }
@@ -300,10 +303,14 @@ int main(int argc, char** argv) {
         "wall setup_s %.6g op_ms_p50 %.6g op_ms_p90 %.6g docs_per_s %.6g",
         setup_median_s(report.setups, nullptr), wall.p50, wall.p90,
         wall.docs_per_s));
+    using Kernel = e2e::SpeedProbe::Kernel;
     report.notes.push_back(util::format(
-        "probe median %.4g ms (nominal %.4g ms)",
-        report.probe.median_ms(INT64_MIN / 2, INT64_MAX / 2),
-        e2e::SpeedProbe::kNominalMs));
+        "probe median cpu %.4g ms (nominal %.4g ms) io %.4g ms (nominal "
+        "%.4g ms)",
+        report.probe.median_ms(Kernel::kCpu, INT64_MIN / 2, INT64_MAX / 2),
+        e2e::SpeedProbe::kNominalCpuMs,
+        report.probe.median_ms(Kernel::kIo, INT64_MIN / 2, INT64_MAX / 2),
+        e2e::SpeedProbe::kNominalIoMs));
   }
   for (const std::string& note : report.notes) {
     std::printf("# %s %s\n", options.workload.c_str(), note.c_str());

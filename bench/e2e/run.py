@@ -121,9 +121,9 @@ def compare(dir_a, dir_b, bounds_path):
     with open(bounds_path) as handle:
         spec = json.load(handle)
     parent, change = load_runs(dir_a), load_runs(dir_b)
-    print("%-15s %-12s %32s %32s %6s  %s" % (
+    print("%-15s %-12s %32s %32s %7s %6s  %s" % (
         "workload", "metric", "A median [q1, q3]", "B median [q1, q3]",
-        "bound", "verdict"))
+        "shift", "bound", "verdict"))
     worse = False
     for workload in sorted(set(parent) & set(change)):
         a_runs, b_runs = parent[workload], change[workload]
@@ -137,9 +137,12 @@ def compare(dir_a, dir_b, bounds_path):
             result = verdict(a, b, metric["bound"],
                              metric["better"] == "lower")
             worse |= result == "worse"
-            print("%-15s %-12s %32s %32s %6.2f  %s" % (
+            med_a, med_b = summary(a)[0], summary(b)[0]
+            shift = "%+.3f" % (med_b / med_a - 1) if med_a else "-"
+            print("%-15s %-12s %32s %32s %7s %6.2f  %s" % (
                 workload, name, "%.4g [%.4g, %.4g]" % summary(a),
-                "%.4g [%.4g, %.4g]" % summary(b), metric["bound"], result))
+                "%.4g [%.4g, %.4g]" % summary(b), shift, metric["bound"],
+                result))
     return 1 if worse else 0
 
 

@@ -323,13 +323,16 @@ bool same_ranking(const Selection& a, const Selection& b) {
 
 Report run_select_mix(const Options& options) {
   Report report;
+  // The population is built three times, each timed, for a steadier
+  // setup_s median; the last one serves the requests.
   const std::uint64_t population_seed = derive_seed(options.seed, 0);
   std::unique_ptr<Population> population;
   for (int i = 0; i < (options.smoke ? 1 : 3); ++i) {
     population.reset();
+    const std::int64_t cpu = thread_cpu_ns();
     const std::int64_t start = now_ns();
     population = populate(options, population_seed, report);
-    report.setup(start, now_ns());
+    report.setup(start, now_ns(), thread_cpu_ns() - cpu);
   }
   const std::vector<Request> requests =
       make_requests(*population, derive_seed(options.seed, 1));
@@ -377,17 +380,19 @@ Report run_select_mix(const Options& options) {
     // warm caches every time (trace.overhead_pct compares them).
     if (options.trace && next % 2 == 0) traced_replay();
 
+    const std::int64_t cpu = thread_cpu_ns();
     const std::int64_t start = now_ns();
     const Result<Selection> selection =
         selector.select_with(request.strategy, request.user);
     const std::int64_t end = now_ns();
+    const std::int64_t cpu_used = thread_cpu_ns() - cpu;
     ++report.attempted;
     if (!selection.ok()) {
       ++report.failed;
       report.check(false, "select_with: " + selection.error().message);
       continue;
     }
-    report.op(start, end, request.docs);
+    report.op(start, end, cpu_used, request.docs);
     report.probe.tick();
     check_selection(report, selector, request, selection.value(),
                     paths_per_server[request.user.server_id],

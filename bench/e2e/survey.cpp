@@ -153,16 +153,21 @@ Stepped run_stepped(SurveyRun& run, std::uint64_t seed,
   Stepped result;
   const Counters before = Counters::read(&run.vfs);
   const std::string journal = run.next_journal();
+  const std::int64_t setup_cpu = thread_cpu_ns();
   const std::int64_t setup_start = now_ns();
   std::unique_ptr<Campaign> campaign = set_up(run, seed, journal);
   if (campaign == nullptr) return result;
-  if (timed != nullptr) timed->setup(setup_start, now_ns());
+  if (timed != nullptr) {
+    timed->setup(setup_start, now_ns(), thread_cpu_ns() - setup_cpu);
+  }
 
   while (result.units == 0 || now_ns() < deadline_ns) {
     const std::size_t stored = campaign->suite->progress().stats_inserted;
+    const std::int64_t cpu = thread_cpu_ns();
     const std::int64_t start = now_ns();
     const Result<TestSuite::StepOutcome> outcome = campaign->suite->step();
     const std::int64_t end = now_ns();
+    const std::int64_t cpu_used = thread_cpu_ns() - cpu;
     if (outcome.ok() && outcome.value() == TestSuite::StepOutcome::kDone) break;
     if (timed != nullptr) ++timed->attempted;
     if (!outcome.ok()) {
@@ -174,7 +179,7 @@ Stepped run_stepped(SurveyRun& run, std::uint64_t seed,
     if (timed != nullptr) {
       const std::size_t docs =
           campaign->suite->progress().stats_inserted - stored;
-      timed->op(start, end, static_cast<double>(docs));
+      timed->op(start, end, cpu_used, static_cast<double>(docs));
       timed->probe.tick();
     }
   }
@@ -517,22 +522,28 @@ void report_layers(Report& report, const Replay& replay,
 Report run_survey(const Options& options, bool durable) {
   Report report;
   SurveyRun run{options, durable, report, {}, 0, {}};
+  if (durable) report.probe.enable_io(options.data_dir);
 
   // One warm-up campaign: caches, allocator and page cache settle.
   (void)run_stepped(run, derive_seed(options.seed, 0), INT64_MAX, nullptr);
   run.reopen_ms.clear();
   // A run sees only ~10 campaigns and set-up takes milliseconds, so it
-  // also times set-ups alone for a steadier setup_s median.
-  for (int i = 0; i < 20; ++i) {
-    report.probe.tick();
-    const std::string journal = run.next_journal();
-    const std::int64_t start = now_ns();
-    std::unique_ptr<Campaign> campaign =
-        set_up(run, derive_seed(options.seed, 1), journal);
-    report.setup(start, now_ns());
-    campaign.reset();
-    if (durable) std::filesystem::remove(journal);
-  }
+  // also times set-ups alone for a steadier setup_s median: three after
+  // each campaign, so that they sample the host across the whole run
+  // rather than one moment of it.
+  const auto lone_setups = [&] {
+    for (int i = 0; i < 3; ++i) {
+      report.probe.tick();
+      const std::string journal = run.next_journal();
+      const std::int64_t cpu = thread_cpu_ns();
+      const std::int64_t start = now_ns();
+      std::unique_ptr<Campaign> campaign =
+          set_up(run, derive_seed(options.seed, 1), journal);
+      report.setup(start, now_ns(), thread_cpu_ns() - cpu);
+      campaign.reset();
+      if (durable) std::filesystem::remove(journal);
+    }
+  };
 
   Replay replay;
   SteppedTotals replayed;
@@ -547,6 +558,7 @@ Report run_survey(const Options& options, bool durable) {
       replay_campaign(run, seed, stepped.units, stepped.digest, replay);
       replayed.add(stepped);
     }
+    lone_setups();
   } while (now_ns() < deadline);
 
   report.notes.push_back(util::format("unit samples: %zu", report.ops.size()));
