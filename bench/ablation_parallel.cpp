@@ -1,15 +1,15 @@
-// ablation_parallel — scale-out throughput of the survey engine
+// ablation_parallel — scale-out throughput of the campaign engine
 // (paper §4.1.1's scalability requirement, measured).
 //
-// Runs the full 21-destination survey sequentially and with increasing
-// worker counts, reporting wall time and speedup.  Also measures the
-// read side: parallel vs sequential per-path aggregation in the
-// selection layer.
-#include <chrono>
+// Runs the full 21-destination survey as a fleet of in-memory tenants,
+// one per destination, with increasing worker counts, reporting wall
+// time and speedup.  Each tenant draws its own split seed, so the sample
+// count is a pure function of the fleet seed: it must not change with
+// the worker count.
 #include <thread>
 
 #include "common.hpp"
-#include "measure/parallel_survey.hpp"
+#include "fleet/fleet.hpp"
 
 int main(int argc, char** argv) {
   using namespace upin;
@@ -19,8 +19,8 @@ int main(int argc, char** argv) {
     std::printf("threads,wall_s,speedup,samples\n");
   } else {
     bench::print_header(
-        "Ablation — parallel survey scale-out (21 destinations, 4 iterations)",
-        "one host replica per destination; shared thread-safe database");
+        "Ablation — fleet scale-out (21 destinations, 4 iterations)",
+        "one in-memory tenant per destination; fleet workers multiplex them");
     std::printf("hardware concurrency: %u (speedup is bounded by this)\n\n",
                 std::thread::hardware_concurrency());
     std::printf("%-9s %-10s %-9s %s\n", "threads", "wall s", "speedup",
@@ -28,57 +28,41 @@ int main(int argc, char** argv) {
   }
 
   const scion::ScionlabEnv env = scion::scionlab_topology();
+  std::vector<fleet::CampaignSpec> specs;
+  for (std::size_t i = 0; i < env.servers.size(); ++i) {
+    fleet::CampaignSpec spec;
+    spec.campaign_id = static_cast<int>(i) + 1;
+    spec.server_ids = {spec.campaign_id};
+    specs.push_back(spec);
+  }
+
   double baseline = 0.0;
   for (const std::size_t threads : {std::size_t{1}, std::size_t{2},
                                     std::size_t{4}, std::size_t{8}}) {
-    docdb::Database db;
-    measure::ParallelSurveyConfig config;
+    fleet::FleetConfig config;
     config.suite.iterations = 4;
     config.threads = threads;
-    const auto result = measure::run_parallel_survey(env, db, config);
+    config.error_budget = 0;
+    config.watchdog_deadline_s = 0.0;
+    const auto result = fleet::FleetScheduler(env, config).run(specs);
     if (!result.ok()) {
-      std::fprintf(stderr, "survey failed: %s\n",
+      std::fprintf(stderr, "fleet failed: %s\n",
                    result.error().message.c_str());
       return 1;
     }
-    if (threads == 1) baseline = result.value().wall_seconds;
-    const double speedup = baseline / result.value().wall_seconds;
-    if (csv) {
-      std::printf("%zu,%.3f,%.2f,%zu\n", threads, result.value().wall_seconds,
-                  speedup, result.value().progress.stats_inserted);
-    } else {
-      std::printf("%-9zu %-10.3f %-9.2f %zu\n", threads,
-                  result.value().wall_seconds, speedup,
-                  result.value().progress.stats_inserted);
+    std::size_t samples = 0;
+    for (const fleet::CampaignStatus& campaign : result.value().campaigns) {
+      samples += campaign.progress.stats_inserted;
     }
-  }
-
-  // Read-side: aggregation of one big destination's history.
-  docdb::Database db;
-  measure::ParallelSurveyConfig config;
-  config.suite.iterations = 40;
-  config.suite.server_ids = {{5}};  // Korea: the largest path set
-  config.threads = 4;
-  if (!measure::run_parallel_survey(env, db, config).ok()) return 1;
-
-  select::PathSelector selector(db, env.topology);
-  const auto time_call = [](const auto& fn) {
-    const auto start = std::chrono::steady_clock::now();
-    fn();
-    return std::chrono::duration<double, std::milli>(
-               std::chrono::steady_clock::now() - start)
-        .count();
-  };
-  const double sequential_ms =
-      time_call([&] { (void)selector.summarize(5); });
-  util::ThreadPool pool(4);
-  const double parallel_ms =
-      time_call([&] { (void)selector.summarize_parallel(5, pool); });
-  if (!csv) {
-    std::printf("\naggregation of server 5 (%d iterations):\n",
-                config.suite.iterations);
-    std::printf("  sequential summarize : %.2f ms\n", sequential_ms);
-    std::printf("  parallel summarize   : %.2f ms (4 workers)\n", parallel_ms);
+    const double wall = result.value().wall_seconds;
+    if (threads == 1) baseline = wall;
+    const double speedup = baseline / wall;
+    if (csv) {
+      std::printf("%zu,%.3f,%.2f,%zu\n", threads, wall, speedup, samples);
+    } else {
+      std::printf("%-9zu %-10.3f %-9.2f %zu\n", threads, wall, speedup,
+                  samples);
+    }
   }
   return 0;
 }

@@ -24,7 +24,7 @@ int main(int argc, char** argv) {
         "  1. Paths Collection      scion showpaths --extended -m 40   "
         "(upin::measure::TestSuite::collect_paths)\n"
         "  2. Paths Test Execution  ping + bwtest per path             "
-        "(upin::measure::TestSuite::run_tests)\n"
+        "(upin::measure::TestSuite::step)\n"
         "  3. Stats Storage         batched insert per destination     "
         "(upin::docdb::Collection::insert_many)\n\n");
   }

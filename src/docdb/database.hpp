@@ -28,7 +28,7 @@ using WriteGuard = std::function<bool(const util::Value& credential)>;
 struct DatabaseOptions {
   /// Bound on the journal writer queue (frames awaiting group commit).
   /// Mutating threads block — backpressure — when it fills; deeper
-  /// queues absorb burstier parallel surveys at the cost of a larger
+  /// queues absorb burstier concurrent writers at the cost of a larger
   /// at-crash unflushed tail for calls that have not yet returned.
   std::size_t journal_queue_depth = Journal::kDefaultQueueDepth;
   /// Strict (false, default): a corrupt newline-terminated journal line

@@ -13,7 +13,7 @@
 //    ticket; a dedicated writer thread drains the queue in groups and
 //    commits each group with ONE write + ONE fsync.  This takes framing,
 //    CRC and file I/O off the mutating threads (and off the collection
-//    lock), which is what lets parallel surveys batch their storage the
+//    lock), which is what lets concurrent writers batch their storage the
 //    way the paper batches MongoDB insertions (§4.2.2).
 //
 // Integrity: every appended record carries a CRC-32 prefix

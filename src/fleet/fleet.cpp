@@ -385,7 +385,19 @@ Result<FleetResult> FleetScheduler::run(
   // drained, closed lane), run its credits sequentially on its own
   // virtual timeline, release.  A tenant is held by at most one worker
   // at a time, so campaigns stay sequential internally while the fleet
-  // interleaves across tenants.
+  // interleaves across tenants.  next_claimable() (under shared.mutex)
+  // finds that tenant's index, or n when no tenant is claimable.
+  auto next_claimable = [&]() -> std::size_t {
+    for (std::size_t k = 0; k < n; ++k) {
+      const std::size_t index = (shared.rr_cursor + k) % n;
+      const Tenant& t = *tenants[index];
+      if (!t.finished.load() && !t.in_flight.load() &&
+          (t.lane.size() > 0 || t.lane_closed.load())) {
+        return index;
+      }
+    }
+    return n;
+  };
   const std::size_t worker_count = resolve_workers(config_.threads, n);
   std::vector<std::thread> workers;
   workers.reserve(worker_count);
@@ -398,27 +410,13 @@ Result<FleetResult> FleetScheduler::run(
           // wait_for is a lost-wakeup safety net: the predicate reads
           // lane sizes that change outside this mutex.
           shared.cv.wait_for(lock, std::chrono::milliseconds(10), [&] {
-            if (shared.finished >= n) return true;
-            for (std::size_t k = 0; k < n; ++k) {
-              const Tenant& t = *tenants[(shared.rr_cursor + k) % n];
-              if (!t.finished.load() && !t.in_flight.load() &&
-                  (t.lane.size() > 0 || t.lane_closed.load())) {
-                return true;
-              }
-            }
-            return false;
+            return shared.finished >= n || next_claimable() < n;
           });
           if (shared.finished >= n) return;
-          for (std::size_t k = 0; k < n; ++k) {
-            const std::size_t index = (shared.rr_cursor + k) % n;
-            Tenant& t = *tenants[index];
-            if (!t.finished.load() && !t.in_flight.load() &&
-                (t.lane.size() > 0 || t.lane_closed.load())) {
-              t.in_flight.store(true);
-              shared.rr_cursor = index + 1;
-              claimed = &t;
-              break;
-            }
+          if (const std::size_t index = next_claimable(); index < n) {
+            claimed = tenants[index].get();
+            claimed->in_flight.store(true);
+            shared.rr_cursor = index + 1;
           }
         }
         if (claimed == nullptr) continue;

@@ -62,6 +62,7 @@ struct FaultTaxonomy {
     return timeouts + unreachable + garbled + storage + revoked + expired +
            other;
   }
+  bool operator==(const FaultTaxonomy&) const = default;
 };
 
 /// How backoff jitter is drawn.
@@ -98,6 +99,7 @@ struct RetryPolicy {
 struct RetryStats {
   std::size_t retries = 0;           ///< re-attempts performed
   std::size_t budget_exhausted = 0;  ///< operations cut off by the budget
+  bool operator==(const RetryStats&) const = default;
 };
 
 // Global-registry hooks for the retry loop, out-of-line so the template

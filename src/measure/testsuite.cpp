@@ -564,9 +564,9 @@ Result<TestSuite::StepOutcome> TestSuite::step(bool shed_bandwidth) {
   return StepOutcome::kDone;
 }
 
-Status TestSuite::run_tests() {
-  const Status planned = prepare_plan();
-  if (!planned.ok()) return planned;
+Status TestSuite::run() {
+  const Status begun = begin();
+  if (!begun.ok()) return begun;
   obs::ProgressReporter reporter(
       util::sim_seconds(config_.progress_report_interval_s));
   std::size_t units_done = 0;
@@ -588,7 +588,7 @@ Status TestSuite::run_tests() {
           util::to_seconds(host_.clock().now()));
     });
   }
-  return Status::success();
+  return finish();
 }
 
 Status TestSuite::begin() {
@@ -606,14 +606,6 @@ Status TestSuite::finish() {
     record_metrics_snapshot("final", "final");
   }
   return Status::success();
-}
-
-Status TestSuite::run() {
-  const Status begun = begin();
-  if (!begun.ok()) return begun;
-  const Status tested = run_tests();
-  if (!tested.ok()) return tested;
-  return finish();
 }
 
 }  // namespace upin::measure

@@ -7,12 +7,13 @@
 //   * collect_paths.py   -> TestSuite::collect_paths(): showpaths per
 //                           destination, keep paths with hop count <=
 //                           min + 1, insert into `paths`, delete vanished
-//   * run_test.py        -> TestSuite::run_tests(): three nested loops
-//                           (iterations x destinations x paths), per path
-//                           one ping (30 x 0.1 s) and four bandwidth
-//                           numbers ({64 B, MTU} x {up, down}), then one
-//                           *batched* insert per destination (§4.2.2's
-//                           fault-tolerance trade-off)
+//   * run_test.py        -> TestSuite::step(), looped by run(): three
+//                           nested loops (iterations x destinations x
+//                           paths), one (destination, iteration) unit per
+//                           step; per path one ping (30 x 0.1 s) and four
+//                           bandwidth numbers ({64 B, MTU} x {up, down}),
+//                           then one *batched* insert per destination
+//                           (§4.2.2's fault-tolerance trade-off)
 //
 // Faults (unreachable server, failed command) are handled by a
 // first-class recovery policy (§4.1.2 upgraded): failed operations retry
@@ -122,6 +123,8 @@ struct TestSuiteProgress {
   /// Bandwidth probes skipped by fleet load shedding (degraded tenants
   /// run ping-only units; two bw probes shed per path test).
   std::size_t probes_shed = 0;
+
+  bool operator==(const TestSuiteProgress&) const = default;
 };
 
 /// The campaign engine.  Owns neither the host nor the database.
@@ -137,10 +140,8 @@ class TestSuite {
   /// Phase 1: discover paths for every (selected) destination.
   util::Status collect_paths();
 
-  /// Phase 2: the three nested measurement loops.
-  util::Status run_tests();
-
-  /// Phases 1+2 honoring skip_collection, i.e. `./test_suite.sh N [--skip]`.
+  /// The whole campaign, i.e. `./test_suite.sh N [--skip]`: begin(), a
+  /// step() loop that logs progress lines, finish().
   util::Status run();
 
   // ---- unit-stepped execution (fleet scheduling) ---------------------
@@ -148,8 +149,8 @@ class TestSuite {
   // A multi-tenant scheduler cannot hand a whole campaign to run(): it
   // interleaves *units* of N campaigns for fairness.  The stepping API
   // exposes the identical execution path at (destination, iteration)
-  // granularity — run_tests() itself is implemented as a step() loop, so
-  // a stepped campaign journals byte-identical output to a solo run().
+  // granularity — run() itself is implemented as a step() loop, so a
+  // stepped campaign journals byte-identical output to a solo run().
 
   /// What one step() call did.
   enum class StepOutcome {
@@ -213,7 +214,7 @@ class TestSuite {
   [[nodiscard]] std::vector<Destination> selected_destinations() const;
   [[nodiscard]] util::Status store_batch(std::vector<docdb::Document> docs);
 
-  /// Hoist run_tests()' resume planning: destination list, per-destination
+  /// Resume planning for step(): destination list, per-destination
   /// remaining-iteration counts, checkpoint availability.  Idempotent.
   [[nodiscard]] util::Status prepare_plan();
 

@@ -128,29 +128,6 @@ Result<std::vector<PathSummary>> PathSelector::summarize(
   return summaries;
 }
 
-Result<std::vector<PathSummary>> PathSelector::summarize_parallel(
-    int server_id, util::ThreadPool& pool,
-    std::optional<std::int64_t> since_ms) const {
-  Result<std::vector<Document>> docs = path_docs_for(db_, server_id);
-  if (!docs.ok()) return Result<std::vector<PathSummary>>(docs.error());
-
-  // Each worker writes only its own slot; no shared mutable state.
-  std::vector<Result<PathSummary>> slots(
-      docs.value().size(),
-      Result<PathSummary>(util::Error{ErrorCode::kInternal, "not computed"}));
-  util::parallel_for(pool, docs.value().size(), [&](std::size_t i) {
-    slots[i] = summarize_path(docs.value()[i], since_ms);
-  });
-
-  std::vector<PathSummary> summaries;
-  summaries.reserve(slots.size());
-  for (Result<PathSummary>& slot : slots) {
-    if (!slot.ok()) return Result<std::vector<PathSummary>>(slot.error());
-    summaries.push_back(std::move(slot).value());
-  }
-  return summaries;
-}
-
 namespace {
 
 /// The shared paper-objective instance the façade entry points delegate
@@ -167,11 +144,6 @@ std::optional<std::string> PathSelector::rejection_reason(
     const PathSummary& summary, const UserRequest& request) const {
   return check_admission(summary, request, context(), paper_strategy())
       .rejection;
-}
-
-std::optional<double> PathSelector::score(const PathSummary& summary,
-                                          const UserRequest& request) {
-  return paper_objective_score(summary, request);
 }
 
 Result<Selection> PathSelector::select(const UserRequest& request) const {

@@ -4,8 +4,7 @@
 // summaries (box statistics over latency, mean loss, mean bandwidths),
 // drop paths violating the user's constraints (performance + sovereignty),
 // rank the survivors under the chosen objective, and return them with a
-// rationale.  Aggregation over many paths is parallelized with the shared
-// thread pool — each path's samples are independent.
+// rationale.
 //
 // Since the strategy-lab redesign, PathSelector is a thin façade over the
 // StrategyRegistry: `select()` delegates to the `paper-objective`
@@ -27,7 +26,6 @@
 #include "select/types.hpp"
 #include "util/clock.hpp"
 #include "util/stats.hpp"
-#include "util/thread_pool.hpp"
 
 namespace upin::select {
 
@@ -51,11 +49,6 @@ class PathSelector {
   /// contribute (freshness window).
   [[nodiscard]] util::Result<std::vector<PathSummary>> summarize(
       int server_id, std::optional<std::int64_t> since_ms = std::nullopt) const;
-
-  /// As `summarize`, but aggregating paths in parallel on `pool`.
-  [[nodiscard]] util::Result<std::vector<PathSummary>> summarize_parallel(
-      int server_id, util::ThreadPool& pool,
-      std::optional<std::int64_t> since_ms = std::nullopt) const;
 
   /// Full selection under a request — the `paper-objective` strategy.
   [[nodiscard]] util::Result<Selection> select(const UserRequest& request) const;
@@ -81,12 +74,6 @@ class PathSelector {
   /// rejection reason or nullopt when admissible.
   [[nodiscard]] std::optional<std::string> rejection_reason(
       const PathSummary& summary, const UserRequest& request) const;
-
-  /// Deprecated: the paper objective's score, kept as a shim so existing
-  /// callers compile.  New code scores through a strategy
-  /// (`PathSelectionStrategy::score_path`) or `paper_objective_score`.
-  [[nodiscard]] static std::optional<double> score(const PathSummary& summary,
-                                                   const UserRequest& request);
 
  private:
   [[nodiscard]] util::Result<PathSummary> summarize_path(

@@ -141,8 +141,7 @@ inline constexpr std::string_view kDisjointnessMax = "disjointness-max";
 [[nodiscard]] std::optional<double> request_bandwidth(
     const PathSummary& summary, const UserRequest& request);
 
-/// The paper's §6 objective score (lower = better) — what the legacy
-/// `PathSelector::score` computed.
+/// The paper's §6 objective score (lower = better).
 [[nodiscard]] std::optional<double> paper_objective_score(
     const PathSummary& summary, const UserRequest& request);
 

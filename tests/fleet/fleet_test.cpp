@@ -1,13 +1,16 @@
 // Tests for the multi-tenant fleet scheduler: seed splitting, fairness
 // lanes, the Healthy -> Degraded -> Quarantined ladder, watchdog trips,
-// per-tenant failure containment, and the solo == in-fleet determinism
-// contract the isolation gate builds on.
+// per-tenant failure containment, and the plain run == solo == in-fleet
+// determinism contract the isolation gate builds on.
 #include "fleet/fleet.hpp"
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <set>
 
+#include "apps/host.hpp"
+#include "measure/schema.hpp"
 #include "obs/metrics.hpp"
 #include "obs/span.hpp"
 
@@ -120,6 +123,56 @@ TEST_F(FleetTest, SoloRunMatchesInFleetRun) {
     EXPECT_EQ(solo.value().state, in_fleet.state);
     expect_progress_equal(solo.value().progress, in_fleet.progress);
   }
+}
+
+TEST_F(FleetTest, TenantShardMatchesPlainTestSuiteRun) {
+  // The runner-equivalence oracle: a tenant's stored samples equal those
+  // of a plain TestSuite::run() on the same destination, given the
+  // tenant's split seed and a private registry.  With
+  // SoloRunMatchesInFleetRun this pins run() == solo == in-fleet.
+  const std::filesystem::path dir =
+      std::filesystem::temp_directory_path() /
+      ("fleet_oracle_" +
+       std::to_string(reinterpret_cast<std::uintptr_t>(this)));
+  std::filesystem::remove_all(dir);
+  FleetConfig config = base_config();
+  config.suite.iterations = 3;
+  config.threads = 2;
+  config.data_dir = dir.string();
+  const std::vector<CampaignSpec> specs = {spec_for(0, 3), spec_for(1, 5)};
+  ASSERT_TRUE(FleetScheduler(env_, config).run(specs).ok());
+
+  docdb::FindOptions by_id;
+  by_id.sort_by = "_id";
+  const docdb::Filter all = docdb::Filter::match_all();
+  for (const CampaignSpec& spec : specs) {
+    auto shard = docdb::Database::open(
+        (dir / shard_filename(spec.campaign_id)).string());
+    ASSERT_TRUE(shard.ok()) << shard.error().message;
+
+    obs::Registry registry;
+    apps::ScionHost host(env_, campaign_seed(config.seed, spec.campaign_id),
+                         env_.user_as, "10.0.8.1", config.net_config);
+    measure::TestSuiteConfig suite = config.suite;
+    suite.server_ids = spec.server_ids;
+    suite.registry = &registry;
+    docdb::Database plain_db;
+    measure::TestSuite plain(host, plain_db, suite);
+    ASSERT_TRUE(plain.run().ok());
+
+    const auto tenant_docs =
+        shard.value()->collection(measure::kPathsStats).find(all, by_id);
+    const auto plain_docs =
+        plain_db.collection(measure::kPathsStats).find(all, by_id);
+    ASSERT_FALSE(plain_docs.empty());
+    ASSERT_EQ(tenant_docs.size(), plain_docs.size())
+        << "campaign " << spec.campaign_id;
+    for (std::size_t i = 0; i < plain_docs.size(); ++i) {
+      EXPECT_EQ(tenant_docs[i], plain_docs[i])
+          << "campaign " << spec.campaign_id << " doc " << i;
+    }
+  }
+  std::filesystem::remove_all(dir);
 }
 
 TEST_F(FleetTest, FleetOutcomesAreDeterministicAcrossRuns) {

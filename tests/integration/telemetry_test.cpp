@@ -1,46 +1,54 @@
 // Integration: the telemetry determinism contract.
 //
 // The acceptance invariant for the observability layer: a fixed-seed
-// parallel survey yields a bit-identical virtual-clock span tree and
-// identical counter values on every run.  Wall-clock metrics (journal
-// flush latency, worker wall time) and gauges are explicitly outside the
-// contract, so the comparison covers counters and span renders only.
+// fleet run yields a bit-identical virtual-clock span tree and identical
+// per-tenant progress counters on every run, however the workers were
+// scheduled.  Wall-clock metrics (journal flush latency, fleet
+// backpressure) are explicitly outside the contract and not compared.
 #include <gtest/gtest.h>
 
 #include <string>
+#include <vector>
 
-#include "measure/parallel_survey.hpp"
+#include "fleet/fleet.hpp"
 #include "obs/metrics.hpp"
 #include "obs/span.hpp"
 #include "scion/scionlab.hpp"
 
-namespace upin::measure {
+namespace upin::fleet {
 namespace {
 
 struct RunArtifacts {
   std::string span_render;
-  std::string counters_json;
+  std::vector<measure::TestSuiteProgress> progress;
 };
 
 RunArtifacts run_once() {
-  // Counters are process-global and monotone; measuring one run means
-  // zeroing the registry first (registrations survive).
-  obs::Registry::global().reset_values();
   const scion::ScionlabEnv env = scion::scionlab_topology();
-  docdb::Database db;  // in-memory: no wall-clock journal activity
-  obs::SpanTracer tracer("campaign");
-  ParallelSurveyConfig config;
+  obs::Registry fleet_metrics;
+  obs::SpanTracer tracer("fleet");
+  FleetConfig config;
+  config.seed = 42;
   config.suite.iterations = 2;
-  config.suite.server_ids = {{1, 3, 5}};
   config.threads = 3;
+  config.metrics = &fleet_metrics;
   config.tracer = &tracer;
-  const auto result = run_parallel_survey(env, db, config);
+  std::vector<CampaignSpec> specs;
+  for (const int server : {1, 3, 5}) {
+    CampaignSpec spec;
+    spec.campaign_id = static_cast<int>(specs.size());
+    spec.server_ids = {server};
+    specs.push_back(spec);
+  }
+  const auto result = FleetScheduler(env, config).run(specs);
   EXPECT_TRUE(result.ok());
   RunArtifacts artifacts;
   artifacts.span_render = tracer.render();
-  const util::Value snapshot = obs::Registry::global().snapshot();
-  const util::Value* counters = snapshot.get("counters");
-  if (counters != nullptr) artifacts.counters_json = counters->dump();
+  if (result.ok()) {
+    for (const CampaignStatus& status : result.value().campaigns) {
+      artifacts.progress.push_back(status.progress);
+    }
+  }
   return artifacts;
 }
 
@@ -49,33 +57,20 @@ TEST(TelemetryDeterminism, FixedSeedRunsProduceIdenticalArtifacts) {
   const RunArtifacts second = run_once();
 
   // The span tree actually recorded the campaign hierarchy...
-  EXPECT_NE(first.span_render.find("destination 1"), std::string::npos);
-  EXPECT_NE(first.span_render.find("destination 5"), std::string::npos);
-  EXPECT_NE(first.span_render.find("ping"), std::string::npos);
-  EXPECT_NE(first.counters_json.find("upin_measure_pings_total"),
-            std::string::npos);
+  for (const char* level :
+       {"campaign 0", "campaign 2", "unit s5 i1", "path ", "ping"}) {
+    EXPECT_NE(first.span_render.find(level), std::string::npos) << level;
+  }
 
-  // ...and both artifacts are bit-identical across runs.
+  // ...and both artifacts are identical across runs.
   EXPECT_EQ(first.span_render, second.span_render);
-  EXPECT_EQ(first.counters_json, second.counters_json);
-}
-
-TEST(TelemetryDeterminism, AdoptionOrderFollowsDestinationsNotScheduling) {
-  obs::Registry::global().reset_values();
-  const scion::ScionlabEnv env = scion::scionlab_topology();
-  docdb::Database db;
-  obs::SpanTracer tracer("campaign");
-  ParallelSurveyConfig config;
-  config.suite.iterations = 1;
-  config.suite.server_ids = {{2, 4}};
-  config.threads = 2;
-  config.tracer = &tracer;
-  ASSERT_TRUE(run_parallel_survey(env, db, config).ok());
-  const obs::Span& root = tracer.root();
-  ASSERT_EQ(root.children.size(), 2u);
-  EXPECT_EQ(root.children[0]->name, "destination 2");
-  EXPECT_EQ(root.children[1]->name, "destination 4");
+  ASSERT_EQ(first.progress.size(), 3u);
+  ASSERT_EQ(second.progress.size(), 3u);
+  for (std::size_t i = 0; i < first.progress.size(); ++i) {
+    EXPECT_GT(first.progress[i].stats_inserted, 0u) << "campaign " << i;
+    EXPECT_TRUE(first.progress[i] == second.progress[i]) << "campaign " << i;
+  }
 }
 
 }  // namespace
-}  // namespace upin::measure
+}  // namespace upin::fleet

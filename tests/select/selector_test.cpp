@@ -66,20 +66,6 @@ TEST_F(SelectorTest, SummarizeUnknownServerIsEmpty) {
   EXPECT_TRUE(summaries.value().empty());
 }
 
-TEST_F(SelectorTest, ParallelSummarizeMatchesSequential) {
-  util::ThreadPool pool(4);
-  const auto sequential = selector().summarize(3);
-  const auto parallel = selector().summarize_parallel(3, pool);
-  ASSERT_TRUE(sequential.ok());
-  ASSERT_TRUE(parallel.ok());
-  ASSERT_EQ(sequential.value().size(), parallel.value().size());
-  for (std::size_t i = 0; i < sequential.value().size(); ++i) {
-    EXPECT_EQ(sequential.value()[i].path_id, parallel.value()[i].path_id);
-    EXPECT_DOUBLE_EQ(sequential.value()[i].latency_ms->median,
-                     parallel.value()[i].latency_ms->median);
-  }
-}
-
 TEST_F(SelectorTest, LowestLatencySelectsEuropeanPath) {
   UserRequest request;
   request.server_id = 3;
@@ -341,30 +327,30 @@ TEST(SelectorScore, LowestLossTieBreaksByLatency) {
   slow.latency_ms->median = 200.0;
   UserRequest request;
   request.objective = Objective::kLowestLoss;
-  EXPECT_LT(*PathSelector::score(fast, request),
-            *PathSelector::score(slow, request));
+  EXPECT_LT(*paper_objective_score(fast, request),
+            *paper_objective_score(slow, request));
   // Any real loss difference dominates the latency tie-break.
   slow.mean_loss_pct = 0.0;
   fast.mean_loss_pct = 0.1;
-  EXPECT_GT(*PathSelector::score(fast, request),
-            *PathSelector::score(slow, request));
+  EXPECT_GT(*paper_objective_score(fast, request),
+            *paper_objective_score(slow, request));
 }
 
 TEST(SelectorScore, StaticBehaviour) {
   PathSummary summary;
   UserRequest request;
   request.objective = Objective::kLowestLatency;
-  EXPECT_FALSE(PathSelector::score(summary, request).has_value())
+  EXPECT_FALSE(paper_objective_score(summary, request).has_value())
       << "no latency data -> no score";
   summary.latency_ms = util::BoxStats{};
   summary.latency_ms->median = 42.0;
   summary.latency_samples = 3;
-  EXPECT_DOUBLE_EQ(*PathSelector::score(summary, request), 42.0);
+  EXPECT_DOUBLE_EQ(*paper_objective_score(summary, request), 42.0);
 
   request.objective = Objective::kHighestBandwidth;
-  EXPECT_FALSE(PathSelector::score(summary, request).has_value());
+  EXPECT_FALSE(paper_objective_score(summary, request).has_value());
   summary.mean_bw_down_mtu = 11.5;
-  EXPECT_DOUBLE_EQ(*PathSelector::score(summary, request), -11.5);
+  EXPECT_DOUBLE_EQ(*paper_objective_score(summary, request), -11.5);
 }
 
 TEST(RequestDescribe, MentionsAllConstraints) {

@@ -250,29 +250,6 @@ TEST_F(StrategyTest, ExplainRendersTheFullDecisionTrace) {
   EXPECT_TRUE(saw_failed_verdict);
 }
 
-// ------------------------------------------------ deprecated score shim
-
-TEST(ScoreShim, StaticScoreDelegatesToPaperObjectiveScore) {
-  PathSummary summary;
-  summary.latency_ms = util::BoxStats{};
-  summary.latency_ms->median = 37.5;
-  summary.latency_samples = 4;
-  summary.mean_bw_down_mtu = 18.0;
-  summary.mean_loss_pct = 0.4;
-  for (const Objective objective :
-       {Objective::kLowestLatency, Objective::kHighestBandwidth,
-        Objective::kLowestLoss, Objective::kMostConsistent}) {
-    UserRequest request;
-    request.objective = objective;
-    const auto via_shim = PathSelector::score(summary, request);
-    const auto direct = paper_objective_score(summary, request);
-    ASSERT_EQ(via_shim.has_value(), direct.has_value());
-    if (via_shim.has_value()) {
-      EXPECT_DOUBLE_EQ(*via_shim, *direct);
-    }
-  }
-}
-
 // ------------------------------------------------------ the golden test
 //
 // A verbatim copy of the legacy PathSelector::select pipeline (the code
