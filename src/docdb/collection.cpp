@@ -285,7 +285,9 @@ CandidatePlan build_index_plan(
 
 }  // namespace
 
-Collection::Collection(std::string name) : name_(std::move(name)) {}
+Collection::Collection(std::string name, Journal* journal,
+                       std::shared_mutex* write_gate)
+    : name_(std::move(name)), journal_(journal), write_gate_(write_gate) {}
 
 Collection::~Collection() {
   // Keep the process-wide gauge honest when a database (reopen, test,
@@ -302,17 +304,16 @@ std::size_t Collection::size() const {
   return id_to_slot_.size();
 }
 
-void Collection::emit(MutationEvent& event) {
-  if (observer_) observer_(event);
+void Collection::enqueue_locked(std::string payload, std::uint64_t& last_seq) {
+  // A rejected frame (pipeline stopped) is logged by the journal.
+  if (const std::uint64_t seq = journal_->enqueue(std::move(payload))) {
+    last_seq = seq;
+  }
 }
 
-void Collection::emit_sync(SyncTicket* ticket) {
-  MutationEvent event{MutationEvent::Kind::kSync, name_, {}, {}, ticket};
-  emit(event);
-}
-
-Status Collection::await_sync(const SyncTicket& ticket) {
-  Status flushed = ticket.wait();
+Status Collection::sync_journal(std::uint64_t last_seq) const {
+  if (last_seq == 0) return Status::success();
+  Status flushed = journal_->sync(last_seq);
   if (!flushed.ok()) {
     util::Log::error("journal sync failed: " + flushed.error().message);
     flushed = Status(ErrorCode::kDataLoss,
@@ -324,10 +325,6 @@ Status Collection::await_sync(const SyncTicket& ticket) {
 std::shared_lock<std::shared_mutex> Collection::gate_lock() const {
   return write_gate_ == nullptr ? std::shared_lock<std::shared_mutex>()
                                 : std::shared_lock(*write_gate_);
-}
-
-void Collection::set_write_gate(std::shared_mutex* gate) {
-  write_gate_ = gate;
 }
 
 void Collection::index_add_locked(OrderedIndex& index, const Document& doc,
@@ -381,10 +378,11 @@ Result<std::string> Collection::insert_one(Document doc) {
   if (!id.ok()) return id;
   // Encode the journal payload once, before the lock (§4.2.2: the write
   // path must not serialize the survey on storage encoding).
+  const bool journaling = journaled();
   std::string payload;
-  if (journaled()) payload = Journal::encode_insert(name_, id.value(), doc);
+  if (journaling) payload = Journal::encode_insert(name_, id.value(), doc);
 
-  SyncTicket ticket;
+  std::uint64_t last_seq = 0;
   {
     const std::shared_lock gate = gate_lock();
     const std::unique_lock lock(mutex_);
@@ -392,13 +390,10 @@ Result<std::string> Collection::insert_one(Document doc) {
       return util::Error{ErrorCode::kConflict,
                          "duplicate _id: " + id.value()};
     }
-    MutationEvent event{MutationEvent::Kind::kInsert, name_, id.value(),
-                        std::move(payload), nullptr};
     insert_locked(std::move(doc), id.value());
-    emit(event);
-    emit_sync(&ticket);
+    if (journaling) enqueue_locked(std::move(payload), last_seq);
   }
-  const Status durable = await_sync(ticket);
+  const Status durable = sync_journal(last_seq);
   if (!durable.ok()) return Result<std::string>(durable.error());
   return id;
 }
@@ -432,7 +427,7 @@ Result<std::vector<std::string>> Collection::insert_many(
     }
   }
 
-  SyncTicket ticket;
+  std::uint64_t last_seq = 0;
   {
     const std::shared_lock gate = gate_lock();
     const std::unique_lock lock(mutex_);
@@ -442,16 +437,12 @@ Result<std::vector<std::string>> Collection::insert_many(
       }
     }
     for (std::size_t i = 0; i < docs.size(); ++i) {
-      MutationEvent event{
-          MutationEvent::Kind::kInsert, name_, ids[i],
-          payloads.empty() ? std::string() : std::move(payloads[i]), nullptr};
-      emit(event);
+      if (!payloads.empty()) enqueue_locked(std::move(payloads[i]), last_seq);
       insert_locked(std::move(docs[i]), ids[i]);
     }
-    // One durability point for the whole batch (§4.2.2 trade-off).
-    if (!docs.empty()) emit_sync(&ticket);
   }
-  const Status durable = await_sync(ticket);
+  // One durability wait for the whole batch (§4.2.2 trade-off).
+  const Status durable = sync_journal(last_seq);
   if (!durable.ok()) {
     return Result<std::vector<std::string>>(durable.error());
   }
@@ -720,7 +711,8 @@ util::Value Collection::explain(const Filter& filter,
 
 Result<std::size_t> Collection::update_many(const Filter& filter,
                                             const Value& update) {
-  SyncTicket ticket;
+  const bool journaling = journaled();
+  std::uint64_t last_seq = 0;
   std::size_t modified = 0;
   {
     const std::shared_lock gate = gate_lock();
@@ -744,22 +736,20 @@ Result<std::size_t> Collection::update_many(const Filter& filter,
       }
       ++modified;
 
-      const std::string id(document_id(slot.doc).value_or(""));
-      std::string payload;
-      if (journaled()) payload = Journal::encode_update(name_, id, slot.doc);
-      MutationEvent event{MutationEvent::Kind::kUpdate, name_, id,
-                          std::move(payload), nullptr};
-      emit(event);
+      if (journaling) {
+        const std::string id(document_id(slot.doc).value_or(""));
+        enqueue_locked(Journal::encode_update(name_, id, slot.doc), last_seq);
+      }
     }
-    if (modified > 0) emit_sync(&ticket);
   }
-  const Status durable = await_sync(ticket);
+  const Status durable = sync_journal(last_seq);
   if (!durable.ok()) return Result<std::size_t>(durable.error());
   return modified;
 }
 
 std::size_t Collection::delete_many(const Filter& filter) {
-  SyncTicket ticket;
+  const bool journaling = journaled();
+  std::uint64_t last_seq = 0;
   std::size_t removed = 0;
   {
     const std::shared_lock gate = gate_lock();
@@ -777,22 +767,20 @@ std::size_t Collection::delete_many(const Filter& filter) {
       slot.alive = false;
       slot.doc = Document();
       ++removed;
-      std::string payload;
-      if (journaled()) payload = Journal::encode_delete(name_, id);
-      MutationEvent event{MutationEvent::Kind::kDelete, name_, id,
-                          std::move(payload), nullptr};
-      emit(event);
+      if (journaling) {
+        enqueue_locked(Journal::encode_delete(name_, id), last_seq);
+      }
     }
-    if (removed > 0) emit_sync(&ticket);
   }
-  // Count-returning API: a sync failure is logged by await_sync but not
+  // Count-returning API: a sync failure is logged by sync_journal but not
   // reported — the deletions are applied in memory either way.
-  (void)await_sync(ticket);
+  (void)sync_journal(last_seq);
   return removed;
 }
 
 bool Collection::delete_by_id(std::string_view id) {
-  SyncTicket ticket;
+  const bool journaling = journaled();
+  std::uint64_t last_seq = 0;
   {
     const std::shared_lock gate = gate_lock();
     const std::unique_lock lock(mutex_);
@@ -805,15 +793,12 @@ bool Collection::delete_by_id(std::string_view id) {
     slot.alive = false;
     slot.doc = Document();
     id_to_slot_.erase(it);
-    std::string payload;
-    if (journaled()) payload = Journal::encode_delete(name_, std::string(id));
-    MutationEvent event{MutationEvent::Kind::kDelete, name_, std::string(id),
-                        std::move(payload), nullptr};
-    emit(event);
-    emit_sync(&ticket);
+    if (journaling) {
+      enqueue_locked(Journal::encode_delete(name_, std::string(id)), last_seq);
+    }
   }
-  // Bool-returning API: sync failures are logged by await_sync only.
-  (void)await_sync(ticket);
+  // Bool-returning API: sync failures are logged by sync_journal only.
+  (void)sync_journal(last_seq);
   return true;
 }
 
@@ -827,11 +812,11 @@ void Collection::create_index(std::vector<std::string> fields) {
   // Persist the declaration as a journal meta-record so it survives
   // reopen even before the first compact() snapshot.  Encoded outside
   // the lock like every other payload (wasted only when idempotent).
+  const bool journaling = journaled();
   std::string payload;
-  if (journaled()) payload = Journal::encode_create_index(name_, index->spec());
+  if (journaling) payload = Journal::encode_create_index(name_, index->spec());
 
-  SyncTicket ticket;
-  bool created = false;
+  std::uint64_t last_seq = 0;
   {
     const std::shared_lock gate = gate_lock();
     const std::unique_lock lock(mutex_);
@@ -843,15 +828,11 @@ void Collection::create_index(std::vector<std::string> fields) {
         index_add_locked(*index, slots_[position].doc, position);
       }
     }
-    MutationEvent event{MutationEvent::Kind::kCreateIndex, name_, {},
-                        std::move(payload), nullptr};
     indexes_.push_back(std::move(index));
-    emit(event);
-    emit_sync(&ticket);
-    created = true;
+    if (journaling) enqueue_locked(std::move(payload), last_seq);
   }
-  // Void-returning API: a sync failure is logged by await_sync only.
-  if (created) (void)await_sync(ticket);
+  // Void-returning API: a sync failure is logged by sync_journal only.
+  (void)sync_journal(last_seq);
 }
 
 std::vector<std::string> Collection::indexed_fields() const {
@@ -924,14 +905,6 @@ void Collection::for_each(
   for (const Slot& slot : slots_) {
     if (slot.alive) fn(slot.doc);
   }
-}
-
-void Collection::set_observer(
-    std::function<void(MutationEvent&)> observer) {
-  const std::unique_lock lock(mutex_);
-  observer_ = std::move(observer);
-  has_observer_.store(static_cast<bool>(observer_),
-                      std::memory_order_release);
 }
 
 }  // namespace upin::docdb

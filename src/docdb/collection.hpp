@@ -6,12 +6,16 @@
 // batches one destination's statistics per write so a crash loses at most
 // one balanced sample per path.
 //
-// Durability rides on mutation events: each mutation hands the observer a
-// journal payload that was encoded exactly once — for inserts, *before*
-// the collection lock is taken — and every mutating call ends with a
-// kSync event whose durability ticket is awaited *after* the lock is
-// released, so concurrent writers overlap their in-memory work with the
-// journal writer's group commit.
+// A collection owned by a durable Database journals its own mutations:
+// each one encodes its journal payload exactly once — for inserts,
+// *before* the collection lock is taken — and enqueues it to the
+// database's group-commit writer inside the locked window, so frames
+// enter the journal in mutation order.  The call then waits for its
+// last frame with Journal::sync() *after* the lock is released, so
+// concurrent writers overlap their in-memory work with the writer's
+// group commit.  A batch costs one durability wait, not N — the I/O
+// trade-off of paper §4.2.2, measured in bench/ablation_storage.  A
+// collection without a journal (in-memory) never encodes a payload.
 #pragma once
 
 #include <atomic>
@@ -58,28 +62,18 @@ struct QueryPlan {
   double estimated_candidates = 0.0;
 };
 
-/// A mutation event, surfaced to the owning Database for journaling.
-/// kSync marks a durability point: it follows every single mutation and
-/// every *batch* (so a batched insert costs one flush, not N — the I/O
-/// trade-off of paper §4.2.2, measured in bench/ablation_storage).
-struct MutationEvent {
-  enum class Kind { kInsert, kUpdate, kDelete, kCreateIndex, kSync };
-  Kind kind;
-  std::string collection;
-  std::string id;     ///< document id (insert/update/delete); empty for sync
-  /// Pre-encoded journal record payload (insert/update/delete) — encoded
-  /// exactly once by the mutating thread; the observer may move it out.
-  /// Empty when no observer is installed, and for kSync.
-  std::string payload;
-  /// kSync only: the observer stamps a durability ticket here; the
-  /// mutating call waits on it after releasing the collection lock.
-  SyncTicket* ticket = nullptr;
-};
-
 /// Thread-safe document collection with optional secondary indexes.
 class Collection {
  public:
-  explicit Collection(std::string name);
+  /// `journal` and `write_gate` belong to the owning durable Database
+  /// and must outlive the collection; both are null for an in-memory
+  /// collection.  Every mutating call holds `write_gate` shared for its
+  /// mutate+enqueue window; Database::compact() holds it exclusive, so a
+  /// snapshot is always a superset of every frame the journal writer
+  /// could still commit to the pre-compact file.  Nothing is journaled
+  /// while the journal is not open (replay on Database::open).
+  explicit Collection(std::string name, Journal* journal = nullptr,
+                      std::shared_mutex* write_gate = nullptr);
   ~Collection();
 
   [[nodiscard]] const std::string& name() const noexcept { return name_; }
@@ -153,18 +147,6 @@ class Collection {
   /// Visit every live document (read lock held during the walk).
   void for_each(const std::function<void(const Document&)>& fn) const;
 
-  /// Observer invoked after each committed mutation (Database journaling).
-  /// The observer may consume (move from) the event's payload and is
-  /// expected to stamp kSync tickets.  Install it before concurrent use.
-  void set_observer(std::function<void(MutationEvent&)> observer);
-
-  /// Install the owning database's write gate.  Every mutating call
-  /// holds it shared for the mutate+emit window; Database::compact()
-  /// holds it exclusive, so a snapshot is always a superset of every
-  /// frame the journal writer could still commit to the pre-compact
-  /// file.  Install it before concurrent use.
-  void set_write_gate(std::shared_mutex* gate);
-
  private:
   struct Slot {
     Document doc;
@@ -192,19 +174,20 @@ class Collection {
                         std::size_t position);
   void index_remove_locked(OrderedIndex& index, const Document& doc,
                            std::size_t position);
-  void emit(MutationEvent& event);
-  /// Emit the kSync durability point, stamping `ticket`.
-  void emit_sync(SyncTicket* ticket);
-  /// Await a stamped ticket (call *without* mutex_ or the write gate
-  /// held).  A failure means the mutation is in memory but its journal
-  /// frame may not be durable.
-  [[nodiscard]] static util::Status await_sync(const SyncTicket& ticket);
-  /// Shared hold on the database write gate (no-op when none installed).
+  /// Enqueue one payload to the journal (mutex_ held, so frames keep
+  /// mutation order); `last_seq` tracks the call's newest frame.
+  void enqueue_locked(std::string payload, std::uint64_t& last_seq);
+  /// Wait until the call's frames up to `last_seq` are committed (call
+  /// *without* mutex_ or the write gate held; 0 = nothing to wait for).
+  /// A failure means the mutation is in memory but its journal frame may
+  /// not be durable; it is reported as kDataLoss.
+  [[nodiscard]] util::Status sync_journal(std::uint64_t last_seq) const;
+  /// Shared hold on the database write gate (no-op when there is none).
   /// Acquire *before* mutex_ — same order as Database::compact().
   [[nodiscard]] std::shared_lock<std::shared_mutex> gate_lock() const;
 
   [[nodiscard]] bool journaled() const {
-    return has_observer_.load(std::memory_order_acquire);
+    return journal_ != nullptr && journal_->is_open();
   }
 
   std::string name_;
@@ -213,9 +196,8 @@ class Collection {
   std::unordered_map<std::string, std::size_t> id_to_slot_;
   std::vector<std::unique_ptr<OrderedIndex>> indexes_;
   std::atomic<std::uint64_t> next_auto_id_{1};
-  std::atomic<bool> has_observer_{false};
-  std::function<void(MutationEvent&)> observer_;
-  std::shared_mutex* write_gate_ = nullptr;  ///< owned by the Database
+  Journal* const journal_;                   ///< owned by the Database
+  std::shared_mutex* const write_gate_;      ///< owned by the Database
 };
 
 }  // namespace upin::docdb

@@ -19,12 +19,13 @@ Result<std::unique_ptr<Database>> Database::open(const std::string& path,
   db->journal_ = std::make_unique<Journal>();
   Vfs& fs = options.vfs == nullptr ? Vfs::real() : *options.vfs;
 
-  // Replay first (journal not yet open for append, observers suppressed).
-  db->replaying_ = true;
+  // Replay first: the journal is not open yet, so nothing replayed is
+  // journaled again.
   ReplayReport report;
   ReplayOptions replay_options;
   replay_options.salvage = options.salvage_mode;
   if (options.salvage_mode) replay_options.quarantine_path = path + ".quarantine";
+  replay_options.vfs = options.vfs;
   const Status replayed = Journal::replay(path, [&](const JournalRecord& record) -> Status {
     Collection& coll = db->collection(record.collection);
     if (record.op == "create_collection") {
@@ -52,7 +53,6 @@ Result<std::unique_ptr<Database>> Database::open(const std::string& path,
     }
     return Status(ErrorCode::kParseError, "unknown journal op: " + record.op);
   }, &report, replay_options);
-  db->replaying_ = false;
   if (!replayed.ok()) return Result<std::unique_ptr<Database>>(replayed.error());
   if (report.torn_tail) {
     util::Log::warn("journal " + path + " line " +
@@ -72,7 +72,6 @@ Result<std::unique_ptr<Database>> Database::open(const std::string& path,
 
   const Status opened = db->journal_->open(path, options.vfs);
   if (!opened.ok()) return Result<std::unique_ptr<Database>>(opened.error());
-  db->journal_->start_writer(options.journal_queue_depth);
   if (report.quarantined_records > 0) {
     util::Log::warn("journal " + path + ": quarantined " +
                     std::to_string(report.quarantined_records) +
@@ -88,33 +87,6 @@ Result<std::unique_ptr<Database>> Database::open(const std::string& path,
   return db;
 }
 
-void Database::attach_observer(Collection& coll) {
-  coll.set_write_gate(&write_gate_);
-  coll.set_observer([this](MutationEvent& event) {
-    if (replaying_ || journal_ == nullptr || !journal_->is_open()) return;
-    if (event.kind == MutationEvent::Kind::kSync) {
-      // Durability ticket: the group containing every frame enqueued so
-      // far.  The mutating call awaits it after dropping its lock.
-      if (event.ticket != nullptr) {
-        event.ticket->journal = journal_.get();
-        event.ticket->seq = journal_->enqueued_seq();
-      } else {
-        const Status flushed = journal_->flush();
-        if (!flushed.ok()) {
-          util::Log::error("journal flush failed: " + flushed.error().message);
-        }
-      }
-      return;
-    }
-    // The payload was encoded exactly once by the mutating thread; hand
-    // it to the group-commit writer (blocks only on queue backpressure).
-    if (journal_->enqueue(std::move(event.payload)) == 0) {
-      util::Log::error("journal rejected record for collection " +
-                       event.collection + " (pipeline stopped)");
-    }
-  });
-}
-
 Collection& Database::collection(const std::string& name) {
   // Creating a collection enqueues a journal frame, so it must not race
   // a compact() snapshot — same shared hold (and same gate-before-lock
@@ -123,20 +95,16 @@ Collection& Database::collection(const std::string& name) {
   const std::lock_guard<std::mutex> lock(mutex_);
   auto it = collections_.find(name);
   if (it == collections_.end()) {
-    auto coll = std::make_unique<Collection>(name);
-    // In-memory databases skip the observer entirely: no journal payload
-    // is ever encoded for them.
-    if (journal_ != nullptr) attach_observer(*coll);
-    it = collections_.emplace(name, std::move(coll)).first;
-    if (!replaying_ && journal_ != nullptr && journal_->is_open()) {
-      if (journal_->enqueue(Journal::encode_create_collection(name)) == 0) {
-        const Status appended = journal_->append(
-            JournalRecord{"create_collection", name, {}, {}, {}});
-        if (!appended.ok()) {
-          util::Log::error("journal append failed: " +
-                           appended.error().message);
-        }
-      }
+    // In-memory collections get neither journal nor gate: no journal
+    // payload is ever encoded for them.
+    it = collections_
+             .emplace(name, std::make_unique<Collection>(
+                                name, journal_.get(),
+                                journal_ != nullptr ? &write_gate_ : nullptr))
+             .first;
+    if (journal_ != nullptr && journal_->is_open()) {
+      // A rejected frame (pipeline stopped) is logged by the journal.
+      (void)journal_->enqueue(Journal::encode_create_collection(name));
     }
   }
   return *it->second;
@@ -160,11 +128,6 @@ std::vector<std::string> Database::collection_names() const {
   names.reserve(collections_.size());
   for (const auto& [name, unused] : collections_) names.push_back(name);
   return names;
-}
-
-bool Database::drop_collection(const std::string& name) {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  return collections_.erase(name) > 0;
 }
 
 void Database::set_write_guard(WriteGuard guard) {
@@ -237,7 +200,7 @@ std::vector<JournalRecord> Database::snapshot_records() const {
 
 Status Database::compact() {
   if (journal_ == nullptr) return Status::success();
-  // Exclusive gate: no mutator is inside its mutate+emit window, so once
+  // Exclusive gate: no mutator is inside its mutate+enqueue window, so once
   // rewrite() drains the writer queue the snapshot covers every frame
   // that could ever reach the pre-compact file — nothing is lost and
   // nothing is double-applied on replay.

@@ -5,6 +5,12 @@
 // batched writes (§4.2.2), and the designed-but-unimplemented PKC write
 // gate (§4.2.2 "Database Access Management") which we do implement via a
 // pluggable WriteGuard (the SCION trust layer provides one).
+//
+// A durable database owns the Journal and the write gate and hands both
+// to every collection it creates; collections then journal their own
+// mutations (collection.hpp).  The database itself journals collection
+// creation, replays the journal on open() — before the journal is open,
+// so replay never journals — and compacts.
 #pragma once
 
 #include <map>
@@ -26,16 +32,13 @@ using WriteGuard = std::function<bool(const util::Value& credential)>;
 
 /// Tuning for a durable database.
 struct DatabaseOptions {
-  /// Bound on the journal writer queue (frames awaiting group commit).
-  /// Mutating threads block — backpressure — when it fills; deeper
-  /// queues absorb burstier concurrent writers at the cost of a larger
-  /// at-crash unflushed tail for calls that have not yet returned.
-  std::size_t journal_queue_depth = Journal::kDefaultQueueDepth;
   /// Strict (false, default): a corrupt newline-terminated journal line
   /// fails open() with kParseError.  Salvage (true): corrupt mid-file
   /// records are quarantined to `<path>.quarantine` (header naming line
-  /// and reason, then the raw line), the rest replays, and the journal
-  /// is immediately compacted so later strict opens succeed.
+  /// and reason, then the raw line; fsynced through `vfs`), the rest
+  /// replays, and the journal is immediately compacted so later strict
+  /// opens succeed.  If the sidecar cannot be written, open() fails with
+  /// kDataLoss and leaves the journal untouched.
   bool salvage_mode = false;
   /// Storage backend (nullptr = the real filesystem).  Must outlive the
   /// database.  Tests plug a FaultVfs in here.
@@ -64,9 +67,6 @@ class Database {
   [[nodiscard]] const Collection* find_collection(const std::string& name) const;
 
   [[nodiscard]] std::vector<std::string> collection_names() const;
-
-  /// Drop a collection (documents and indexes).  Returns whether it existed.
-  bool drop_collection(const std::string& name);
 
   // ---- write-access control ------------------------------------------
 
@@ -98,19 +98,18 @@ class Database {
   [[nodiscard]] bool is_durable() const noexcept { return journal_ != nullptr; }
 
  private:
-  void attach_observer(Collection& coll);
   [[nodiscard]] std::vector<JournalRecord> snapshot_records() const;
 
-  mutable std::mutex mutex_;
-  // std::map keeps pointers stable and names sorted for listings.
-  std::map<std::string, std::unique_ptr<Collection>> collections_;
+  // Declared before collections_: every durable collection points at both.
   std::unique_ptr<Journal> journal_;
   /// Mutators hold this shared (before any collection lock); compact()
   /// holds it exclusive while snapshotting + rewriting the journal.
   std::shared_mutex write_gate_;
+  mutable std::mutex mutex_;
+  // std::map keeps pointers stable and names sorted for listings.
+  std::map<std::string, std::unique_ptr<Collection>> collections_;
   WriteGuard write_guard_;
   mutable std::mutex guard_mutex_;
-  bool replaying_ = false;
 };
 
 }  // namespace upin::docdb

@@ -164,11 +164,6 @@ util::Result<JournalRecord> decode(const std::string& payload) {
 
 }  // namespace
 
-Status SyncTicket::wait() const {
-  if (journal == nullptr) return Status::success();
-  return journal->sync(seq);
-}
-
 Journal::~Journal() { close(); }
 
 Status Journal::open(const std::string& path, Vfs* vfs) {
@@ -185,6 +180,10 @@ Status Journal::open(const std::string& path, Vfs* vfs) {
   }
   out_ = std::move(opened).value();
   open_flag_.store(true, std::memory_order_release);
+  if (!writer_.joinable()) {
+    queue_ = std::make_unique<util::BoundedQueue<std::string>>(kQueueDepth);
+    writer_ = std::thread([this] { writer_loop(); });
+  }
   return Status::success();
 }
 
@@ -233,58 +232,25 @@ std::string Journal::encode_create_index(const std::string& collection,
   return encode_parts("create_index", collection, {}, field_spec, nullptr);
 }
 
-Status Journal::append(const JournalRecord& record) {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  if (out_ == nullptr || !out_->is_open()) {
-    return Status(ErrorCode::kDataLoss, "journal is not open");
-  }
-  const Status wrote = out_->append(frame(encode(record)) + "\n");
-  if (!wrote.ok()) {
-    JournalMetrics::get().io_errors.add();
-    return Status(ErrorCode::kDataLoss,
-                  "journal write failed: " + wrote.error().message);
-  }
-  return Status::success();
-}
-
-Status Journal::flush() {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  if (out_ == nullptr || !out_->is_open()) {
-    return Status(ErrorCode::kDataLoss, "journal is not open");
-  }
-  const Status synced = out_->sync();
-  if (!synced.ok()) {
-    JournalMetrics::get().io_errors.add();
-    return Status(ErrorCode::kDataLoss,
-                  "journal flush failed: " + synced.error().message);
-  }
-  return Status::success();
-}
-
-void Journal::start_writer(std::size_t queue_depth) {
-  if (writer_.joinable()) return;
-  queue_ = std::make_unique<util::BoundedQueue<std::string>>(queue_depth);
-  writer_ = std::thread([this] { writer_loop(); });
-}
-
-bool Journal::writer_running() const noexcept { return writer_.joinable(); }
-
 std::uint64_t Journal::enqueue(std::string payload) {
   if (queue_ == nullptr) return 0;
   JournalMetrics& metrics = JournalMetrics::get();
   bool stalled = false;
   const std::uint64_t seq = queue_->push(std::move(payload), &stalled);
-  if (seq != 0) metrics.events_enqueued.add();
   if (stalled) metrics.backpressure_stalls.add();
+  if (seq == 0) {
+    util::Log::error("journal " + path_ +
+                     " rejected a record (pipeline stopped)");
+    return 0;
+  }
+  metrics.events_enqueued.add();
   return seq;
 }
 
-std::uint64_t Journal::enqueued_seq() const {
-  return queue_ == nullptr ? 0 : queue_->pushed();
-}
-
 Status Journal::sync(std::uint64_t seq) {
-  if (queue_ == nullptr) return flush();  // no pipeline: direct durability
+  if (queue_ == nullptr) {
+    return Status(ErrorCode::kDataLoss, "journal is not open");
+  }
   const WallClock::time_point begin = WallClock::now();
   std::unique_lock<std::mutex> lock(sync_mutex_);
   sync_cv_.wait(lock, [&] { return flushed_seq_ >= seq; });
@@ -346,17 +312,18 @@ void Journal::stop_writer() {
 Status Journal::replay(
     const std::string& path,
     const std::function<Status(const JournalRecord&)>& replay,
-    ReplayReport* report) {
-  return Journal::replay(path, replay, report, ReplayOptions{});
-}
-
-Status Journal::replay(
-    const std::string& path,
-    const std::function<Status(const JournalRecord&)>& replay,
     ReplayReport* report, const ReplayOptions& options) {
   ReplayReport local_report;
   if (report == nullptr) report = &local_report;
   *report = ReplayReport{};
+  // Salvage sidecar, opened on the first quarantined line.
+  Vfs& fs = options.vfs == nullptr ? Vfs::real() : *options.vfs;
+  std::unique_ptr<File> sidecar;
+  const auto sidecar_failed = [&](const util::Error& error) {
+    return Status(ErrorCode::kDataLoss, "cannot write quarantine sidecar " +
+                                            options.quarantine_path + ": " +
+                                            error.message);
+  };
 
   std::ifstream in(path, std::ios::binary);
   if (!in) return Status::success();  // nothing to replay
@@ -398,18 +365,19 @@ Status Journal::replay(
         report->torn_tail_line = line_number;
         report->valid_prefix_bytes = line_start;
         report->detail = "crash-truncated final record dropped (" + why + ")";
-        return Status::success();
+        break;
       }
       if (options.salvage) {
-        std::ofstream quarantine(options.quarantine_path,
-                                 std::ios::binary | std::ios::app);
-        quarantine << "# " << path << " line " << line_number << ": " << why
-                   << '\n'
-                   << line << '\n';
-        if (!quarantine) {
-          util::Log::warn("cannot write quarantine sidecar " +
-                          options.quarantine_path);
+        if (sidecar == nullptr) {
+          util::Result<std::unique_ptr<File>> opened =
+              fs.open_append(options.quarantine_path);
+          if (!opened.ok()) return sidecar_failed(opened.error());
+          sidecar = std::move(opened).value();
         }
+        const Status kept = sidecar->append(
+            "# " + path + " line " + std::to_string(line_number) + ": " + why +
+            "\n" + line + "\n");
+        if (!kept.ok()) return sidecar_failed(kept.error());
         ++report->quarantined_records;
         if (report->first_quarantined_line == 0) {
           report->first_quarantined_line = line_number;
@@ -428,6 +396,13 @@ Status Journal::replay(
     const Status status = replay(record.value());
     if (!status.ok()) return status;
     ++report->records_applied;
+  }
+  // The quarantined lines must be durable before anyone drops them from
+  // the journal (Database::open compacts right after a salvage).
+  if (sidecar != nullptr) {
+    Status synced = sidecar->sync();
+    if (synced.ok()) synced = fs.sync_parent_dir(options.quarantine_path);
+    if (!synced.ok()) return sidecar_failed(synced.error());
   }
   return Status::success();
 }

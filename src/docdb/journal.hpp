@@ -6,15 +6,15 @@
 // measurements require continuous functioning" requirement (§4.1.2):
 // a crash during a batch loses only that (uncommitted) batch.
 //
-// Two write paths:
-//  * append()/flush() — synchronous, caller-thread I/O (tools, tests).
-//  * the group-commit pipeline — producers enqueue() pre-encoded record
-//    payloads into a bounded MPSC queue and sync() on a durability
-//    ticket; a dedicated writer thread drains the queue in groups and
-//    commits each group with ONE write + ONE fsync.  This takes framing,
-//    CRC and file I/O off the mutating threads (and off the collection
-//    lock), which is what lets concurrent writers batch their storage the
-//    way the paper batches MongoDB insertions (§4.2.2).
+// One write path: open() starts a dedicated writer thread; producers
+// enqueue() pre-encoded record payloads into a bounded MPSC queue and
+// sync() on the sequence number of their last frame.  The writer drains
+// the queue in groups and commits each group with ONE write + ONE fsync.
+// This takes framing, CRC and file I/O off the mutating threads (and off
+// the collection lock), which is what lets concurrent writers batch their
+// storage the way the paper batches MongoDB insertions (§4.2.2).
+// rewrite() is the only other writer: compaction, after draining the
+// queue.
 //
 // Integrity: every appended record carries a CRC-32 prefix
 // ("crc32=XXXXXXXX <json>"), verified on replay, so torn or bit-flipped
@@ -74,30 +74,22 @@ struct ReplayOptions {
   /// fails hard with kParseError.  Salvage (true): such lines are
   /// appended verbatim to the `quarantine_path` sidecar — with a header
   /// naming the source line and the reason — and replay continues with
-  /// the rest.  The torn-tail contract is unchanged in both modes.
+  /// the rest.  The sidecar is fsynced before replay returns; if it
+  /// cannot be written, replay fails with kDataLoss, since dropping a
+  /// record nobody kept a copy of would destroy it.  The torn-tail
+  /// contract is unchanged in both modes.
   bool salvage = false;
   std::string quarantine_path;  ///< required when salvage is on
-};
-
-class Journal;
-
-/// A durability ticket handed out at a sync point.  `wait()` blocks
-/// until the writer thread has committed every frame enqueued at or
-/// before `seq` — i.e. the group containing the caller's records.  A
-/// default-constructed ticket (no journal attached) waits on nothing.
-struct SyncTicket {
-  Journal* journal = nullptr;
-  std::uint64_t seq = 0;
-
-  [[nodiscard]] util::Status wait() const;
+  /// Backend for the sidecar (nullptr = the real filesystem).
+  Vfs* vfs = nullptr;
 };
 
 /// Append-only JSON-lines journal.
 class Journal {
  public:
-  /// Default bound on the writer queue; producers block (backpressure)
-  /// when this many frames are waiting for the writer thread.
-  static constexpr std::size_t kDefaultQueueDepth = 1024;
+  /// Bound on the writer queue; producers block (backpressure) when this
+  /// many frames are waiting for the writer thread.
+  static constexpr std::size_t kQueueDepth = 1024;
 
   Journal() = default;
   ~Journal();
@@ -105,9 +97,9 @@ class Journal {
   Journal(const Journal&) = delete;
   Journal& operator=(const Journal&) = delete;
 
-  /// Open (creating if needed) the journal at `path` for appending.
-  /// `vfs` is the storage backend (nullptr = the real filesystem); it
-  /// must outlive the journal.
+  /// Open (creating if needed) the journal at `path` for appending and
+  /// start the writer thread.  `vfs` is the storage backend (nullptr =
+  /// the real filesystem); it must outlive the journal.
   [[nodiscard]] util::Status open(const std::string& path,
                                   Vfs* vfs = nullptr);
   [[nodiscard]] bool is_open() const noexcept;
@@ -115,33 +107,14 @@ class Journal {
   /// frame), then close the file.
   void close();
 
-  // ---- synchronous path (tools, tests) -------------------------------
-
-  /// Append one record to the OS (visible, not yet durable — call
-  /// flush() at a durability point; batches share one fsync, see §4.2.2).
-  [[nodiscard]] util::Status append(const JournalRecord& record);
-
-  /// Make appended records durable (fsync through the VFS).
-  [[nodiscard]] util::Status flush();
-
-  // ---- group-commit pipeline -----------------------------------------
-
-  /// Start the dedicated writer thread with a bounded queue of
-  /// `queue_depth` frames.  Idempotent while running.
-  void start_writer(std::size_t queue_depth = kDefaultQueueDepth);
-  [[nodiscard]] bool writer_running() const noexcept;
-
   /// Hand a pre-encoded record payload (see the encode_* helpers) to the
   /// writer thread.  Blocks while the queue is full (backpressure).
   /// Returns the frame's 1-based sequence number, or 0 if the pipeline
-  /// is not accepting frames (no writer, or closed).
+  /// is not accepting frames (not opened yet, or closed).
   [[nodiscard]] std::uint64_t enqueue(std::string payload);
 
-  /// Sequence number of the most recently enqueued frame (0 if none).
-  [[nodiscard]] std::uint64_t enqueued_seq() const;
-
   /// Block until every frame with sequence <= `seq` has been committed
-  /// (one group write + flush covers many frames).  Any writer-thread
+  /// (one group write + fsync covers many frames).  Any writer-thread
   /// I/O error is sticky and is reported by the next — and every later —
   /// sync() call.
   [[nodiscard]] util::Status sync(std::uint64_t seq);
@@ -174,19 +147,13 @@ class Journal {
   /// intact prefix is replayed, the tail is dropped, and `report`
   /// (optional) says so.  Corruption anywhere else — including a
   /// newline-terminated corrupt last line — fails hard with kParseError,
-  /// with everything before the bad line already replayed.  A missing
-  /// file replays nothing.
+  /// with everything before the bad line already replayed, unless
+  /// `options` asks for salvage (see ReplayOptions).  A missing file
+  /// replays nothing.
   [[nodiscard]] static util::Status replay(
       const std::string& path,
       const std::function<util::Status(const JournalRecord&)>& replay,
-      ReplayReport* report = nullptr);
-
-  /// Replay with an explicit recovery policy (see ReplayOptions): salvage
-  /// mode quarantines corrupt mid-file records instead of failing hard.
-  [[nodiscard]] static util::Status replay(
-      const std::string& path,
-      const std::function<util::Status(const JournalRecord&)>& replay,
-      ReplayReport* report, const ReplayOptions& options);
+      ReplayReport* report = nullptr, const ReplayOptions& options = {});
 
   /// Atomically replace the journal contents with `records`.  Quiesces
   /// the writer pipeline first (every frame enqueued before the call is

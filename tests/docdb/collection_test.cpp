@@ -309,46 +309,6 @@ TEST(Collection, ForEachVisitsOnlyLiveDocuments) {
   EXPECT_EQ(visits, 1);
 }
 
-TEST(Collection, ObserverSeesMutationsAndSyncs) {
-  Collection coll("c");
-  std::vector<MutationEvent::Kind> kinds;
-  coll.set_observer([&](const MutationEvent& e) { kinds.push_back(e.kind); });
-  ASSERT_TRUE(coll.insert_one(doc(R"({"_id": "a"})")).ok());
-  ASSERT_EQ(kinds.size(), 2u);
-  EXPECT_EQ(kinds[0], MutationEvent::Kind::kInsert);
-  EXPECT_EQ(kinds[1], MutationEvent::Kind::kSync);
-
-  kinds.clear();
-  std::vector<Document> batch;
-  batch.push_back(doc(R"({"_id": "b"})"));
-  batch.push_back(doc(R"({"_id": "c"})"));
-  ASSERT_TRUE(coll.insert_many(std::move(batch)).ok());
-  ASSERT_EQ(kinds.size(), 3u) << "batch: N inserts + one sync";
-  EXPECT_EQ(kinds[2], MutationEvent::Kind::kSync);
-}
-
-TEST(Collection, MutationEventsCarryPreEncodedJournalPayloads) {
-  Collection coll("c");
-  std::vector<std::string> payloads;
-  coll.set_observer([&](const MutationEvent& e) {
-    if (e.kind != MutationEvent::Kind::kSync) payloads.push_back(e.payload);
-  });
-  ASSERT_TRUE(coll.insert_one(doc(R"({"_id": "a", "v": 1})")).ok());
-  coll.delete_by_id("a");
-  ASSERT_EQ(payloads.size(), 2u);
-  // Each payload is a complete, parseable journal record — encoded once
-  // by the mutating thread, ready for the group-commit writer.
-  const auto insert_record = util::Value::parse(payloads[0]);
-  ASSERT_TRUE(insert_record.ok());
-  EXPECT_EQ(insert_record.value().get("op")->as_string(), "insert");
-  EXPECT_EQ(insert_record.value().get("coll")->as_string(), "c");
-  EXPECT_EQ(insert_record.value().get("doc")->get("v")->as_int(), 1);
-  const auto delete_record = util::Value::parse(payloads[1]);
-  ASSERT_TRUE(delete_record.ok());
-  EXPECT_EQ(delete_record.value().get("op")->as_string(), "delete");
-  EXPECT_EQ(delete_record.value().get("id")->as_string(), "a");
-}
-
 TEST(Collection, InsertManyRejectsBatchDuplicatesAtScale) {
   // The duplicate-id batch check is a hash set: a paper-scale batch with
   // one duplicate at the end is still rejected atomically.

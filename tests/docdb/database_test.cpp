@@ -9,6 +9,10 @@
 #include <map>
 #include <thread>
 
+#include "obs/metrics.hpp"
+#include "util/crc32.hpp"
+#include "util/strings.hpp"
+
 namespace upin::docdb {
 namespace {
 
@@ -31,14 +35,6 @@ TEST(Database, FindCollectionWithoutCreating) {
   db.collection("real");
   EXPECT_NE(db.find_collection("real"), nullptr);
   EXPECT_EQ(db.collection_names().size(), 1u);
-}
-
-TEST(Database, DropCollection) {
-  Database db;
-  db.collection("tmp");
-  EXPECT_TRUE(db.drop_collection("tmp"));
-  EXPECT_FALSE(db.drop_collection("tmp"));
-  EXPECT_EQ(db.find_collection("tmp"), nullptr);
 }
 
 TEST(Database, NamesAreSorted) {
@@ -216,24 +212,89 @@ TEST_F(DurableDatabaseTest, ParallelWritersReplayToIdenticalState) {
 }
 
 TEST_F(DurableDatabaseTest, ShallowJournalQueueStillCommitsEverything) {
-  // A queue depth smaller than the batch forces backpressure mid-batch;
-  // nothing may be lost or reordered.
-  DatabaseOptions options;
-  options.journal_queue_depth = 4;
+  // A batch larger than the journal queue forces backpressure mid-batch
+  // (with the collection lock held); nothing may be lost or reordered.
+  const std::size_t batch_size = Journal::kQueueDepth + 512;
+  std::vector<std::string> ids;
   {
-    auto opened = Database::open(path_, options);
+    auto opened = Database::open(path_);
     ASSERT_TRUE(opened.ok());
     std::vector<Document> batch;
-    for (int i = 0; i < 64; ++i) {
-      batch.push_back(doc(("{\"_id\": \"d" + std::to_string(i) + "\"}")
-                              .c_str()));
+    for (std::size_t i = 0; i < batch_size; ++i) {
+      ids.push_back("d" + std::to_string(i));
+      batch.push_back(Value::object({{"_id", ids.back()}}));
     }
     ASSERT_TRUE(
         opened.value()->collection("c").insert_many(std::move(batch)).ok());
   }
   auto reopened = Database::open(path_);
   ASSERT_TRUE(reopened.ok());
-  EXPECT_EQ(reopened.value()->collection("c").size(), 64u);
+  std::vector<std::string> replayed;
+  reopened.value()->collection("c").for_each([&](const Document& d) {
+    replayed.emplace_back(document_id(d).value_or(""));
+  });
+  EXPECT_EQ(replayed, ids);
+}
+
+TEST_F(DurableDatabaseTest, InsertManyEnqueuesEveryFrameAndSyncsOnce) {
+  // Collections enqueue straight to the group-commit writer: one frame
+  // per document, one durability wait per call — a batch of N costs N
+  // frames but a single sync (§4.2.2).
+  obs::Counter& enqueued =
+      obs::Registry::global().counter("upin_journal_events_enqueued_total");
+  obs::LatencyHistogram& sync_waits = obs::Registry::global().histogram(
+      "upin_journal_sync_wait_us", 0.0, 5000.0, 50);
+  auto opened = Database::open(path_);
+  ASSERT_TRUE(opened.ok());
+  Collection& coll = opened.value()->collection("c");
+
+  std::uint64_t frames = enqueued.value();
+  std::uint64_t waits = sync_waits.total();
+  ASSERT_TRUE(coll.insert_one(doc(R"({"_id": "a"})")).ok());
+  EXPECT_EQ(enqueued.value() - frames, 1u);
+  EXPECT_EQ(sync_waits.total() - waits, 1u);
+
+  constexpr std::size_t kBatch = 5;
+  std::vector<Document> batch;
+  for (std::size_t i = 0; i < kBatch; ++i) {
+    batch.push_back(Value::object({{"_id", "b" + std::to_string(i)}}));
+  }
+  frames = enqueued.value();
+  waits = sync_waits.total();
+  ASSERT_TRUE(coll.insert_many(std::move(batch)).ok());
+  EXPECT_EQ(enqueued.value() - frames, kBatch) << "one frame per document";
+  EXPECT_EQ(sync_waits.total() - waits, 1u) << "one durability wait per batch";
+}
+
+TEST_F(DurableDatabaseTest, JournalLinesAreFramedEncodedPayloads) {
+  // Each journal line is the CRC-framed payload the mutating thread
+  // encoded once with the Journal::encode_* helpers.
+  const Document inserted = doc(R"({"_id": "a", "v": 1})");
+  {
+    auto opened = Database::open(path_);
+    ASSERT_TRUE(opened.ok());
+    Collection& coll = opened.value()->collection("c");
+    ASSERT_TRUE(coll.insert_one(inserted).ok());
+    EXPECT_TRUE(coll.delete_by_id("a"));
+  }
+  const auto framed = [](const std::string& payload) {
+    return "crc32=" + util::format("%08x", util::crc32(payload)) + " " +
+           payload;
+  };
+  std::vector<std::string> lines;
+  std::ifstream in(path_);
+  for (std::string line; std::getline(in, line);) lines.push_back(line);
+  EXPECT_EQ(lines, (std::vector<std::string>{
+                       framed(Journal::encode_create_collection("c")),
+                       framed(Journal::encode_insert("c", "a", inserted)),
+                       framed(Journal::encode_delete("c", "a"))}));
+  // The payloads are complete, parseable journal records.
+  const auto insert_record =
+      Value::parse(Journal::encode_insert("c", "a", inserted));
+  ASSERT_TRUE(insert_record.ok());
+  EXPECT_EQ(insert_record.value().get("op")->as_string(), "insert");
+  EXPECT_EQ(insert_record.value().get("coll")->as_string(), "c");
+  EXPECT_EQ(insert_record.value().get("doc")->get("v")->as_int(), 1);
 }
 
 TEST_F(DurableDatabaseTest, CompactPreservesStateAndShrinksHistory) {
@@ -409,6 +470,27 @@ TEST_F(SalvageDatabaseTest, SalvageOpenQuarantinesAndScrubs) {
   auto strict = Database::open(path_);
   ASSERT_TRUE(strict.ok());
   EXPECT_EQ(strict.value()->collection("paths").size(), 2u);
+}
+
+TEST_F(SalvageDatabaseTest, SalvageOpenFailsWhenSidecarCannotBeWritten) {
+  // A record may only leave the journal once its quarantine copy is
+  // durable.  With the sidecar path taken by a directory the copy cannot
+  // be written, so the open fails and the journal stays as it was.
+  const auto read_journal = [&] {
+    std::ifstream in(path_, std::ios::binary);
+    return std::string(std::istreambuf_iterator<char>(in),
+                       std::istreambuf_iterator<char>());
+  };
+  corrupt_middle_record();
+  const std::string before = read_journal();
+  ASSERT_TRUE(std::filesystem::create_directory(quarantine_));
+  DatabaseOptions options;
+  options.salvage_mode = true;
+  const auto failed = Database::open(path_, options);
+  ASSERT_FALSE(failed.ok());
+  EXPECT_EQ(failed.error().code, ErrorCode::kDataLoss);
+  EXPECT_EQ(read_journal(), before)
+      << "no record may be dropped without a copy";
 }
 
 TEST_F(SalvageDatabaseTest, SalvageOpenOnCleanJournalWritesNoSidecar) {

@@ -1,4 +1,4 @@
-// Tests for docdb/journal: append, replay, corruption, rewrite.
+// Tests for docdb/journal: group commit, replay, corruption, rewrite.
 #include "docdb/journal.hpp"
 
 #include <gtest/gtest.h>
@@ -34,17 +34,31 @@ class JournalTest : public ::testing::Test {
     return record;
   }
 
+  /// Commit one insert per id through the group-commit pipeline (enqueue,
+  /// then sync on the last frame).
+  void commit_inserts(Journal& journal,
+                      std::initializer_list<std::string> ids) {
+    std::uint64_t last = 0;
+    for (const std::string& id : ids) {
+      last = journal.enqueue(
+          Journal::encode_insert("paths", id, insert_record(id).document));
+      ASSERT_GT(last, 0u);
+    }
+    ASSERT_TRUE(journal.sync(last).ok());
+  }
+
+  /// Open the journal at path_, commit `ids` and close it again.
+  void write_inserts(std::initializer_list<std::string> ids) {
+    Journal journal;
+    ASSERT_TRUE(journal.open(path_).ok());
+    commit_inserts(journal, ids);
+  }
+
   std::string path_;
 };
 
 TEST_F(JournalTest, AppendAndReplayRoundTrip) {
-  {
-    Journal journal;
-    ASSERT_TRUE(journal.open(path_).ok());
-    ASSERT_TRUE(journal.append(insert_record("a")).ok());
-    ASSERT_TRUE(journal.append(insert_record("b")).ok());
-    ASSERT_TRUE(journal.flush().ok());
-  }
+  write_inserts({"a", "b"});
   std::vector<std::string> ids;
   ASSERT_TRUE(Journal::replay(path_, [&](const JournalRecord& record) {
                 ids.push_back(record.id);
@@ -104,12 +118,7 @@ TEST_F(JournalTest, ReplayRejectsRecordsMissingOpOrColl) {
 }
 
 TEST_F(JournalTest, ReplayPropagatesCallbackError) {
-  {
-    Journal journal;
-    ASSERT_TRUE(journal.open(path_).ok());
-    ASSERT_TRUE(journal.append(insert_record("a")).ok());
-    ASSERT_TRUE(journal.flush().ok());
-  }
+  write_inserts({"a"});
   const auto status = Journal::replay(path_, [](const JournalRecord&) {
     return util::Status(util::ErrorCode::kConflict, "boom");
   });
@@ -117,17 +126,18 @@ TEST_F(JournalTest, ReplayPropagatesCallbackError) {
   EXPECT_EQ(status.error().code, util::ErrorCode::kConflict);
 }
 
-TEST_F(JournalTest, AppendWithoutOpenFails) {
+TEST_F(JournalTest, EnqueueBeforeOpenReturnsZero) {
   Journal journal;
-  EXPECT_FALSE(journal.append(insert_record("a")).ok());
-  EXPECT_FALSE(journal.flush().ok());
+  EXPECT_EQ(journal.enqueue(Journal::encode_insert(
+                "paths", "a", insert_record("a").document)),
+            0u);
+  EXPECT_FALSE(journal.sync(1).ok());
 }
 
 TEST_F(JournalTest, RewriteReplacesContents) {
   Journal journal;
   ASSERT_TRUE(journal.open(path_).ok());
-  ASSERT_TRUE(journal.append(insert_record("old")).ok());
-  ASSERT_TRUE(journal.flush().ok());
+  commit_inserts(journal, {"old"});
 
   ASSERT_TRUE(journal.rewrite({insert_record("fresh")}).ok());
 
@@ -143,8 +153,7 @@ TEST_F(JournalTest, AppendsAfterRewriteLand) {
   Journal journal;
   ASSERT_TRUE(journal.open(path_).ok());
   ASSERT_TRUE(journal.rewrite({insert_record("a")}).ok());
-  ASSERT_TRUE(journal.append(insert_record("b")).ok());
-  ASSERT_TRUE(journal.flush().ok());
+  commit_inserts(journal, {"b"});
   int calls = 0;
   ASSERT_TRUE(Journal::replay(path_, [&](const JournalRecord&) {
                 ++calls;
@@ -154,12 +163,7 @@ TEST_F(JournalTest, AppendsAfterRewriteLand) {
 }
 
 TEST_F(JournalTest, AppendedRecordsCarryChecksums) {
-  {
-    Journal journal;
-    ASSERT_TRUE(journal.open(path_).ok());
-    ASSERT_TRUE(journal.append(insert_record("a")).ok());
-    ASSERT_TRUE(journal.flush().ok());
-  }
+  write_inserts({"a"});
   std::ifstream in(path_);
   std::string line;
   ASSERT_TRUE(std::getline(in, line));
@@ -167,13 +171,7 @@ TEST_F(JournalTest, AppendedRecordsCarryChecksums) {
 }
 
 TEST_F(JournalTest, ChecksumMismatchMidFileIsHardError) {
-  {
-    Journal journal;
-    ASSERT_TRUE(journal.open(path_).ok());
-    ASSERT_TRUE(journal.append(insert_record("a")).ok());
-    ASSERT_TRUE(journal.append(insert_record("b")).ok());
-    ASSERT_TRUE(journal.flush().ok());
-  }
+  write_inserts({"a", "b"});
   // Flip one payload byte of the first record (newline-terminated, so it
   // cannot be mistaken for a torn tail).
   std::string content;
@@ -207,15 +205,8 @@ TEST_F(JournalTest, ChecksumMismatchMidFileIsHardError) {
 }
 
 TEST_F(JournalTest, TornTailIsRecoveredAndReported) {
-  std::size_t intact_bytes = 0;
-  {
-    Journal journal;
-    ASSERT_TRUE(journal.open(path_).ok());
-    ASSERT_TRUE(journal.append(insert_record("a")).ok());
-    ASSERT_TRUE(journal.append(insert_record("b")).ok());
-    ASSERT_TRUE(journal.flush().ok());
-    intact_bytes = std::filesystem::file_size(path_);
-  }
+  write_inserts({"a", "b"});
+  const std::size_t intact_bytes = std::filesystem::file_size(path_);
   {
     // Simulate a crash mid-append: a partial frame with no newline.
     std::ofstream out(path_, std::ios::binary | std::ios::app);
@@ -240,12 +231,7 @@ TEST_F(JournalTest, TornTailIsRecoveredAndReported) {
 }
 
 TEST_F(JournalTest, SameGarbageWithNewlineIsHardCorruption) {
-  {
-    Journal journal;
-    ASSERT_TRUE(journal.open(path_).ok());
-    ASSERT_TRUE(journal.append(insert_record("a")).ok());
-    ASSERT_TRUE(journal.flush().ok());
-  }
+  write_inserts({"a"});
   {
     // The identical garbage, but newline-terminated: the writer claimed
     // the record was complete, so this is mid-file corruption.
@@ -262,12 +248,7 @@ TEST_F(JournalTest, SameGarbageWithNewlineIsHardCorruption) {
 }
 
 TEST_F(JournalTest, TornTailOnUncheckummedGarbageToo) {
-  {
-    Journal journal;
-    ASSERT_TRUE(journal.open(path_).ok());
-    ASSERT_TRUE(journal.append(insert_record("a")).ok());
-    ASSERT_TRUE(journal.flush().ok());
-  }
+  write_inserts({"a"});
   {
     std::ofstream out(path_, std::ios::binary | std::ios::app);
     out << "garbage-with-no-structure";
@@ -311,12 +292,7 @@ TEST_F(JournalTest, MixedLegacyAndChecksummedLinesReplay) {
     out << R"({"op":"insert","coll":"c","id":"legacy","doc":{"_id":"l"}})"
         << "\n";
   }
-  {
-    Journal journal;
-    ASSERT_TRUE(journal.open(path_).ok());
-    ASSERT_TRUE(journal.append(insert_record("framed")).ok());
-    ASSERT_TRUE(journal.flush().ok());
-  }
+  write_inserts({"framed"});
   std::vector<std::string> ids;
   ASSERT_TRUE(Journal::replay(path_, [&](const JournalRecord& record) {
                 ids.push_back(record.id);
@@ -333,23 +309,13 @@ TEST_F(JournalTest, InterleavedLegacyAndFramedLinesReplayInOrder) {
     out << R"({"op":"insert","coll":"c","id":"l1","doc":{"_id":"l1"}})"
         << "\n";
   }
-  {
-    Journal journal;
-    ASSERT_TRUE(journal.open(path_).ok());
-    ASSERT_TRUE(journal.append(insert_record("f1")).ok());
-    ASSERT_TRUE(journal.flush().ok());
-  }
+  write_inserts({"f1"});
   {
     std::ofstream out(path_, std::ios::app);
     out << R"({"op":"insert","coll":"c","id":"l2","doc":{"_id":"l2"}})"
         << "\n";
   }
-  {
-    Journal journal;
-    ASSERT_TRUE(journal.open(path_).ok());
-    ASSERT_TRUE(journal.append(insert_record("f2")).ok());
-    ASSERT_TRUE(journal.flush().ok());
-  }
+  write_inserts({"f2"});
   std::vector<std::string> ids;
   ReplayReport report;
   ASSERT_TRUE(Journal::replay(
@@ -408,14 +374,7 @@ class SalvageTest : public JournalTest {
   /// Write three framed records and flip one payload byte of the middle
   /// one (newline kept, so it reads as mid-file corruption).
   void write_bitflipped_journal() {
-    {
-      Journal journal;
-      ASSERT_TRUE(journal.open(path_).ok());
-      for (const char* id : {"a", "b", "c"}) {
-        ASSERT_TRUE(journal.append(insert_record(id)).ok());
-      }
-      ASSERT_TRUE(journal.flush().ok());
-    }
+    write_inserts({"a", "b", "c"});
     std::string content;
     {
       std::ifstream in(path_, std::ios::binary);
@@ -475,12 +434,7 @@ TEST_F(SalvageTest, SalvageQuarantinesCorruptLineAndReplaysRest) {
 }
 
 TEST_F(SalvageTest, SalvageLeavesTornTailContractUnchanged) {
-  {
-    Journal journal;
-    ASSERT_TRUE(journal.open(path_).ok());
-    ASSERT_TRUE(journal.append(insert_record("a")).ok());
-    ASSERT_TRUE(journal.flush().ok());
-  }
+  write_inserts({"a"});
   {
     std::ofstream out(path_, std::ios::binary | std::ios::app);
     out << "crc32=0123abcd {\"op\":\"ins";  // torn, not quarantined
@@ -505,7 +459,6 @@ TEST_F(JournalTest, PipelineEnqueueSyncReplayRoundTrip) {
   {
     Journal journal;
     ASSERT_TRUE(journal.open(path_).ok());
-    journal.start_writer();
     std::uint64_t last = 0;
     for (const char* id : {"a", "b", "c"}) {
       last = journal.enqueue(Journal::encode_insert(
@@ -526,7 +479,6 @@ TEST_F(JournalTest, PipelineFramesCarryValidChecksums) {
   {
     Journal journal;
     ASSERT_TRUE(journal.open(path_).ok());
-    journal.start_writer();
     const std::uint64_t seq = journal.enqueue(Journal::encode_insert(
         "paths", "a", Value::object({{"_id", "a"}})));
     ASSERT_TRUE(journal.sync(seq).ok());
@@ -541,7 +493,6 @@ TEST_F(JournalTest, CloseDrainsUnsyncedFrames) {
   {
     Journal journal;
     ASSERT_TRUE(journal.open(path_).ok());
-    journal.start_writer();
     for (const char* id : {"a", "b"}) {
       ASSERT_GT(journal.enqueue(Journal::encode_insert(
                     "paths", id, Value::object({{"_id", id}}))),
@@ -557,15 +508,14 @@ TEST_F(JournalTest, CloseDrainsUnsyncedFrames) {
   EXPECT_EQ(calls, 2);
 }
 
-TEST_F(JournalTest, SyncTicketMakesRecordsDurableBeforeReturn) {
-  // The sync-ticket contract under a crash: a file snapshot taken right
+TEST_F(JournalTest, SyncMakesRecordsDurableBeforeReturn) {
+  // The sync contract under a crash: a file snapshot taken right
   // after sync() returns (= the bytes a kill would leave behind) holds
   // every synced record; only frames enqueued but not yet group-flushed
   // may be missing, and they form the tail, not holes.
   const std::string snapshot = path_ + ".crash";
   Journal journal;
   ASSERT_TRUE(journal.open(path_).ok());
-  journal.start_writer();
   (void)journal.enqueue(
       Journal::encode_insert("paths", "a", Value::object({{"_id", "a"}})));
   const std::uint64_t synced = journal.enqueue(
@@ -594,11 +544,11 @@ TEST_F(JournalTest, SyncTicketMakesRecordsDurableBeforeReturn) {
 
 TEST_F(JournalTest, MultiThreadedWritersReplayCompleteAndPerThreadOrdered) {
   constexpr int kThreads = 4;
-  constexpr int kPerThread = 200;
+  // More frames than Journal::kQueueDepth: exercises backpressure.
+  constexpr int kPerThread = 300;
   {
     Journal journal;
     ASSERT_TRUE(journal.open(path_).ok());
-    journal.start_writer(/*queue_depth=*/32);  // small: exercise backpressure
     std::vector<std::thread> writers;
     for (int t = 0; t < kThreads; ++t) {
       writers.emplace_back([&journal, t] {
@@ -636,32 +586,28 @@ TEST_F(JournalTest, EncodeHelpersMatchAppendedRecordFormat) {
   {
     Journal journal;
     ASSERT_TRUE(journal.open(path_).ok());
-    journal.start_writer();
+    ASSERT_TRUE(journal.rewrite({record}).ok());
     const std::uint64_t seq = journal.enqueue(
         Journal::encode_insert("paths", "a", record.document));
     ASSERT_TRUE(journal.sync(seq).ok());
-    ASSERT_TRUE(journal.append(record).ok());
-    ASSERT_TRUE(journal.flush().ok());
   }
-  // Pipeline-encoded and append-encoded lines are byte-identical.
+  // Pipeline-encoded and record-encoded (compaction) lines are
+  // byte-identical.
   std::ifstream in(path_);
+  std::string rewrite_line;
   std::string pipeline_line;
-  std::string append_line;
+  ASSERT_TRUE(std::getline(in, rewrite_line));
   ASSERT_TRUE(std::getline(in, pipeline_line));
-  ASSERT_TRUE(std::getline(in, append_line));
-  EXPECT_EQ(pipeline_line, append_line);
+  EXPECT_EQ(pipeline_line, rewrite_line);
 }
 
 TEST_F(JournalTest, RecordFieldsSurviveRoundTrip) {
-  JournalRecord record;
-  record.op = "create_index";
-  record.collection = "paths_stats";
-  record.field = "path_id";
   {
     Journal journal;
     ASSERT_TRUE(journal.open(path_).ok());
-    ASSERT_TRUE(journal.append(record).ok());
-    ASSERT_TRUE(journal.flush().ok());
+    const std::uint64_t seq = journal.enqueue(
+        Journal::encode_create_index("paths_stats", "path_id"));
+    ASSERT_TRUE(journal.sync(seq).ok());
   }
   ASSERT_TRUE(Journal::replay(path_, [&](const JournalRecord& replayed) {
                 EXPECT_EQ(replayed.op, "create_index");

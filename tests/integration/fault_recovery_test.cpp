@@ -336,7 +336,7 @@ TEST_F(FaultRecoveryTest, FleetKillThenResumeReproducesIdenticalDocuments) {
   fs::remove_all(base);
 }
 
-TEST_F(FaultRecoveryTest, SyncTicketsPutCommittedBatchesOnDiskAtCrashTime) {
+TEST_F(FaultRecoveryTest, SyncedBatchesAreOnDiskAtCrashTime) {
   // The group-commit durability contract: when insert_many (and the
   // checkpoint insert behind it) returns, its records are flushed.  A
   // file snapshot taken at the instant the injected crash fires — the
