@@ -7,6 +7,7 @@
 #include <unordered_set>
 #include <utility>
 
+#include "docdb/database.hpp"
 #include "docdb/update.hpp"
 #include "obs/metrics.hpp"
 #include "util/log.hpp"
@@ -311,15 +312,28 @@ void Collection::enqueue_locked(std::string payload, std::uint64_t& last_seq) {
   }
 }
 
-Status Collection::sync_journal(std::uint64_t last_seq) const {
-  if (last_seq == 0) return Status::success();
-  Status flushed = journal_->sync(last_seq);
+Status wait_durable(Journal& journal, std::uint64_t seq) {
+  Status flushed = journal.sync(seq);
   if (!flushed.ok()) {
     util::Log::error("journal sync failed: " + flushed.error().message);
     flushed = Status(ErrorCode::kDataLoss,
                      "journal sync failed: " + flushed.error().message);
   }
   return flushed;
+}
+
+Status Collection::sync_journal(std::uint64_t last_seq) const {
+  if (last_seq == 0 || DeferredSync::defers(journal_)) {
+    return Status::success();
+  }
+  return wait_durable(*journal_, last_seq);
+}
+
+Status Collection::check_journal_open() const {
+  if (journal_ == nullptr || !journal_->closed()) return Status::success();
+  return Status(ErrorCode::kDataLoss,
+                "journal closed (failed compaction); " + name_ +
+                    " mutation refused");
 }
 
 std::shared_lock<std::shared_mutex> Collection::gate_lock() const {
@@ -385,6 +399,9 @@ Result<std::string> Collection::insert_one(Document doc) {
   std::uint64_t last_seq = 0;
   {
     const std::shared_lock gate = gate_lock();
+    if (const Status open = check_journal_open(); !open.ok()) {
+      return Result<std::string>(open.error());
+    }
     const std::unique_lock lock(mutex_);
     if (id_to_slot_.contains(id.value())) {
       return util::Error{ErrorCode::kConflict,
@@ -430,6 +447,9 @@ Result<std::vector<std::string>> Collection::insert_many(
   std::uint64_t last_seq = 0;
   {
     const std::shared_lock gate = gate_lock();
+    if (const Status open = check_journal_open(); !open.ok()) {
+      return Result<std::vector<std::string>>(open.error());
+    }
     const std::unique_lock lock(mutex_);
     for (const std::string& id : ids) {
       if (id_to_slot_.contains(id)) {
@@ -716,6 +736,9 @@ Result<std::size_t> Collection::update_many(const Filter& filter,
   std::size_t modified = 0;
   {
     const std::shared_lock gate = gate_lock();
+    if (const Status open = check_journal_open(); !open.ok()) {
+      return Result<std::size_t>(open.error());
+    }
     const std::unique_lock lock(mutex_);
     const QueryPlan plan = plan_locked(filter, nullptr);
     for (const std::size_t position : plan_candidates_locked(plan)) {
@@ -747,12 +770,15 @@ Result<std::size_t> Collection::update_many(const Filter& filter,
   return modified;
 }
 
-std::size_t Collection::delete_many(const Filter& filter) {
+Result<std::size_t> Collection::delete_many(const Filter& filter) {
   const bool journaling = journaled();
   std::uint64_t last_seq = 0;
   std::size_t removed = 0;
   {
     const std::shared_lock gate = gate_lock();
+    if (const Status open = check_journal_open(); !open.ok()) {
+      return Result<std::size_t>(open.error());
+    }
     const std::unique_lock lock(mutex_);
     const QueryPlan plan = plan_locked(filter, nullptr);
     for (const std::size_t position : plan_candidates_locked(plan)) {
@@ -772,9 +798,8 @@ std::size_t Collection::delete_many(const Filter& filter) {
       }
     }
   }
-  // Count-returning API: a sync failure is logged by sync_journal but not
-  // reported — the deletions are applied in memory either way.
-  (void)sync_journal(last_seq);
+  const Status durable = sync_journal(last_seq);
+  if (!durable.ok()) return Result<std::size_t>(durable.error());
   return removed;
 }
 
@@ -783,6 +808,10 @@ bool Collection::delete_by_id(std::string_view id) {
   std::uint64_t last_seq = 0;
   {
     const std::shared_lock gate = gate_lock();
+    if (const Status open = check_journal_open(); !open.ok()) {
+      util::Log::error(open.error().message);
+      return false;
+    }
     const std::unique_lock lock(mutex_);
     const auto it = id_to_slot_.find(std::string(id));
     if (it == id_to_slot_.end()) return false;

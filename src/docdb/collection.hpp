@@ -14,7 +14,8 @@
 // last frame with Journal::sync() *after* the lock is released, so
 // concurrent writers overlap their in-memory work with the writer's
 // group commit.  A batch costs one durability wait, not N — the I/O
-// trade-off of paper §4.2.2, measured in bench/ablation_storage.  A
+// trade-off of paper §4.2.2, measured in bench/ablation_storage; under
+// a DeferredSync (database.hpp) calls leave the wait to Database::sync().  A
 // collection without a journal (in-memory) never encodes a payload.
 #pragma once
 
@@ -62,6 +63,11 @@ struct QueryPlan {
   double estimated_candidates = 0.0;
 };
 
+/// Wait until `journal` has committed every frame up to `seq`.  A
+/// failure is logged and reported as kDataLoss: the frames may not be
+/// durable.
+[[nodiscard]] util::Status wait_durable(Journal& journal, std::uint64_t seq);
+
 /// Thread-safe document collection with optional secondary indexes.
 class Collection {
  public:
@@ -71,7 +77,10 @@ class Collection {
   /// mutate+enqueue window; Database::compact() holds it exclusive, so a
   /// snapshot is always a superset of every frame the journal writer
   /// could still commit to the pre-compact file.  Nothing is journaled
-  /// while the journal is not open (replay on Database::open).
+  /// while the journal is not open yet (replay on Database::open).  Once
+  /// it has closed under the collection (a compact() whose rename or
+  /// reopen failed), mutations are refused with kDataLoss and leave
+  /// memory unchanged: they could no longer be made durable.
   explicit Collection(std::string name, Journal* journal = nullptr,
                       std::shared_mutex* write_gate = nullptr);
   ~Collection();
@@ -123,9 +132,11 @@ class Collection {
   util::Result<std::size_t> update_many(const Filter& filter,
                                         const util::Value& update);
 
-  /// Delete every match; returns how many were removed.
-  std::size_t delete_many(const Filter& filter);
-  /// Delete one document by id.
+  /// Delete every match; returns how many were removed.  Durability-sync
+  /// failures surface as kDataLoss, as for insert_one.
+  util::Result<std::size_t> delete_many(const Filter& filter);
+  /// Delete one document by id; false when there is none, or when the
+  /// journal has closed (logged; nothing is deleted).
   bool delete_by_id(std::string_view id);
 
   /// Create (and backfill) an ordered index on a dotted field, or a
@@ -178,7 +189,8 @@ class Collection {
   /// mutation order); `last_seq` tracks the call's newest frame.
   void enqueue_locked(std::string payload, std::uint64_t& last_seq);
   /// Wait until the call's frames up to `last_seq` are committed (call
-  /// *without* mutex_ or the write gate held; 0 = nothing to wait for).
+  /// *without* mutex_ or the write gate held; 0 = nothing to wait for),
+  /// unless this thread has a DeferredSync open for the database.
   /// A failure means the mutation is in memory but its journal frame may
   /// not be durable; it is reported as kDataLoss.
   [[nodiscard]] util::Status sync_journal(std::uint64_t last_seq) const;
@@ -189,6 +201,10 @@ class Collection {
   [[nodiscard]] bool journaled() const {
     return journal_ != nullptr && journal_->is_open();
   }
+  /// kDataLoss when the journal has closed under this collection (see the
+  /// constructor); call with the write gate held, so no compact() can
+  /// close it in between.
+  [[nodiscard]] util::Status check_journal_open() const;
 
   std::string name_;
   mutable std::shared_mutex mutex_;

@@ -208,4 +208,28 @@ Status Database::compact() {
   return journal_->rewrite(snapshot_records());
 }
 
+Status Database::sync() {
+  if (journal_ == nullptr) return Status::success();
+  const std::uint64_t last = journal_->last_enqueued();
+  if (last == 0) return Status::success();
+  return wait_durable(*journal_, last);
+}
+
+// ---- DeferredSync ---------------------------------------------------------
+
+namespace {
+/// The journal of the innermost DeferredSync open on this thread.
+thread_local const Journal* deferred_journal = nullptr;
+}  // namespace
+
+DeferredSync::DeferredSync(Database& db) : previous_(deferred_journal) {
+  deferred_journal = db.journal_.get();
+}
+
+DeferredSync::~DeferredSync() { deferred_journal = previous_; }
+
+bool DeferredSync::defers(const Journal* journal) {
+  return journal != nullptr && journal == deferred_journal;
+}
+
 }  // namespace upin::docdb

@@ -10,7 +10,8 @@
 // to every collection it creates; collections then journal their own
 // mutations (collection.hpp).  The database itself journals collection
 // creation, replays the journal on open() — before the journal is open,
-// so replay never journals — and compacts.
+// so replay never journals — and compacts.  A DeferredSync lets one
+// thread's mutating calls skip their waits until one sync() covers them.
 #pragma once
 
 #include <map>
@@ -95,9 +96,17 @@ class Database {
   /// in-memory databases.
   [[nodiscard]] util::Status compact();
 
+  /// Wait until every journal frame enqueued so far, by any thread, is
+  /// durable; kDataLoss when one may not be.  Returns at once for an
+  /// in-memory database.  This is the wait calls made under a
+  /// DeferredSync left out.
+  [[nodiscard]] util::Status sync();
+
   [[nodiscard]] bool is_durable() const noexcept { return journal_ != nullptr; }
 
  private:
+  friend class DeferredSync;
+
   [[nodiscard]] std::vector<JournalRecord> snapshot_records() const;
 
   // Declared before collections_: every durable collection points at both.
@@ -110,6 +119,35 @@ class Database {
   std::map<std::string, std::unique_ptr<Collection>> collections_;
   WriteGuard write_guard_;
   mutable std::mutex guard_mutex_;
+};
+
+/// Defers the durability waits of one thread's mutating calls on one
+/// database.  While a DeferredSync is alive, each mutating call the
+/// constructing thread makes on `db`'s collections enqueues its journal
+/// frames as usual but returns without waiting for them; a later
+/// Database::sync() waits for all of them at once.  The frames, their
+/// order and the journal bytes are exactly those of the same calls made
+/// without it: only the waits move.  A deferred call is durable once a
+/// later sync() — or any later wait on the database, since waits
+/// resolve in sequence order — has returned success; the journal writer
+/// stops at its first failed commit, so no frame behind a failed one
+/// reaches the file.  Calls from other threads and on other databases
+/// keep their own waits.  Deferrals are scoped objects; when they nest,
+/// the innermost one decides.
+class DeferredSync {
+ public:
+  explicit DeferredSync(Database& db);
+  ~DeferredSync();
+
+  DeferredSync(const DeferredSync&) = delete;
+  DeferredSync& operator=(const DeferredSync&) = delete;
+
+  /// Collection hook: whether this thread's innermost DeferredSync is
+  /// open for `journal` (then the call does not wait).
+  [[nodiscard]] static bool defers(const Journal* journal);
+
+ private:
+  const Journal* const previous_;  ///< restored when this one ends
 };
 
 }  // namespace upin::docdb

@@ -174,12 +174,12 @@ Status Journal::open(const std::string& path, Vfs* vfs) {
   util::Result<std::unique_ptr<File>> opened = this->vfs().open_append(path);
   if (!opened.ok()) {
     out_.reset();
-    open_flag_.store(false, std::memory_order_release);
+    state_.store(State::kClosed, std::memory_order_release);
     return Status(ErrorCode::kDataLoss,
                   "cannot open journal: " + opened.error().message);
   }
   out_ = std::move(opened).value();
-  open_flag_.store(true, std::memory_order_release);
+  state_.store(State::kOpen, std::memory_order_release);
   if (!writer_.joinable()) {
     queue_ = std::make_unique<util::BoundedQueue<std::string>>(kQueueDepth);
     writer_ = std::thread([this] { writer_loop(); });
@@ -188,13 +188,17 @@ Status Journal::open(const std::string& path, Vfs* vfs) {
 }
 
 bool Journal::is_open() const noexcept {
-  return open_flag_.load(std::memory_order_acquire);
+  return state_.load(std::memory_order_acquire) == State::kOpen;
+}
+
+bool Journal::closed() const noexcept {
+  return state_.load(std::memory_order_acquire) == State::kClosed;
 }
 
 void Journal::close() {
   stop_writer();
   const std::lock_guard<std::mutex> lock(mutex_);
-  open_flag_.store(false, std::memory_order_release);
+  state_.store(State::kClosed, std::memory_order_release);
   if (out_ != nullptr) {
     out_->close();
     out_.reset();
@@ -247,6 +251,10 @@ std::uint64_t Journal::enqueue(std::string payload) {
   return seq;
 }
 
+std::uint64_t Journal::last_enqueued() const {
+  return queue_ == nullptr ? 0 : queue_->pushed();
+}
+
 Status Journal::sync(std::uint64_t seq) {
   if (queue_ == nullptr) {
     return Status(ErrorCode::kDataLoss, "journal is not open");
@@ -262,7 +270,21 @@ void Journal::writer_loop() {
   JournalMetrics& metrics = JournalMetrics::get();
   std::vector<std::string> group;
   std::string buffer;
+  // Fail-stop: after the first failed group commit nothing more is
+  // written, so the file stays a prefix of the enqueue order and no
+  // frame can become durable behind one that may not be (under a
+  // DeferredSync a checkpoint is enqueued before the wait that would
+  // report its batch's failure).
+  Status failed = Status::success();
   while (queue_->pop_all(group)) {
+    if (!failed.ok()) {
+      {
+        const std::lock_guard<std::mutex> lock(sync_mutex_);
+        flushed_seq_ += group.size();  // waiters get writer_status_
+      }
+      sync_cv_.notify_all();
+      continue;
+    }
     // Coalesce the whole group into one buffer: framing + CRC happen
     // here, on the writer thread, never on a mutating thread.
     buffer.clear();
@@ -285,7 +307,10 @@ void Journal::writer_loop() {
         }
       }
     }
-    if (!wrote.ok()) metrics.io_errors.add();
+    if (!wrote.ok()) {
+      metrics.io_errors.add();
+      failed = wrote;
+    }
     const double flush_us = elapsed_us(begin);
     metrics.groups_committed.add();
     metrics.bytes_written.add(buffer.size());
@@ -465,7 +490,7 @@ Status Journal::rewrite_impl(const std::vector<JournalRecord>& records) {
   }
   const Status renamed = fs.rename(temp_path, path_);
   if (!renamed.ok()) {
-    open_flag_.store(false, std::memory_order_release);
+    state_.store(State::kClosed, std::memory_order_release);
     return Status(ErrorCode::kDataLoss,
                   "rename failed: " + renamed.error().message);
   }
@@ -474,13 +499,13 @@ Status Journal::rewrite_impl(const std::vector<JournalRecord>& records) {
   // history) in place of the new one.
   const Status dir_synced = fs.sync_parent_dir(path_);
   if (!dir_synced.ok()) {
-    open_flag_.store(false, std::memory_order_release);
+    state_.store(State::kClosed, std::memory_order_release);
     return Status(ErrorCode::kDataLoss,
                   "directory fsync failed: " + dir_synced.error().message);
   }
   util::Result<std::unique_ptr<File>> reopened = fs.open_append(path_);
   if (!reopened.ok()) {
-    open_flag_.store(false, std::memory_order_release);
+    state_.store(State::kClosed, std::memory_order_release);
     return Status(ErrorCode::kDataLoss,
                   "cannot reopen journal: " + reopened.error().message);
   }

@@ -103,6 +103,10 @@ class Journal {
   [[nodiscard]] util::Status open(const std::string& path,
                                   Vfs* vfs = nullptr);
   [[nodiscard]] bool is_open() const noexcept;
+  /// Whether the journal was open and no longer is: close(), or a
+  /// rewrite() whose rename or reopen failed.  A journal never opened
+  /// (a database still replaying) is not closed.
+  [[nodiscard]] bool closed() const noexcept;
   /// Stop the writer thread (draining and committing every queued
   /// frame), then close the file.
   void close();
@@ -116,8 +120,11 @@ class Journal {
   /// Block until every frame with sequence <= `seq` has been committed
   /// (one group write + fsync covers many frames).  Any writer-thread
   /// I/O error is sticky and is reported by the next — and every later —
-  /// sync() call.
+  /// sync() call; the writer writes nothing after it, so the file stays
+  /// a prefix of the enqueued frames.
   [[nodiscard]] util::Status sync(std::uint64_t seq);
+  /// Sequence number of the newest frame enqueued so far (0: none).
+  [[nodiscard]] std::uint64_t last_enqueued() const;
 
   // ---- record payload encoders ---------------------------------------
   // One JSON encode per mutation, done by the mutating thread *before*
@@ -181,7 +188,8 @@ class Journal {
   Vfs* vfs_ = nullptr;                ///< storage seam; not owned
   std::unique_ptr<File> out_;
   std::mutex mutex_;                  ///< guards out_ (file I/O)
-  std::atomic<bool> open_flag_{false};
+  enum class State : std::uint8_t { kNew, kOpen, kClosed };
+  std::atomic<State> state_{State::kNew};
 
   // Group-commit pipeline state.
   std::unique_ptr<util::BoundedQueue<std::string>> queue_;

@@ -358,6 +358,11 @@ Status FaultVfs::rename(const std::string& from, const std::string& to) {
   const std::lock_guard<std::mutex> lock(mutex_);
   const Status op = begin_op("rename");
   if (!op.ok()) return op;
+  ++renames_;
+  if (config_.fail_rename_at != 0 && renames_ == config_.fail_rename_at) {
+    return Status(ErrorCode::kDataLoss,
+                  "rename failed (injected): " + from + " -> " + to);
+  }
   FileState& from_state = track_locked(from);
   PendingRename pending;
   pending.from = from;

@@ -116,6 +116,8 @@ struct FaultVfsConfig {
   std::size_t short_write_at = 0;
   /// The Nth sync() fails; the data stays volatile (lost at a crash).
   std::size_t fail_sync_at = 0;
+  /// The Nth rename() fails; nothing moves.
+  std::size_t fail_rename_at = 0;
   /// Crash *instead of* executing the Nth VFS operation: every file is
   /// frozen to its crash image and all later operations fail.
   std::size_t crash_at_op = 0;
@@ -185,6 +187,7 @@ class FaultVfs final : public Vfs {
   std::size_t ops_ = 0;
   std::size_t appends_ = 0;
   std::size_t syncs_ = 0;
+  std::size_t renames_ = 0;
   std::uint64_t bytes_appended_ = 0;
   bool crashed_ = false;
 };

@@ -1,5 +1,7 @@
 #include "measure/schema.hpp"
 
+#include <utility>
+
 #include "util/strings.hpp"
 
 namespace upin::measure {
@@ -187,7 +189,7 @@ std::string checkpoint_doc_id(int server_id, int iteration) {
   return "ckpt_" + std::to_string(server_id) + "_" + std::to_string(iteration);
 }
 
-Document checkpoint_document(const CampaignCheckpoint& checkpoint) {
+Document checkpoint_document(CampaignCheckpoint checkpoint) {
   JsonObject doc;
   doc.set("_id",
           Value(checkpoint_doc_id(checkpoint.server_id, checkpoint.iteration)));
@@ -201,7 +203,7 @@ Document checkpoint_document(const CampaignCheckpoint& checkpoint) {
   doc.set("breaker_open", Value(checkpoint.breaker_open));
   doc.set("breaker_opened_at_ns", Value(checkpoint.breaker_opened_at.count()));
   if (!checkpoint.path_cache.is_null()) {
-    doc.set("path_cache", checkpoint.path_cache);
+    doc.set("path_cache", std::move(checkpoint.path_cache));
   }
   return Value(std::move(doc));
 }

@@ -117,8 +117,10 @@ struct CampaignCheckpoint {
   util::Value path_cache{};
 };
 
+/// Takes the checkpoint by value so a caller done with it can move the
+/// path-cache snapshot (tens of KB) into the document instead of copying.
 [[nodiscard]] docdb::Document checkpoint_document(
-    const CampaignCheckpoint& checkpoint);
+    CampaignCheckpoint checkpoint);
 
 [[nodiscard]] util::Result<CampaignCheckpoint> parse_checkpoint_document(
     const docdb::Document& doc);

@@ -421,6 +421,21 @@ Status TestSuite::run_unit(const Destination& destination, int iteration,
   }
 
   const std::size_t batch_size = batch.size();
+  // Durability is pipelined one unit deep.  Wait for the previous unit's
+  // writes first (the journal writer has had this whole unit of
+  // measuring to commit them), then store this unit's batch, checkpoint
+  // and metrics snapshot without waiting: the next unit, or finish(),
+  // waits for them.  A crash still loses at most one batch (§4.2.2), and
+  // journal order keeps a checkpoint from becoming durable without its
+  // batch, so a resume re-measures exactly the units a crash lost.
+  if (const Status earlier = db_.sync(); !earlier.ok()) {
+    util::Log::error("writes before unit s" +
+                     std::to_string(destination.server_id) + " i" +
+                     std::to_string(iteration) +
+                     " not durable: " + earlier.error().message);
+    progress_.errors.record(FaultKind::kStorage);
+  }
+  const docdb::DeferredSync unit_writes(db_);
   const Status stored = store_batch(std::move(batch));
   if (!stored.ok()) {
     util::Log::error("batch insert for server " +
@@ -443,7 +458,7 @@ Status TestSuite::run_unit(const Destination& destination, int iteration,
     checkpoints.delete_by_id(
         checkpoint_doc_id(destination.server_id, iteration));
     Result<std::string> inserted =
-        checkpoints.insert_one(checkpoint_document(checkpoint));
+        checkpoints.insert_one(checkpoint_document(std::move(checkpoint)));
     if (inserted.ok()) {
       ++progress_.checkpoints_recorded;
       metrics_.checkpoints->add();
@@ -459,6 +474,7 @@ Status TestSuite::run_unit(const Destination& destination, int iteration,
 
   if (config_.crash_after_batches > 0 &&
       progress_.batches_inserted >= config_.crash_after_batches) {
+    (void)db_.sync();  // the harness crashes after N *durable* batches
     return Status(ErrorCode::kDataLoss,
                   "injected crash after " +
                       std::to_string(progress_.batches_inserted) +
@@ -592,18 +608,32 @@ Status TestSuite::run() {
 }
 
 Status TestSuite::begin() {
+  // The set-up's writes (server registry, indexes, path snapshots) share
+  // one durability wait.
+  const docdb::DeferredSync setup_writes(db_);
   Status init = initialize();
   if (!init.ok()) return init;
   if (!config_.skip_collection) {
     const Status collected = collect_paths();
     if (!collected.ok()) return collected;
   }
-  return prepare_plan();
+  const Status planned = prepare_plan();
+  if (!planned.ok()) return planned;
+  return db_.sync();
 }
 
 Status TestSuite::finish() {
+  const docdb::DeferredSync final_writes(db_);
   if (config_.metrics_snapshots) {
     record_metrics_snapshot("final", "final");
+  }
+  // Also waits for the last unit's writes (run_unit leaves them to the
+  // next wait).  A failure is a storage fault, as in run_unit: the
+  // campaign itself completed.
+  if (const Status durable = db_.sync(); !durable.ok()) {
+    util::Log::error("final campaign writes not durable: " +
+                     durable.error().message);
+    progress_.errors.record(FaultKind::kStorage);
   }
   return Status::success();
 }

@@ -160,20 +160,27 @@ class TestSuite {
   };
 
   /// Prepare stepping: initialize(), collect_paths() (unless skipped) and
-  /// resume planning.  Equivalent to the preamble of run().
+  /// resume planning.  Equivalent to the preamble of run().  Its writes
+  /// share one durability wait and are on disk when it returns.
   [[nodiscard]] util::Status begin();
 
   /// Units in the plan: destinations x iterations (including units that
   /// resume will fast-forward).  Valid after begin().
   [[nodiscard]] std::size_t planned_units() const;
 
-  /// Execute (or fast-forward) the next planned unit.  With
+  /// Execute (or fast-forward) the next planned unit.  Durability is
+  /// pipelined one unit deep: a unit first waits for the previous unit's
+  /// writes, then stores its batch, checkpoint and metrics snapshot
+  /// without waiting (docdb::DeferredSync); the next unit or finish()
+  /// waits for them.  A crash loses at most one batch.  With
   /// `shed_bandwidth` the unit runs ping-only — the fleet's degraded mode
   /// for tenants burning their error budget: the cheap latency/loss
   /// probes keep flowing, the expensive bandwidth probes are shed.
   [[nodiscard]] util::Result<StepOutcome> step(bool shed_bandwidth = false);
 
-  /// Record the "final" metrics snapshot — the epilogue of run().
+  /// Record the "final" metrics snapshot — the epilogue of run() — and
+  /// wait until every write of the campaign is durable (a failure is
+  /// recorded as a storage fault).
   [[nodiscard]] util::Status finish();
 
   /// Sign each batch with a fresh one-time key certified by `trust`, and

@@ -142,7 +142,17 @@ Result<LinkId> Network::add_link(LinkSpec spec) {
         haversine_km(nodes_[spec.from].location, nodes_[spec.to].location);
     spec.propagation = propagation_delay(km);
   }
-  links_.push_back(spec);
+  // Substream labels are "util:<from>><to>:<minute>" and
+  // "cong:<from>><to>:<10 s bucket>"; hash the fixed prefixes once.
+  const std::string label =
+      std::to_string(spec.from) + ">" + std::to_string(spec.to);
+  Link link;
+  link.spec = spec;
+  link.util_prefix = util::fnv1a64("util:" + label + ":");
+  link.cong_prefix = util::fnv1a64("cong:" + label + ":");
+  link.phase =
+      static_cast<double>(util::fnv1a64(label) % 10'000) / 10'000.0 * kTwoPi;
+  links_.push_back(std::move(link));
   const auto id = static_cast<LinkId>(links_.size() - 1);
   by_endpoints_.emplace(key, id);
   return id;
@@ -178,10 +188,15 @@ std::optional<NodeId> Network::find_node(std::string_view name) const {
   return std::nullopt;
 }
 
-const LinkSpec* Network::find_link(NodeId from, NodeId to) const {
+const Network::Link* Network::find(NodeId from, NodeId to) const {
   const auto it = by_endpoints_.find(endpoint_key(from, to));
   if (it == by_endpoints_.end()) return nullptr;
   return &links_[it->second];
+}
+
+const LinkSpec* Network::find_link(NodeId from, NodeId to) const {
+  const Link* link = find(from, to);
+  return link == nullptr ? nullptr : &link->spec;
 }
 
 SimDuration Network::link_propagation(NodeId from, NodeId to) const {
@@ -199,42 +214,70 @@ std::string Network::route_label(const std::vector<NodeId>& route) {
   return label;
 }
 
+std::uint64_t Network::route_prefix(std::string_view tag,
+                                    const std::vector<NodeId>& route) noexcept {
+  std::uint64_t hash = util::fnv1a64_extend(util::fnv1a64(tag), ":");
+  for (const NodeId node : route) {
+    hash = util::fnv1a64_extend(hash, static_cast<std::int64_t>(node));
+    hash = util::fnv1a64_extend(hash, "-");
+  }
+  return util::fnv1a64_extend(hash, ":");
+}
+
 double Network::utilization(NodeId from, NodeId to, SimTime t) const {
-  const LinkSpec* link = find_link(from, to);
+  const Link* link = find(from, to);
   if (link == nullptr) return 0.0;
-  const std::string label =
-      std::to_string(from) + ">" + std::to_string(to);
-  const double phase =
-      static_cast<double>(util::fnv1a64(label) % 10'000) / 10'000.0 * kTwoPi;
-  const double seconds = util::to_seconds(t);
-  const double wave =
-      link->util_amplitude * std::sin(kTwoPi * seconds / link->util_period_s + phase);
-  // Per-minute noise bucket, stable across repeated queries.
-  const auto bucket = static_cast<std::int64_t>(seconds / 60.0);
-  Rng noise_rng = master_.fork("util:" + label + ":" + std::to_string(bucket));
-  const double noise = noise_rng.normal(0.0, 0.05);
-  return std::clamp(link->util_base + wave + noise, 0.0, 0.97);
+  HopMemo memo;
+  return link_utilization(*link, t, memo);
 }
 
 double Network::frame_loss(NodeId from, NodeId to, SimTime t) const {
-  const LinkSpec* link = find_link(from, to);
+  const Link* link = find(from, to);
   if (link == nullptr) return 1.0;
+  HopMemo memo;
+  return link_frame_loss(*link, t, memo);
+}
+
+double Network::link_utilization(const Link& link, SimTime t,
+                                 HopMemo& memo) const {
+  const double seconds = util::to_seconds(t);
+  const double wave =
+      link.spec.util_amplitude *
+      std::sin(kTwoPi * seconds / link.spec.util_period_s + link.phase);
+  // Per-minute noise bucket, stable across repeated queries.
+  const auto bucket = static_cast<std::int64_t>(seconds / 60.0);
+  if (bucket != memo.noise_bucket) {
+    Rng noise_rng =
+        master_.fork_hashed(util::fnv1a64_extend(link.util_prefix, bucket));
+    memo.noise = noise_rng.normal(0.0, 0.05);
+    memo.noise_bucket = bucket;
+  }
+  return std::clamp(link.spec.util_base + wave + memo.noise, 0.0, 0.97);
+}
+
+double Network::link_frame_loss(const Link& link, SimTime t,
+                                HopMemo& memo) const {
   // An injected link flap drops every frame for the episode's duration.
-  if (faults_.link_flapped(from, to, t)) return 1.0;
-  double loss = link->base_loss;
+  if (faults_.link_flapped(link.spec.from, link.spec.to, t)) return 1.0;
+  double loss = link.spec.base_loss;
 
   // Micro-congestion: some 10-second windows on some links lose a visible
   // fraction of frames (the paper's occasional ~10% loss readings, §6.3).
-  const std::string label = std::to_string(from) + ">" + std::to_string(to);
   const auto bucket = static_cast<std::int64_t>(util::to_seconds(t) / 10.0);
-  Rng bucket_rng = master_.fork("cong:" + label + ":" + std::to_string(bucket));
-  if (bucket_rng.bernoulli(config_.micro_congestion_prob)) {
-    loss += bucket_rng.uniform(config_.micro_congestion_loss_min,
-                               config_.micro_congestion_loss_max);
+  if (bucket != memo.cong_bucket) {
+    Rng bucket_rng =
+        master_.fork_hashed(util::fnv1a64_extend(link.cong_prefix, bucket));
+    memo.cong_loss = 0.0;
+    if (bucket_rng.bernoulli(config_.micro_congestion_prob)) {
+      memo.cong_loss = bucket_rng.uniform(config_.micro_congestion_loss_min,
+                                          config_.micro_congestion_loss_max);
+    }
+    memo.cong_bucket = bucket;
   }
+  loss += memo.cong_loss;
 
   // Heavily utilized links shed additional frames.
-  const double util = utilization(from, to, t);
+  const double util = link_utilization(link, t, memo);
   if (util > config_.congested_util_threshold) {
     loss += (util - config_.congested_util_threshold) * 2.0;
   }
@@ -251,55 +294,56 @@ double Network::outage_drop(NodeId node, SimTime t) const {
   return drop;
 }
 
-Result<Network::RouteLinks> Network::resolve(
-    const std::vector<NodeId>& route) const {
+Network::Hops Network::hops_of(const std::vector<NodeId>& route) const {
+  Hops hops;
+  hops.reserve(route.size() - 1);
+  for (std::size_t i = 0; i + 1 < route.size(); ++i) {
+    hops.push_back(Hop{find(route[i], route[i + 1]), {}});
+  }
+  return hops;
+}
+
+Result<Network::Hops> Network::resolve(const std::vector<NodeId>& route) const {
   if (route.size() < 2) {
     return util::Error{ErrorCode::kInvalidArgument,
                        "route needs at least two nodes"};
   }
-  RouteLinks resolved;
-  resolved.links.reserve(route.size() - 1);
-  for (std::size_t i = 0; i + 1 < route.size(); ++i) {
-    if (route[i] >= nodes_.size() || route[i + 1] >= nodes_.size()) {
+  for (const NodeId node : route) {
+    if (node >= nodes_.size()) {
       return util::Error{ErrorCode::kInvalidArgument, "route node unknown"};
     }
-    const LinkSpec* link = find_link(route[i], route[i + 1]);
-    if (link == nullptr) {
+  }
+  Hops hops = hops_of(route);
+  for (std::size_t i = 0; i < hops.size(); ++i) {
+    if (hops[i].link == nullptr) {
       return util::Error{ErrorCode::kInvalidArgument,
                          "no link " + nodes_[route[i]].name + " -> " +
                              nodes_[route[i + 1]].name};
     }
-    resolved.links.push_back(link);
   }
-  return resolved;
+  return hops;
 }
 
-double Network::one_way_ms(const RouteLinks& route_links,
-                           const std::vector<NodeId>& route, SimTime t,
-                           Rng& rng) const {
+double Network::one_way_ms(std::span<Hop> hops, SimTime t, Rng& rng) const {
   double total_ms = 0.0;
-  for (std::size_t i = 0; i < route_links.links.size(); ++i) {
-    const LinkSpec& link = *route_links.links[i];
+  for (Hop& hop : hops) {
+    const LinkSpec& link = hop.link->spec;
     total_ms += util::to_millis(link.propagation.value_or(SimDuration::zero()));
     // Forwarding cost and queueing jitter at the receiving node.
-    const NodeSpec& hop = nodes_[route[i + 1]];
-    total_ms += hop.process_ms;
-    total_ms += hop.jitter_ms * rng.lognormal(0.0, 0.6);
+    const NodeSpec& node = nodes_[link.to];
+    total_ms += node.process_ms;
+    total_ms += node.jitter_ms * rng.lognormal(0.0, 0.6);
     // Queueing delay on the link, superlinear in background utilization.
-    const double util = utilization(route[i], route[i + 1], t);
+    const double util = link_utilization(*hop.link, t, hop.memo);
     total_ms += util * util * util * 4.0 * rng.lognormal(0.0, 0.8);
   }
   return total_ms;
 }
 
-bool Network::frame_survives(const RouteLinks& route_links,
-                             const std::vector<NodeId>& route, SimTime t,
-                             Rng& rng) const {
-  for (std::size_t i = 0; i < route_links.links.size(); ++i) {
-    const NodeId from = route[i];
-    const NodeId to = route[i + 1];
-    if (rng.bernoulli(frame_loss(from, to, t))) return false;
-    if (rng.bernoulli(outage_drop(to, t))) return false;
+bool Network::frame_survives(std::span<Hop> hops, SimTime t, Rng& rng) const {
+  for (Hop& hop : hops) {
+    if (rng.bernoulli(link_frame_loss(*hop.link, t, hop.memo))) return false;
+    if (rng.bernoulli(outage_drop(hop.link->spec.to, t))) return false;
   }
   return true;
 }
@@ -307,11 +351,11 @@ bool Network::frame_survives(const RouteLinks& route_links,
 Result<PingStats> Network::ping(const std::vector<NodeId>& route,
                                 const PingOptions& options,
                                 SimTime start) const {
-  const Result<RouteLinks> forward = resolve(route);
+  Result<Hops> forward = resolve(route);
   if (!forward.ok()) return Result<PingStats>(forward.error());
 
-  std::vector<NodeId> reverse_route(route.rbegin(), route.rend());
-  const Result<RouteLinks> backward = resolve(reverse_route);
+  const std::vector<NodeId> reverse_route(route.rbegin(), route.rend());
+  Result<Hops> backward = resolve(reverse_route);
   if (!backward.ok()) return Result<PingStats>(backward.error());
 
   // Injected destination faults (§4.1.2 fault classes), checked at the
@@ -335,19 +379,20 @@ Result<PingStats> Network::ping(const std::vector<NodeId>& route,
 
   PingStats stats;
   stats.rtt_ms.reserve(options.count);
-  const std::string label = route_label(route);
+  // Probe substreams are "ping:<route>:<t ns>"; only <t> varies.
+  const std::uint64_t probe_prefix = route_prefix("ping", route);
   for (std::size_t i = 0; i < options.count; ++i) {
     const SimTime t = start + options.interval * static_cast<std::int64_t>(i);
-    Rng rng = master_.fork("ping:" + label + ":" + std::to_string(t.count()));
-    const bool delivered_fwd = frame_survives(forward.value(), route, t, rng);
+    Rng rng = master_.fork_hashed(util::fnv1a64_extend(probe_prefix, t.count()));
+    const bool delivered_fwd = frame_survives(forward.value(), t, rng);
     const bool delivered_bwd =
-        delivered_fwd && frame_survives(backward.value(), reverse_route, t, rng);
+        delivered_fwd && frame_survives(backward.value(), t, rng);
     if (!delivered_fwd || !delivered_bwd) {
       stats.rtt_ms.push_back(std::nullopt);
       continue;
     }
-    const double rtt = one_way_ms(forward.value(), route, t, rng) +
-                       one_way_ms(backward.value(), reverse_route, t, rng);
+    const double rtt = one_way_ms(forward.value(), t, rng) +
+                       one_way_ms(backward.value(), t, rng);
     stats.rtt_ms.push_back(rtt);
   }
   return stats;
@@ -355,28 +400,29 @@ Result<PingStats> Network::ping(const std::vector<NodeId>& route,
 
 Result<TraceResult> Network::traceroute(const std::vector<NodeId>& route,
                                         SimTime start) const {
-  const Result<RouteLinks> resolved = resolve(route);
-  if (!resolved.ok()) return Result<TraceResult>(resolved.error());
+  Result<Hops> forward = resolve(route);
+  if (!forward.ok()) return Result<TraceResult>(forward.error());
+  // The reply to hop h crosses the last h links of the reversed route; a
+  // missing reverse link silences every hop behind it.
+  Hops backward = hops_of(std::vector<NodeId>(route.rbegin(), route.rend()));
 
   TraceResult result;
-  const std::string label = route_label(route);
+  const std::uint64_t probe_prefix = route_prefix("trace", route);
   for (std::size_t hop = 1; hop < route.size(); ++hop) {
-    const std::vector<NodeId> prefix(route.begin(),
-                                     route.begin() + static_cast<std::ptrdiff_t>(hop) + 1);
-    const std::vector<NodeId> reverse_prefix(prefix.rbegin(), prefix.rend());
-    const Result<RouteLinks> fwd = resolve(prefix);
-    const Result<RouteLinks> bwd = resolve(reverse_prefix);
+    const std::span<Hop> fwd = std::span<Hop>(forward.value()).first(hop);
+    const std::span<Hop> bwd = std::span<Hop>(backward).last(hop);
     TraceHop trace_hop;
     trace_hop.node = route[hop];
-    if (fwd.ok() && bwd.ok()) {
+    if (std::all_of(bwd.begin(), bwd.end(),
+                    [](const Hop& h) { return h.link != nullptr; })) {
       const SimTime t =
           start + util::sim_millis(static_cast<double>(hop) * 50.0);
-      Rng rng = master_.fork("trace:" + label + ":" + std::to_string(hop) +
-                             ":" + std::to_string(t.count()));
-      if (frame_survives(fwd.value(), prefix, t, rng) &&
-          frame_survives(bwd.value(), reverse_prefix, t, rng)) {
-        trace_hop.rtt_ms = one_way_ms(fwd.value(), prefix, t, rng) +
-                           one_way_ms(bwd.value(), reverse_prefix, t, rng);
+      std::uint64_t label = util::fnv1a64_extend(
+          probe_prefix, static_cast<std::int64_t>(hop));
+      label = util::fnv1a64_extend(util::fnv1a64_extend(label, ":"), t.count());
+      Rng rng = master_.fork_hashed(label);
+      if (frame_survives(fwd, t, rng) && frame_survives(bwd, t, rng)) {
+        trace_hop.rtt_ms = one_way_ms(fwd, t, rng) + one_way_ms(bwd, t, rng);
       }
     }
     result.hops.push_back(trace_hop);
@@ -394,7 +440,7 @@ Result<BwtestResult> Network::bwtest_loaded(
     const std::vector<NodeId>& route, const BwtestOptions& options,
     SimTime start, const std::unordered_map<std::uint64_t, double>* total_wire_mbps,
     double own_wire_mbps) const {
-  const Result<RouteLinks> resolved = resolve(route);
+  Result<Hops> resolved = resolve(route);
   if (!resolved.ok()) return Result<BwtestResult>(resolved.error());
   if (options.packet_bytes < 4.0) {
     return util::Error{ErrorCode::kInvalidArgument,
@@ -425,8 +471,8 @@ Result<BwtestResult> Network::bwtest_loaded(
   // Server-side failure (§4.1.2 "Error Messages"): the responder is up
   // but replies with an error; the caller must tolerate it.
   {
-    Rng error_rng = master_.fork("bwerr:" + route_label(route) + ":" +
-                                 std::to_string(start.count()));
+    Rng error_rng = master_.fork_hashed(
+        util::fnv1a64_extend(route_prefix("bwerr", route), start.count()));
     if (error_rng.bernoulli(config_.server_error_prob)) {
       return util::Error{ErrorCode::kBadResponse,
                          "bwtestserver returned an error"};
@@ -446,12 +492,12 @@ Result<BwtestResult> Network::bwtest_loaded(
   double frame_survival = 1.0;
   double bottleneck_available = std::numeric_limits<double>::infinity();
   const SimTime mid = start + util::sim_seconds(options.duration_s / 2.0);
-  for (std::size_t i = 0; i < resolved.value().links.size(); ++i) {
-    const LinkSpec& link = *resolved.value().links[i];
-    const NodeId from = route[i];
-    const NodeId to = route[i + 1];
+  for (Hop& hop : resolved.value()) {
+    const LinkSpec& link = hop.link->spec;
+    const NodeId from = link.from;
+    const NodeId to = link.to;
     const double available =
-        link.capacity_mbps * (1.0 - utilization(from, to, mid));
+        link.capacity_mbps * (1.0 - link_utilization(*hop.link, mid, hop.memo));
     bottleneck_available = std::min(bottleneck_available, available);
     // Concurrent subflows on this link dilute the share: the flow gets
     // its proportional cut of the headroom.  `cross == 0` (the lone-flow
@@ -465,7 +511,7 @@ Result<BwtestResult> Network::bwtest_loaded(
     }
     const double share = std::min(1.0, available / (wire_mbps + cross));
     frame_survival *= share;
-    frame_survival *= 1.0 - frame_loss(from, to, mid);
+    frame_survival *= 1.0 - link_frame_loss(*hop.link, mid, hop.memo);
     frame_survival *= 1.0 - outage_drop(to, mid);
   }
   frame_survival = std::clamp(frame_survival, 0.0, 1.0);
@@ -473,10 +519,14 @@ Result<BwtestResult> Network::bwtest_loaded(
   // A fragmented packet is delivered only when every frame survives.
   const double packet_survival = std::pow(frame_survival, frames);
 
-  Rng rng = master_.fork("bwtest:" + route_label(route) + ":" +
-                         std::to_string(start.count()) + ":" +
-                         std::to_string(options.packet_bytes) + ":" +
-                         std::to_string(options.target_mbps));
+  // "bwtest:<route>:<start ns>:<packet bytes>:<target Mbps>", streamed.
+  std::uint64_t label =
+      util::fnv1a64_extend(route_prefix("bwtest", route), start.count());
+  for (const double knob : {options.packet_bytes, options.target_mbps}) {
+    label = util::fnv1a64_extend(util::fnv1a64_extend(label, ":"),
+                                 std::to_string(knob));
+  }
+  Rng rng = master_.fork_hashed(label);
   const double measurement_noise = rng.lognormal(0.0, 0.03);
   result.achieved_mbps = std::min(
       result.attempted_mbps,

@@ -25,8 +25,11 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <optional>
+#include <span>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -233,18 +236,54 @@ class Network {
   [[nodiscard]] double outage_drop(NodeId node, util::SimTime t) const;
 
  private:
-  struct RouteLinks {
-    std::vector<const LinkSpec*> links;  // per consecutive pair
+  /// A link plus what add_link derives from it once: the FNV-1a state of
+  /// its "util:<from>><to>:" and "cong:<from>><to>:" substream label
+  /// prefixes, and the phase of its diurnal swing.
+  struct Link {
+    LinkSpec spec;
+    std::uint64_t util_prefix = 0;
+    std::uint64_t cong_prefix = 0;
+    double phase = 0.0;
   };
-  [[nodiscard]] util::Result<RouteLinks> resolve(
+  /// The bucketed draws of one link, kept for the last bucket seen.  A
+  /// measurement evaluates each hop at many instants that almost always
+  /// share one 10-s congestion bucket and one 60-s noise bucket, so it
+  /// draws each at most once per bucket.  Lives on the measuring call's
+  /// stack, never in the Network.
+  struct HopMemo {
+    static constexpr std::int64_t kNoBucket =
+        std::numeric_limits<std::int64_t>::min();
+    std::int64_t noise_bucket = kNoBucket;
+    double noise = 0.0;
+    std::int64_t cong_bucket = kNoBucket;
+    double cong_loss = 0.0;
+  };
+  /// One directed hop of a resolved route and its memo slot; null `link`
+  /// only from `hops_of` (a missing link).
+  struct Hop {
+    const Link* link = nullptr;
+    HopMemo memo;
+  };
+  using Hops = std::vector<Hop>;
+
+  [[nodiscard]] const Link* find(NodeId from, NodeId to) const;
+  /// One hop per consecutive node pair of a route of two or more known
+  /// nodes; a missing link is a null hop.
+  [[nodiscard]] Hops hops_of(const std::vector<NodeId>& route) const;
+  /// `hops_of`, failing with kInvalidArgument on an unknown node or a
+  /// missing link.
+  [[nodiscard]] util::Result<Hops> resolve(
       const std::vector<NodeId>& route) const;
-  [[nodiscard]] double one_way_ms(const RouteLinks& route_links,
-                                  const std::vector<NodeId>& route,
-                                  util::SimTime t, util::Rng& rng) const;
-  /// Whether a single frame crossing the route at `t` survives.
-  [[nodiscard]] bool frame_survives(const RouteLinks& route_links,
-                                    const std::vector<NodeId>& route,
-                                    util::SimTime t, util::Rng& rng) const;
+
+  [[nodiscard]] double link_utilization(const Link& link, util::SimTime t,
+                                        HopMemo& memo) const;
+  [[nodiscard]] double link_frame_loss(const Link& link, util::SimTime t,
+                                       HopMemo& memo) const;
+  [[nodiscard]] double one_way_ms(std::span<Hop> hops, util::SimTime t,
+                                  util::Rng& rng) const;
+  /// Whether a single frame crossing `hops` at `t` survives.
+  [[nodiscard]] bool frame_survives(std::span<Hop> hops, util::SimTime t,
+                                    util::Rng& rng) const;
 
   /// bwtest core shared with multibwtest: `total_wire_mbps` (keyed by
   /// endpoint pair) is the combined wire load of every concurrent flow on
@@ -257,9 +296,12 @@ class Network {
       double own_wire_mbps) const;
 
   [[nodiscard]] static std::string route_label(const std::vector<NodeId>& route);
+  /// FNV-1a state of "<tag>:" + route_label(route) + ":", streamed.
+  [[nodiscard]] static std::uint64_t route_prefix(
+      std::string_view tag, const std::vector<NodeId>& route) noexcept;
 
   std::vector<NodeSpec> nodes_;
-  std::vector<LinkSpec> links_;
+  std::vector<Link> links_;
   std::unordered_map<std::uint64_t, LinkId> by_endpoints_;
   std::vector<OutageWindow> outages_;
   NetworkConfig config_;

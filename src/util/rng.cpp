@@ -1,6 +1,7 @@
 #include "util/rng.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <cmath>
 
 namespace upin::util {
@@ -22,12 +23,25 @@ std::uint64_t splitmix64(std::uint64_t& state) noexcept {
 }
 
 std::uint64_t fnv1a64(std::string_view text) noexcept {
-  std::uint64_t hash = 0xCBF29CE484222325ULL;
+  return fnv1a64_extend(0xCBF29CE484222325ULL, text);
+}
+
+std::uint64_t fnv1a64_extend(std::uint64_t hash,
+                             std::string_view text) noexcept {
   for (const char c : text) {
     hash ^= static_cast<std::uint8_t>(c);
     hash *= 0x100000001B3ULL;
   }
   return hash;
+}
+
+std::uint64_t fnv1a64_extend(std::uint64_t hash, std::int64_t value) noexcept {
+  char digits[20];  // a sign and 19 digits: any int64
+  const std::to_chars_result written =
+      std::to_chars(digits, digits + sizeof digits, value);
+  return fnv1a64_extend(
+      hash, std::string_view(digits, static_cast<std::size_t>(
+                                         written.ptr - digits)));
 }
 
 Rng::Rng(std::uint64_t seed) noexcept {
@@ -39,7 +53,11 @@ Rng::Rng(std::uint64_t seed) noexcept {
 }
 
 Rng Rng::fork(std::string_view label) const noexcept {
-  std::uint64_t mix = s_[0] ^ rotl(s_[3], 17) ^ fnv1a64(label);
+  return fork_hashed(fnv1a64(label));
+}
+
+Rng Rng::fork_hashed(std::uint64_t label_hash) const noexcept {
+  std::uint64_t mix = s_[0] ^ rotl(s_[3], 17) ^ label_hash;
   return Rng(splitmix64(mix));
 }
 

@@ -19,6 +19,16 @@ namespace upin::util {
 /// FNV-1a 64-bit hash of a string, for label-derived substreams.
 [[nodiscard]] std::uint64_t fnv1a64(std::string_view text) noexcept;
 
+/// Continue an FNV-1a hash over more bytes:
+/// `fnv1a64_extend(fnv1a64(a), b) == fnv1a64(a + b)`.  Lets a caller hash
+/// a fixed label prefix once and stream the varying suffix.
+[[nodiscard]] std::uint64_t fnv1a64_extend(std::uint64_t hash,
+                                           std::string_view text) noexcept;
+/// Continue an FNV-1a hash over the decimal digits of `value` — the same
+/// characters `std::to_string(value)` produces, without building them.
+[[nodiscard]] std::uint64_t fnv1a64_extend(std::uint64_t hash,
+                                           std::int64_t value) noexcept;
+
 /// xoshiro256** PRNG — fast, high-quality, deterministic across platforms.
 class Rng {
  public:
@@ -29,6 +39,9 @@ class Rng {
   /// Derive an independent substream tied to `label`.  Forking the same
   /// label from the same parent always yields the same stream.
   [[nodiscard]] Rng fork(std::string_view label) const noexcept;
+  /// `fork` for a label already hashed with `fnv1a64` (or streamed with
+  /// `fnv1a64_extend`): `fork_hashed(fnv1a64(x))` is `fork(x)`.
+  [[nodiscard]] Rng fork_hashed(std::uint64_t label_hash) const noexcept;
 
   /// Raw 64 random bits (UniformRandomBitGenerator interface).
   std::uint64_t operator()() noexcept { return next(); }

@@ -234,7 +234,7 @@ TEST(Collection, DeleteMany) {
     ASSERT_TRUE(coll.insert_one(doc(util::Value::object(
         {{"_id", std::to_string(i)}, {"v", i}}).dump().c_str())).ok());
   }
-  EXPECT_EQ(coll.delete_many(filter(R"({"v": {"$lt": 3}})")), 3u);
+  EXPECT_EQ(coll.delete_many(filter(R"({"v": {"$lt": 3}})")).value(), 3u);
   EXPECT_EQ(coll.size(), 2u);
   EXPECT_FALSE(coll.find_by_id("0").ok());
 }

@@ -6,9 +6,11 @@
 #include <atomic>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <map>
 #include <thread>
 
+#include "docdb/vfs.hpp"
 #include "obs/metrics.hpp"
 #include "util/crc32.hpp"
 #include "util/strings.hpp"
@@ -266,6 +268,148 @@ TEST_F(DurableDatabaseTest, InsertManyEnqueuesEveryFrameAndSyncsOnce) {
   EXPECT_EQ(sync_waits.total() - waits, 1u) << "one durability wait per batch";
 }
 
+/// The writes of one campaign unit: a stats batch, a checkpoint and a
+/// metrics snapshot replacing the previous one.
+void write_unit(Database& db, int unit) {
+  const std::string n = std::to_string(unit);
+  std::vector<Document> batch;
+  batch.push_back(Value::object({{"_id", "s" + n + "a"}, {"unit", unit}}));
+  batch.push_back(Value::object({{"_id", "s" + n + "b"}, {"unit", unit}}));
+  ASSERT_TRUE(db.collection("stats").insert_many(std::move(batch)).ok());
+  ASSERT_TRUE(db.collection("checkpoints")
+                  .insert_one(Value::object({{"_id", "c" + n}}))
+                  .ok());
+  db.collection("metrics").delete_by_id("latest");
+  ASSERT_TRUE(db.collection("metrics")
+                  .insert_one(Value::object({{"_id", "latest"}, {"unit", unit}}))
+                  .ok());
+}
+
+std::string read_bytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in), {});
+}
+
+TEST_F(DurableDatabaseTest, DeferredCallsWriteTheSameJournalAndSyncWaitsOnce) {
+  // Calls made under a DeferredSync enqueue their frames without
+  // waiting; Database::sync() is then one wait for all of them.  Only
+  // the waits move: the journal bytes equal those of the same calls
+  // made one by one.
+  obs::LatencyHistogram& sync_waits = obs::Registry::global().histogram(
+      "upin_journal_sync_wait_us", 0.0, 5000.0, 50);
+  const std::string plain_path = path_ + ".plain";
+  {
+    auto deferred = Database::open(path_);
+    auto plain = Database::open(plain_path);
+    ASSERT_TRUE(deferred.ok());
+    ASSERT_TRUE(plain.ok());
+    for (int unit = 1; unit <= 3; ++unit) {
+      const std::uint64_t waits = sync_waits.total();
+      {
+        const DeferredSync no_wait(*deferred.value());
+        write_unit(*deferred.value(), unit);
+      }
+      EXPECT_EQ(sync_waits.total() - waits, 0u) << "no call waited";
+      ASSERT_TRUE(deferred.value()->sync().ok());
+      EXPECT_EQ(sync_waits.total() - waits, 1u) << "one wait for the unit";
+      write_unit(*plain.value(), unit);
+    }
+  }
+  EXPECT_EQ(read_bytes(path_), read_bytes(plain_path));
+  std::filesystem::remove(plain_path);
+
+  auto reopened = Database::open(path_);
+  ASSERT_TRUE(reopened.ok());
+  EXPECT_EQ(reopened.value()->collection("stats").size(), 6u);
+  EXPECT_EQ(reopened.value()->collection("checkpoints").size(), 3u);
+  EXPECT_EQ(reopened.value()->collection("metrics").find_by_id("latest").value(),
+            Value::object({{"_id", "latest"}, {"unit", 3}}));
+}
+
+TEST_F(DurableDatabaseTest, DeferredSyncCoversOnlyItsThreadAndDatabase) {
+  // Other threads and other databases keep their own waits; a nested
+  // deferral hands back to the one around it.
+  obs::LatencyHistogram& sync_waits = obs::Registry::global().histogram(
+      "upin_journal_sync_wait_us", 0.0, 5000.0, 50);
+  const std::string other_path = path_ + ".other";
+  {
+    auto opened = Database::open(path_);
+    auto other = Database::open(other_path);
+    ASSERT_TRUE(opened.ok());
+    ASSERT_TRUE(other.ok());
+    Database& db = *opened.value();
+    Collection& mine = db.collection("c");
+    Collection& theirs = other.value()->collection("c");
+
+    const std::uint64_t waits = sync_waits.total();
+    {
+      const DeferredSync outer(db);
+      ASSERT_TRUE(mine.insert_one(doc(R"({"_id": "x"})")).ok());
+      ASSERT_TRUE(theirs.insert_one(doc(R"({"_id": "o"})")).ok());
+      EXPECT_EQ(sync_waits.total() - waits, 1u) << "the other database waits";
+      std::thread writer(
+          [&] { EXPECT_TRUE(mine.insert_one(doc(R"({"_id": "t"})")).ok()); });
+      writer.join();
+      EXPECT_EQ(sync_waits.total() - waits, 2u) << "the other thread waits";
+      {
+        const DeferredSync inner(db);
+        ASSERT_TRUE(mine.insert_one(doc(R"({"_id": "y"})")).ok());
+      }
+      ASSERT_TRUE(mine.insert_one(doc(R"({"_id": "z"})")).ok());
+      EXPECT_EQ(sync_waits.total() - waits, 2u) << "still deferred";
+    }
+    ASSERT_TRUE(mine.insert_one(doc(R"({"_id": "w"})")).ok());
+    EXPECT_EQ(sync_waits.total() - waits, 3u) << "waits again";
+  }
+  std::filesystem::remove(other_path);
+  auto reopened = Database::open(path_);
+  ASSERT_TRUE(reopened.ok());
+  EXPECT_EQ(reopened.value()->collection("c").size(), 5u);
+}
+
+TEST_F(DurableDatabaseTest, NothingIsWrittenAfterAFailedGroupCommit) {
+  // The writer stops at its first failed fsync, so the file stays a
+  // prefix of the enqueued frames: a checkpoint enqueued under a
+  // DeferredSync behind writes whose commit failed never reaches the
+  // file, and Database::sync() reports the failure.
+  FaultVfsConfig faults;
+  faults.fail_sync_at = 1;
+  FaultVfs fs(faults);
+  DatabaseOptions options;
+  options.vfs = &fs;
+  {
+    auto opened = Database::open(path_, options);
+    ASSERT_TRUE(opened.ok());
+    Database& db = *opened.value();
+    const auto first = db.collection("stats").insert_one(doc(R"({"_id": "s1"})"));
+    ASSERT_FALSE(first.ok());
+    EXPECT_EQ(first.error().code, ErrorCode::kDataLoss);
+    {
+      const DeferredSync no_wait(db);
+      ASSERT_TRUE(
+          db.collection("stats").insert_one(doc(R"({"_id": "s2"})")).ok());
+      ASSERT_TRUE(
+          db.collection("checkpoints").insert_one(doc(R"({"_id": "c2"})")).ok());
+    }
+    const util::Status synced = db.sync();
+    ASSERT_FALSE(synced.ok());
+    EXPECT_EQ(synced.error().code, ErrorCode::kDataLoss);
+  }
+  const std::string journal = read_bytes(path_);
+  EXPECT_EQ(journal.find("s2"), std::string::npos);
+  EXPECT_EQ(journal.find("checkpoints"), std::string::npos);
+  auto reopened = Database::open(path_);
+  ASSERT_TRUE(reopened.ok());
+  EXPECT_FALSE(reopened.value()->collection("stats").find_by_id("s2").ok());
+  EXPECT_EQ(reopened.value()->find_collection("checkpoints"), nullptr);
+}
+
+TEST(Database, SyncOnInMemoryReturnsAtOnce) {
+  Database db;
+  ASSERT_TRUE(db.collection("c").insert_one(doc(R"({"_id": "a"})")).ok());
+  EXPECT_TRUE(db.sync().ok());
+}
+
 TEST_F(DurableDatabaseTest, JournalLinesAreFramedEncodedPayloads) {
   // Each journal line is the CRC-framed payload the mutating thread
   // encoded once with the Journal::encode_* helpers.
@@ -308,7 +452,7 @@ TEST_F(DurableDatabaseTest, CompactPreservesStateAndShrinksHistory) {
           coll.insert_one(Value::object({{"_id", std::to_string(i)}, {"v", i}}))
               .ok());
     }
-    ASSERT_EQ(coll.delete_many(Filter::match_all()), 20u);
+    ASSERT_EQ(coll.delete_many(Filter::match_all()).value(), 20u);
     ASSERT_TRUE(coll.insert_one(doc(R"({"_id": "only", "v": 1})")).ok());
     const auto size_before = std::filesystem::file_size(path_);
     ASSERT_TRUE(db.value()->compact().ok());
@@ -331,6 +475,54 @@ TEST_F(DurableDatabaseTest, CompactRestoresIndexesOnReplay) {
   ASSERT_TRUE(reopened.ok());
   EXPECT_EQ(reopened.value()->collection("c").indexed_fields(),
             std::vector<std::string>{"k"});
+}
+
+TEST_F(DurableDatabaseTest, MutationsAfterFailedCompactionAreRefused) {
+  // A compaction whose rename fails leaves the journal closed.  Every
+  // later mutation must fail with kDataLoss and leave memory unchanged,
+  // instead of succeeding in memory with no journal frame behind it.
+  FaultVfsConfig faults;
+  faults.fail_rename_at = 1;
+  FaultVfs fs(faults);
+  DatabaseOptions options;
+  options.vfs = &fs;
+  {
+    auto db = Database::open(path_, options);
+    ASSERT_TRUE(db.ok());
+    Collection& coll = db.value()->collection("c");
+    ASSERT_TRUE(coll.insert_one(doc(R"({"_id": "kept", "v": 1})")).ok());
+    const util::Status compacted = db.value()->compact();
+    ASSERT_FALSE(compacted.ok());
+    EXPECT_EQ(compacted.error().code, ErrorCode::kDataLoss);
+
+    const auto phantom = coll.insert_one(doc(R"({"_id": "phantom", "v": 2})"));
+    ASSERT_FALSE(phantom.ok());
+    EXPECT_EQ(phantom.error().code, ErrorCode::kDataLoss);
+    std::vector<Document> batch;
+    batch.push_back(doc(R"({"_id": "batch", "v": 3})"));
+    const auto many = coll.insert_many(std::move(batch));
+    ASSERT_FALSE(many.ok());
+    EXPECT_EQ(many.error().code, ErrorCode::kDataLoss);
+    const auto updated = coll.update_many(
+        Filter::match_all(), Value::parse(R"({"$set": {"v": 9}})").value());
+    ASSERT_FALSE(updated.ok());
+    EXPECT_EQ(updated.error().code, ErrorCode::kDataLoss);
+    const auto deleted = coll.delete_many(Filter::match_all());
+    ASSERT_FALSE(deleted.ok());
+    EXPECT_EQ(deleted.error().code, ErrorCode::kDataLoss);
+    EXPECT_FALSE(coll.delete_by_id("kept"));
+
+    EXPECT_EQ(coll.size(), 1u);
+    EXPECT_FALSE(coll.find_by_id("phantom").ok());
+    EXPECT_EQ(coll.find_by_id("kept").value(), doc(R"({"_id": "kept", "v": 1})"));
+  }
+  std::filesystem::remove(path_ + ".tmp");
+  auto reopened = Database::open(path_);
+  ASSERT_TRUE(reopened.ok());
+  Collection& coll = reopened.value()->collection("c");
+  EXPECT_EQ(coll.size(), 1u);
+  EXPECT_FALSE(coll.find_by_id("phantom").ok());
+  EXPECT_EQ(coll.find_by_id("kept").value(), doc(R"({"_id": "kept", "v": 1})"));
 }
 
 TEST(Database, CompactOnInMemoryIsNoop) {

@@ -3,6 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
+
+#include "obs/metrics.hpp"
+
 namespace upin::measure {
 namespace {
 
@@ -34,6 +38,58 @@ class TestSuiteTest : public ::testing::Test {
   apps::ScionHost host_;
   docdb::Database db_;
 };
+
+TEST_F(TestSuiteTest, DurableUnitsWaitOnceForThePreviousUnitsWrites) {
+  // begin() makes one journal durability wait for all its writes.  Each
+  // unit makes one, for the previous unit's writes, and stores its own
+  // without waiting; finish() waits for the last ones.  The journal then
+  // holds every write.
+  const std::string path =
+      (std::filesystem::temp_directory_path() /
+       ("testsuite_sync_" +
+        std::to_string(reinterpret_cast<std::uintptr_t>(this)) + ".jsonl"))
+          .string();
+  std::filesystem::remove(path);
+  obs::LatencyHistogram& sync_waits = obs::Registry::global().histogram(
+      "upin_journal_sync_wait_us", 0.0, 5000.0, 50);
+  auto opened = docdb::Database::open(path);
+  ASSERT_TRUE(opened.ok());
+  docdb::Database& db = *opened.value();
+  obs::Registry registry;
+  TestSuiteConfig config = ireland_config(2);
+  config.registry = &registry;
+  TestSuite suite(host_, db, config);
+
+  std::uint64_t waits = sync_waits.total();
+  ASSERT_TRUE(suite.begin().ok());
+  EXPECT_EQ(sync_waits.total() - waits, 1u) << "set-up";
+  std::size_t units = 0;
+  for (;;) {
+    waits = sync_waits.total();
+    const auto outcome = suite.step();
+    ASSERT_TRUE(outcome.ok());
+    if (outcome.value() == TestSuite::StepOutcome::kDone) break;
+    ++units;
+    EXPECT_EQ(sync_waits.total() - waits, 1u) << "unit " << units;
+  }
+  EXPECT_EQ(units, 2u);
+  waits = sync_waits.total();
+  ASSERT_TRUE(suite.finish().ok());
+  EXPECT_EQ(sync_waits.total() - waits, 1u) << "finish";
+  EXPECT_EQ(suite.progress().errors.total(), 0u);
+
+  // Durable before the database closes: read the file, not the drain.
+  auto reopened = docdb::Database::open(path);
+  ASSERT_TRUE(reopened.ok());
+  EXPECT_GT(suite.progress().stats_inserted, 0u);
+  EXPECT_EQ(reopened.value()->collection(kPathsStats).size(),
+            suite.progress().stats_inserted);
+  EXPECT_EQ(reopened.value()->collection(kCampaignCheckpoints).size(), 2u);
+  EXPECT_EQ(reopened.value()->collection(kAvailableServers).size(), 21u);
+  reopened.value().reset();
+  opened.value().reset();
+  std::filesystem::remove(path);
+}
 
 TEST_F(TestSuiteTest, InitializePopulatesAvailableServers) {
   TestSuite suite(host_, db_, {});

@@ -3,7 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
 #include <set>
+#include <string>
 #include <vector>
 
 namespace upin::util {
@@ -173,6 +176,41 @@ TEST(Fnv1a64, KnownValuesAndDistinctness) {
   EXPECT_EQ(fnv1a64(""), 0xCBF29CE484222325ULL);
   EXPECT_NE(fnv1a64("a"), fnv1a64("b"));
   EXPECT_NE(fnv1a64("ab"), fnv1a64("ba"));
+}
+
+TEST(Fnv1a64, ExtendEqualsHashOfConcatenation) {
+  const std::vector<std::string> parts = {
+      "", "a", "ping:", "util:3>7:", "0-12-5-", ":", "caf\xc3\xa9 \xff\x01"};
+  for (const std::string& a : parts) {
+    for (const std::string& b : parts) {
+      EXPECT_EQ(fnv1a64_extend(fnv1a64(a), b), fnv1a64(a + b))
+          << '"' << a << "\" + \"" << b << '"';
+    }
+  }
+}
+
+TEST(Fnv1a64, ExtendByIntegerHashesItsDecimalDigits) {
+  const std::vector<std::int64_t> values = {
+      0, 1, -1, 9, -10, 59, 60, 1'234'567'890'123, -987'654'321,
+      std::numeric_limits<std::int64_t>::max(),
+      std::numeric_limits<std::int64_t>::min()};
+  for (const std::string prefix : {"", "cong:4>9:", "ping:1-2-3-:"}) {
+    for (const std::int64_t value : values) {
+      EXPECT_EQ(fnv1a64_extend(fnv1a64(prefix), value),
+                fnv1a64(prefix + std::to_string(value)))
+          << prefix << value;
+    }
+  }
+}
+
+TEST(Rng, ForkHashedIsForkOfTheLabel) {
+  const Rng parent(2023);
+  for (const std::string label :
+       {"", "x", "util:0>1:17", "ping:0-1-2-:-5", "bwtest:3-4-:0:1000.000000"}) {
+    Rng by_label = parent.fork(label);
+    Rng by_hash = parent.fork_hashed(fnv1a64(label));
+    for (int i = 0; i < 8; ++i) EXPECT_EQ(by_label.next(), by_hash.next()) << label;
+  }
 }
 
 TEST(Splitmix64, AdvancesState) {
