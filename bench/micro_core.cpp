@@ -1,13 +1,15 @@
 // micro_core — performance-tracking microbenchmarks for the hot paths of
 // the library (google-benchmark): JSON parse/serialize, filter matching,
-// control-plane path combination, and a full single-destination campaign
-// iteration.  Not a paper figure; a regression harness for contributors.
+// control-plane path combination, SCION address text (ISD-AS and
+// hop-sequence formatting and parsing, the per-unit control-plane
+// checkpoint), and a full single-destination campaign iteration.  Not a paper figure; a regression harness for contributors.
 #include <benchmark/benchmark.h>
 
 #include "apps/host.hpp"
 #include "docdb/filter.hpp"
 #include "measure/schema.hpp"
 #include "measure/testsuite.hpp"
+#include "obs/metrics.hpp"
 #include "scion/beacon.hpp"
 #include "scion/scionlab.hpp"
 
@@ -74,6 +76,80 @@ void BM_PathCombination(benchmark::State& state) {
   }
 }
 
+void BM_IsdAsnToString(benchmark::State& state) {
+  const scion::ScionlabEnv env = scion::scionlab_topology();
+  for (auto _ : state) {
+    for (const scion::AsInfo& as : env.topology.ases()) {
+      benchmark::DoNotOptimize(as.ia.to_string());
+    }
+  }
+  state.SetItemsProcessed(
+      state.iterations() *
+      static_cast<std::int64_t>(env.topology.ases().size()));
+}
+
+/// Every path from the user AS to the five featured servers (§6).
+std::vector<scion::Path> featured_paths(const scion::ScionlabEnv& env) {
+  const scion::Beaconing beacons(env.topology);
+  std::vector<scion::Path> paths;
+  for (std::size_t id = 1; id <= 5; ++id) {
+    const scion::IsdAsn server = env.servers[id - 1].ia;
+    for (scion::Path& path : beacons.paths(env.user_as, server)) {
+      paths.push_back(std::move(path));
+    }
+  }
+  return paths;
+}
+
+void BM_PathSequence(benchmark::State& state) {
+  const std::vector<scion::Path> paths =
+      featured_paths(scion::scionlab_topology());
+  for (auto _ : state) {
+    for (const scion::Path& path : paths) {
+      benchmark::DoNotOptimize(path.sequence());
+    }
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(paths.size()));
+}
+
+void BM_ParseSequence(benchmark::State& state) {
+  std::vector<std::string> sequences;
+  for (const scion::Path& path : featured_paths(scion::scionlab_topology())) {
+    sequences.push_back(path.sequence());
+  }
+  for (auto _ : state) {
+    for (const std::string& sequence : sequences) {
+      benchmark::DoNotOptimize(scion::Path::parse_sequence(sequence));
+    }
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(sequences.size()));
+}
+
+/// The control-plane snapshot the §6 survey (servers 1-5) records per
+/// unit, taken after ten warm units.
+void BM_ControlPlaneCheckpoint(benchmark::State& state) {
+  const scion::ScionlabEnv env = scion::scionlab_topology();
+  apps::ScionHost host(env, 1100, env.user_as, "10.0.8.1");
+  docdb::Database db;
+  obs::Registry registry;
+  measure::TestSuiteConfig config;
+  config.iterations = 55;
+  config.server_ids = {{1, 2, 3, 4, 5}};
+  config.registry = &registry;
+  measure::TestSuite suite(host, db, config);
+  if (!suite.begin().ok()) std::abort();
+  for (int unit = 0; unit < 10; ++unit) {
+    if (!suite.step().ok()) std::abort();
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(host.control_plane().checkpoint());
+  }
+  state.counters["bytes"] =
+      static_cast<double>(host.control_plane().checkpoint().dump().size());
+}
+
 void BM_PingMeasurement(benchmark::State& state) {
   const scion::ScionlabEnv env = scion::scionlab_topology();
   apps::ScionHost host(env, 42, env.user_as, "10.0.8.1");
@@ -104,6 +180,10 @@ BENCHMARK(BM_FilterCompile);
 BENCHMARK(BM_FilterMatch);
 BENCHMARK(BM_BeaconingConstruction);
 BENCHMARK(BM_PathCombination);
+BENCHMARK(BM_IsdAsnToString);
+BENCHMARK(BM_PathSequence);
+BENCHMARK(BM_ParseSequence);
+BENCHMARK(BM_ControlPlaneCheckpoint);
 BENCHMARK(BM_PingMeasurement);
 BENCHMARK(BM_CampaignIteration);
 

@@ -206,18 +206,31 @@ std::vector<Path> Beaconing::paths(IsdAsn src, IsdAsn dst) const {
     }
   }
 
-  result.reserve(sequences.size());
+  // Decorate-sort: each path's sequence text, the last tie-breaker, is
+  // formatted once instead of twice per comparison.
+  struct Ranked {
+    Path path;
+    std::string sequence;
+  };
+  std::vector<Ranked> ranked;
+  ranked.reserve(sequences.size());
   for (const std::vector<IsdAsn>& sequence : sequences) {
-    result.push_back(materialize(sequence));
+    Path path = materialize(sequence);
+    std::string text = path.sequence();
+    ranked.push_back(Ranked{std::move(path), std::move(text)});
   }
-  std::sort(result.begin(), result.end(), [](const Path& a, const Path& b) {
-    if (a.hop_count() != b.hop_count()) return a.hop_count() < b.hop_count();
-    if (a.static_latency() != b.static_latency()) {
-      return a.static_latency() < b.static_latency();
+  std::sort(ranked.begin(), ranked.end(), [](const Ranked& a, const Ranked& b) {
+    if (a.path.hop_count() != b.path.hop_count()) {
+      return a.path.hop_count() < b.path.hop_count();
     }
-    return a.sequence() < b.sequence();
+    if (a.path.static_latency() != b.path.static_latency()) {
+      return a.path.static_latency() < b.path.static_latency();
+    }
+    return a.sequence < b.sequence;
   });
-  if (result.size() > config_.max_paths) result.resize(config_.max_paths);
+  ranked.resize(std::min(ranked.size(), config_.max_paths));
+  result.reserve(ranked.size());
+  for (Ranked& entry : ranked) result.push_back(std::move(entry.path));
   return result;
 }
 

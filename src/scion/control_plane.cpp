@@ -63,7 +63,7 @@ std::vector<Path> ControlPlane::resolve_raw(IsdAsn src, IsdAsn dst,
 
 std::vector<Path> ControlPlane::live_paths(IsdAsn src, IsdAsn dst,
                                            SimTime now) {
-  const std::string key = src.to_string() + ">" + dst.to_string();
+  const AsPair key{src, dst};
   const auto memo = live_replies_.find(key);
   if (memo != live_replies_.end() && memo->second.at == now) {
     return memo->second.paths;

@@ -20,7 +20,6 @@
 
 #include <cstdint>
 #include <optional>
-#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -58,9 +57,11 @@ class ControlPlane {
   /// are kept, flagged with status "stale".
   ///
   /// Repeated lookups for the same pair at the same instant are served
-  /// from a filtered-reply memo (the expensive part of a lookup is the
-  /// per-hop revocation filter, and liveness is a pure function of
-  /// `now`); the memo is dropped whenever `sync` delivers an event.
+  /// from a filtered-reply memo keyed by the (src, dst) pair itself, so a
+  /// memo hit costs one hash probe and a copy of the reply, with no text
+  /// formatted (the expensive part of a miss is the per-hop revocation
+  /// filter, and liveness is a pure function of `now`); the memo is
+  /// dropped whenever `sync` delivers an event.
   [[nodiscard]] std::vector<Path> live_paths(IsdAsn src, IsdAsn dst,
                                              util::SimTime now);
 
@@ -117,7 +118,7 @@ class ControlPlane {
   PathCache cache_;
   /// Server-down windows of the local AS node (metric-free query path).
   std::vector<simnet::FaultWindow> local_down_windows_;
-  std::unordered_map<std::string, LiveReply> live_replies_;
+  std::unordered_map<AsPair, LiveReply, AsPairHash> live_replies_;
 };
 
 }  // namespace upin::scion

@@ -1,5 +1,7 @@
 #include "scion/isd_asn.hpp"
 
+#include <charconv>
+
 #include "util/strings.hpp"
 
 namespace upin::scion {
@@ -7,23 +9,35 @@ namespace upin::scion {
 using util::ErrorCode;
 using util::Result;
 
-std::string IsdAsn::to_string() const {
-  std::string out = std::to_string(isd_);
-  out.push_back('-');
-  if (asn_ < (1ULL << 32)) {
-    out += std::to_string(asn_);
-    return out;
-  }
+namespace {
+
+/// Write the text of `ia` to `out`, which has room for
+/// IsdAsn::kMaxTextSize bytes; returns one past the last byte written.
+/// Each field is bounded by its widest text: 5 digits of ISD, 10 digits
+/// of decimal ASN, 4 digits per hex group.
+char* write_text(IsdAsn ia, char* out) noexcept {
+  out = std::to_chars(out, out + 5, ia.isd()).ptr;
+  *out++ = '-';
+  const std::uint64_t asn = ia.asn();
+  if (asn < (1ULL << 32)) return std::to_chars(out, out + 10, asn).ptr;
   // Three colon-separated 16-bit hex groups, SCION style (no padding).
-  const auto group = [&](int shift) {
-    return util::format("%llx",
-                        static_cast<unsigned long long>((asn_ >> shift) & 0xffff));
-  };
-  out += group(32);
-  out.push_back(':');
-  out += group(16);
-  out.push_back(':');
-  out += group(0);
+  out = std::to_chars(out, out + 4, (asn >> 32) & 0xffff, 16).ptr;
+  *out++ = ':';
+  out = std::to_chars(out, out + 4, (asn >> 16) & 0xffff, 16).ptr;
+  *out++ = ':';
+  return std::to_chars(out, out + 4, asn & 0xffff, 16).ptr;
+}
+
+}  // namespace
+
+void IsdAsn::append_to(std::string& out) const {
+  char buffer[kMaxTextSize];
+  out.append(buffer, write_text(*this, buffer));
+}
+
+std::string IsdAsn::to_string() const {
+  std::string out;
+  append_to(out);
   return out;
 }
 
@@ -38,20 +52,25 @@ Result<IsdAsn> IsdAsn::parse(std::string_view text) {
     return util::Error{ErrorCode::kInvalidArgument, "bad ISD number"};
   }
   const std::string_view asn_text = text.substr(dash + 1);
-  if (asn_text.find(':') == std::string_view::npos) {
+  const std::size_t first = asn_text.find(':');
+  if (first == std::string_view::npos) {
     const auto asn = util::parse_uint(asn_text);
     if (!asn.has_value()) {
       return util::Error{ErrorCode::kInvalidArgument, "bad decimal ASN"};
     }
     return IsdAsn(static_cast<std::uint16_t>(*isd), *asn);
   }
-  const std::vector<std::string> groups = util::split(asn_text, ':');
-  if (groups.size() != 3) {
+  const std::size_t second = asn_text.find(':', first + 1);
+  if (second == std::string_view::npos ||
+      asn_text.find(':', second + 1) != std::string_view::npos) {
     return util::Error{ErrorCode::kInvalidArgument,
                        "hex ASN needs three groups"};
   }
+  const std::string_view groups[] = {
+      asn_text.substr(0, first), asn_text.substr(first + 1, second - first - 1),
+      asn_text.substr(second + 1)};
   std::uint64_t asn = 0;
-  for (const std::string& group : groups) {
+  for (const std::string_view group : groups) {
     const auto part = util::parse_uint(group, 16);
     if (!part.has_value() || *part > 0xffff) {
       return util::Error{ErrorCode::kInvalidArgument, "bad hex ASN group"};

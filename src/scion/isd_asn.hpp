@@ -32,8 +32,13 @@ class IsdAsn {
     return isd_ == 0 && asn_ == 0;
   }
 
+  /// Longest text form: a 5-digit ISD, '-' and three 4-digit hex groups.
+  static constexpr std::size_t kMaxTextSize = 20;
+
   /// "16-ffaa:0:1002" (hex grouping for ASNs >= 2^32, decimal otherwise).
   [[nodiscard]] std::string to_string() const;
+  /// Append the to_string() text to `out`.
+  void append_to(std::string& out) const;
 
   /// Parse "16-ffaa:0:1002" or "16-64512".
   [[nodiscard]] static util::Result<IsdAsn> parse(std::string_view text);

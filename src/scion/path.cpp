@@ -1,5 +1,8 @@
 #include "scion/path.hpp"
 
+#include <algorithm>
+#include <charconv>
+
 #include "util/strings.hpp"
 
 namespace upin::scion {
@@ -21,41 +24,54 @@ bool Path::traverses(IsdAsn ia) const noexcept {
 }
 
 std::string Path::sequence() const {
+  // "<isd-as>#<in>,<out>" and a separating space, at most, per hop.
+  constexpr std::size_t kMaxHopText = IsdAsn::kMaxTextSize + 13;
   std::string out;
+  out.reserve(hops_.size() * kMaxHopText);
+  char id[5];  // "65535"
   for (const PathHop& hop : hops_) {
     if (!out.empty()) out.push_back(' ');
-    out += hop.ia.to_string();
+    hop.ia.append_to(out);
     out.push_back('#');
-    out += std::to_string(hop.ingress_if);
+    out.append(id, std::to_chars(id, id + sizeof(id), hop.ingress_if).ptr);
     out.push_back(',');
-    out += std::to_string(hop.egress_if);
+    out.append(id, std::to_chars(id, id + sizeof(id), hop.egress_if).ptr);
   }
   return out;
 }
 
 Result<Path> Path::parse_sequence(std::string_view text) {
   std::vector<PathHop> hops;
-  for (const std::string& token : util::split(std::string(text), ' ')) {
+  hops.reserve(static_cast<std::size_t>(
+                   std::count(text.begin(), text.end(), ' ')) +
+               1);
+  while (!text.empty()) {
+    const std::size_t space = text.find(' ');
+    const std::string_view token = text.substr(0, space);
+    text.remove_prefix(space == std::string_view::npos ? text.size()
+                                                       : space + 1);
     if (token.empty()) continue;
     const std::size_t hash = token.find('#');
-    if (hash == std::string::npos) {
+    if (hash == std::string_view::npos) {
       return util::Error{ErrorCode::kInvalidArgument,
-                         "hop predicate missing '#': " + token};
+                         "hop predicate missing '#': " + std::string(token)};
     }
-    Result<IsdAsn> ia = IsdAsn::parse(std::string_view(token).substr(0, hash));
+    Result<IsdAsn> ia = IsdAsn::parse(token.substr(0, hash));
     if (!ia.ok()) return Result<Path>(ia.error());
-    const std::vector<std::string> interfaces =
-        util::split(std::string_view(token).substr(hash + 1), ',');
-    if (interfaces.size() != 2) {
-      return util::Error{ErrorCode::kInvalidArgument,
-                         "hop predicate needs <in>,<out>: " + token};
+    const std::string_view interfaces = token.substr(hash + 1);
+    const std::size_t comma = interfaces.find(',');
+    if (comma == std::string_view::npos ||
+        interfaces.find(',', comma + 1) != std::string_view::npos) {
+      return util::Error{
+          ErrorCode::kInvalidArgument,
+          "hop predicate needs <in>,<out>: " + std::string(token)};
     }
-    const auto ingress = util::parse_uint(interfaces[0]);
-    const auto egress = util::parse_uint(interfaces[1]);
+    const auto ingress = util::parse_uint(interfaces.substr(0, comma));
+    const auto egress = util::parse_uint(interfaces.substr(comma + 1));
     if (!ingress.has_value() || !egress.has_value() || *ingress > 0xffff ||
         *egress > 0xffff) {
       return util::Error{ErrorCode::kInvalidArgument,
-                         "bad interface id in: " + token};
+                         "bad interface id in: " + std::string(token)};
     }
     hops.push_back(PathHop{ia.value(), static_cast<std::uint16_t>(*ingress),
                            static_cast<std::uint16_t>(*egress)});
@@ -71,7 +87,7 @@ std::string Path::to_string() const {
   std::string out;
   for (const PathHop& hop : hops_) {
     if (!out.empty()) out += " > ";
-    out += hop.ia.to_string();
+    hop.ia.append_to(out);
   }
   return out;
 }

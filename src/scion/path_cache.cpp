@@ -33,10 +33,6 @@ struct CacheMetrics {
 
 PathCache::PathCache(PathCacheConfig config) : config_(config) {}
 
-std::string PathCache::make_key(IsdAsn src, IsdAsn dst) {
-  return src.to_string() + ">" + dst.to_string();
-}
-
 std::vector<Path> PathCache::flag_stale(std::vector<Path> paths) {
   for (Path& path : paths) path.set_status("stale");
   return paths;
@@ -48,7 +44,7 @@ void PathCache::touch(EntryList::iterator it) {
 
 void PathCache::evict_to_capacity() {
   while (index_.size() > config_.capacity && !entries_.empty()) {
-    index_.erase(entries_.back().key);
+    index_.erase(AsPair{entries_.back().src, entries_.back().dst});
     entries_.pop_back();
     ++stats_.evictions;
     CacheMetrics::get().evictions.add();
@@ -73,7 +69,7 @@ PathCacheLookup PathCache::lookup(IsdAsn src, IsdAsn dst, SimTime now,
     return result;
   }
   CacheMetrics& metrics = CacheMetrics::get();
-  const std::string key = make_key(src, dst);
+  const AsPair key{src, dst};
   const auto found = index_.find(key);
 
   if (found == index_.end()) {
@@ -84,7 +80,7 @@ PathCacheLookup PathCache::lookup(IsdAsn src, IsdAsn dst, SimTime now,
       result.negative = true;
       return result;
     }
-    entries_.push_front(Entry{key, src, dst, resolve(src, dst), now});
+    entries_.push_front(Entry{src, dst, resolve(src, dst), now});
     Entry& entry = entries_.front();
     entry.negative = entry.paths.empty();
     index_[key] = entries_.begin();
@@ -193,9 +189,14 @@ void PathCache::clear() {
 }
 
 Value PathCache::snapshot() const {
+  // Checkpoints of a whole campaign stay in memory: the path objects are
+  // built exact-sized through Value::object, the arrays are reserved and
+  // moved (not copied) into their parents.
   Value::Array entries;
+  entries.reserve(entries_.size());
   for (const Entry& entry : entries_) {  // front-to-back == LRU order
     Value::Array paths;
+    paths.reserve(entry.paths.size());
     for (const Path& path : entry.paths) {
       paths.push_back(Value::object({
           {"sequence", path.sequence()},
@@ -206,25 +207,35 @@ Value PathCache::snapshot() const {
           {"status", path.status()},
       }));
     }
-    entries.push_back(Value::object({
+    Value encoded = Value::object({
         {"src", entry.src.to_string()},
         {"dst", entry.dst.to_string()},
         {"resolved_at_ns", entry.resolved_at.count()},
         {"negative", entry.negative},
         {"dirty", entry.dirty},
-        {"paths", Value(std::move(paths))},
-    }));
+        {"paths", Value()},
+    });
+    encoded["paths"] = Value(std::move(paths));
+    entries.push_back(std::move(encoded));
   }
-  return Value::object({{"entries", Value(std::move(entries))}});
+  Value snapshot = Value::object({{"entries", Value()}});
+  snapshot["entries"] = Value(std::move(entries));
+  return snapshot;
 }
 
 util::Status PathCache::restore(const Value& value) {
+  const auto malformed = [](const std::string& what) {
+    return util::Status(util::ErrorCode::kParseError,
+                        "path cache snapshot: " + what);
+  };
   const Value* entries = value.get("entries");
   if (entries == nullptr || !entries->is_array()) {
-    return util::Status(util::ErrorCode::kParseError,
-                        "path cache snapshot: missing entries array");
+    return malformed("missing entries array");
   }
-  clear();
+  // Rebuild into fresh containers and swap them in only once the whole
+  // snapshot has decoded, so a rejected snapshot leaves the cache as is.
+  EntryList restored;
+  std::unordered_map<AsPair, EntryList::iterator, AsPairHash> index;
   // Iterate the snapshot back-to-front and push_front, so the serialized
   // LRU order (front = most recent) is reproduced exactly.
   const Value::Array& list = entries->as_array();
@@ -233,39 +244,51 @@ util::Status PathCache::restore(const Value& value) {
     const Value* src_text = item.get("src");
     const Value* dst_text = item.get("dst");
     const Value* resolved_at = item.get("resolved_at_ns");
+    const Value* negative = item.get("negative");
+    const Value* dirty = item.get("dirty");
     const Value* paths = item.get("paths");
-    if (src_text == nullptr || dst_text == nullptr || resolved_at == nullptr ||
-        paths == nullptr || !paths->is_array()) {
-      return util::Status(util::ErrorCode::kParseError,
-                          "path cache snapshot: malformed entry");
+    if (src_text == nullptr || !src_text->is_string() || dst_text == nullptr ||
+        !dst_text->is_string() || resolved_at == nullptr ||
+        !resolved_at->is_int() ||
+        (negative != nullptr && !negative->is_bool()) ||
+        (dirty != nullptr && !dirty->is_bool()) || paths == nullptr ||
+        !paths->is_array()) {
+      return malformed("malformed entry");
     }
     const util::Result<IsdAsn> src = IsdAsn::parse(src_text->as_string());
     const util::Result<IsdAsn> dst = IsdAsn::parse(dst_text->as_string());
     if (!src.ok()) return util::Status(src.error());
     if (!dst.ok()) return util::Status(dst.error());
+    const AsPair key{src.value(), dst.value()};
+    if (index.contains(key)) {
+      return malformed("duplicate entry " + src_text->as_string() + ">" +
+                       dst_text->as_string());
+    }
 
     Entry entry;
-    entry.src = src.value();
-    entry.dst = dst.value();
-    entry.key = make_key(entry.src, entry.dst);
+    entry.src = key.first;
+    entry.dst = key.second;
     entry.resolved_at = SimTime(util::SimDuration(resolved_at->as_int()));
-    const Value* negative = item.get("negative");
-    const Value* dirty = item.get("dirty");
     entry.negative = negative != nullptr && negative->as_bool();
     entry.dirty = dirty != nullptr && dirty->as_bool();
+    entry.paths.reserve(paths->as_array().size());
     for (const Value& encoded : paths->as_array()) {
       const Value* sequence = encoded.get("sequence");
-      if (sequence == nullptr) {
-        return util::Status(util::ErrorCode::kParseError,
-                            "path cache snapshot: path without sequence");
-      }
-      util::Result<Path> parsed = Path::parse_sequence(sequence->as_string());
-      if (!parsed.ok()) return util::Status(parsed.error());
       const Value* mtu = encoded.get("mtu");
       const Value* latency = encoded.get("static_latency_ns");
       const Value* created = encoded.get("created_at_ns");
       const Value* expires = encoded.get("expires_at_ns");
       const Value* status = encoded.get("status");
+      if (sequence == nullptr) return malformed("path without sequence");
+      if (!sequence->is_string() || (mtu != nullptr && !mtu->is_number()) ||
+          (latency != nullptr && !latency->is_int()) ||
+          (created != nullptr && !created->is_int()) ||
+          (expires != nullptr && !expires->is_int()) ||
+          (status != nullptr && !status->is_string())) {
+        return malformed("malformed path");
+      }
+      util::Result<Path> parsed = Path::parse_sequence(sequence->as_string());
+      if (!parsed.ok()) return util::Status(parsed.error());
       Path path(parsed.value().hops(),
                 mtu != nullptr ? mtu->as_double() : 0.0,
                 util::SimDuration(latency != nullptr ? latency->as_int() : 0));
@@ -275,9 +298,11 @@ util::Status PathCache::restore(const Value& value) {
       if (status != nullptr) path.set_status(status->as_string());
       entry.paths.push_back(std::move(path));
     }
-    entries_.push_front(std::move(entry));
-    index_[entries_.front().key] = entries_.begin();
+    restored.push_front(std::move(entry));
+    index.emplace(key, restored.begin());
   }
+  entries_.swap(restored);
+  index_.swap(index);
   evict_to_capacity();
   return util::Status::success();
 }

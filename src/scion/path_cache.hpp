@@ -6,7 +6,8 @@
 // item makes it the dominant cost.  Real SCION deployments answer path
 // lookups from a path-server cache instead.  This cache mirrors that:
 //
-//   * keyed by (src, dst) AS pair, bounded size, LRU eviction;
+//   * keyed by the (src, dst) IsdAsn pair itself (no text key is
+//     formatted per lookup), bounded size, LRU eviction;
 //   * entries carry a TTL; past it the entry is refreshed, but within a
 //     configurable grace window the *old* paths are served immediately,
 //     flagged stale (stale-while-revalidate);
@@ -32,8 +33,8 @@
 #include <cstdint>
 #include <functional>
 #include <list>
-#include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "scion/path.hpp"
@@ -42,6 +43,17 @@
 #include "util/result.hpp"
 
 namespace upin::scion {
+
+/// A (src, dst) AS pair: the key of cache entries and lookup memos.
+using AsPair = std::pair<IsdAsn, IsdAsn>;
+
+struct AsPairHash {
+  std::size_t operator()(const AsPair& pair) const noexcept {
+    const std::size_t src = std::hash<IsdAsn>{}(pair.first);
+    return src ^ (std::hash<IsdAsn>{}(pair.second) + 0x9e3779b97f4a7c15ULL +
+                  (src << 6) + (src >> 2));
+  }
+};
 
 struct PathCacheConfig {
   bool enabled = true;
@@ -99,14 +111,16 @@ class PathCache {
 
   /// Complete observable state (entries in LRU order, timestamps, flags)
   /// for campaign checkpointing.  restore() replaces the current content;
-  /// the local Stats counters are not part of the snapshot (the obs
-  /// registry carries the metrics story).
+  /// a snapshot with a missing or mistyped field, a bad address or path
+  /// text, or a (src, dst) pair listed twice is rejected (kParseError, or
+  /// the text parser's error) and leaves the cache unchanged.  The local
+  /// Stats counters are not part of the snapshot (the obs registry
+  /// carries the metrics story).
   [[nodiscard]] util::Value snapshot() const;
   [[nodiscard]] util::Status restore(const util::Value& value);
 
  private:
   struct Entry {
-    std::string key;
     IsdAsn src{};
     IsdAsn dst{};
     std::vector<Path> paths;
@@ -116,7 +130,6 @@ class PathCache {
   };
   using EntryList = std::list<Entry>;
 
-  [[nodiscard]] static std::string make_key(IsdAsn src, IsdAsn dst);
   void refresh(Entry& entry, util::SimTime now, const Resolver& resolve);
   void touch(EntryList::iterator it);
   void evict_to_capacity();
@@ -124,7 +137,7 @@ class PathCache {
 
   PathCacheConfig config_{};
   EntryList entries_;  ///< front = most recently used
-  std::unordered_map<std::string, EntryList::iterator> index_;
+  std::unordered_map<AsPair, EntryList::iterator, AsPairHash> index_;
   Stats stats_{};
 };
 

@@ -187,7 +187,15 @@ namespace {
 
 void write_escaped(const std::string& text, std::string& out) {
   out.push_back('"');
-  for (const char c : text) {
+  // Runs of characters that need no escape are appended in one go.
+  std::size_t run = 0;
+  for (std::size_t i = 0; i < text.size(); ++i) {
+    const char c = text[i];
+    if (c != '"' && c != '\\' && static_cast<unsigned char>(c) >= 0x20) {
+      continue;
+    }
+    out.append(text, run, i - run);
+    run = i + 1;
     switch (c) {
       case '"': out += "\\\""; break;
       case '\\': out += "\\\\"; break;
@@ -196,18 +204,21 @@ void write_escaped(const std::string& text, std::string& out) {
       case '\t': out += "\\t"; break;
       case '\b': out += "\\b"; break;
       case '\f': out += "\\f"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buffer[8];
-          std::snprintf(buffer, sizeof(buffer), "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buffer;
-        } else {
-          out.push_back(c);
-        }
+      default: {  // the other control characters
+        char buffer[8];
+        std::snprintf(buffer, sizeof(buffer), "\\u%04x",
+                      static_cast<unsigned>(static_cast<unsigned char>(c)));
+        out += buffer;
+      }
     }
   }
+  out.append(text, run, text.size() - run);
   out.push_back('"');
+}
+
+void write_int(std::int64_t value, std::string& out) {
+  char buffer[20];  // "-9223372036854775808"
+  out.append(buffer, std::to_chars(buffer, buffer + sizeof(buffer), value).ptr);
 }
 
 void write_double(double value, std::string& out) {
@@ -240,7 +251,7 @@ void dump_value(const Value& value, int indent, int depth, std::string& out) {
   switch (value.type()) {
     case Value::Type::kNull: out += "null"; break;
     case Value::Type::kBool: out += value.as_bool() ? "true" : "false"; break;
-    case Value::Type::kInt: out += std::to_string(value.as_int()); break;
+    case Value::Type::kInt: write_int(value.as_int(), out); break;
     case Value::Type::kDouble: write_double(value.as_double(), out); break;
     case Value::Type::kString: write_escaped(value.as_string(), out); break;
     case Value::Type::kArray: {

@@ -5,6 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "util/json.hpp"
 
 namespace upin::scion {
@@ -252,6 +256,62 @@ TEST(PathCache, RestoreRejectsMalformedSnapshots) {
   PathCache cache;
   EXPECT_FALSE(cache.restore(util::Value()).ok());
   EXPECT_FALSE(cache.restore(util::Value::object({})).ok());
+
+  // A valid two-entry snapshot, corrupted one field at a time.
+  PathCache source;
+  CountingResolver resolver;
+  (void)source.lookup(kSrc, kDst, util::sim_seconds(5.0), resolver.fn());
+  (void)source.lookup(kSrc, IsdAsn{1, 7}, util::sim_seconds(6.0),
+                      resolver.fn());
+  const util::Value good = source.snapshot();
+  ASSERT_TRUE(cache.restore(good).ok());
+  const std::string before = cache.snapshot().dump();
+
+  const auto expect_rejected = [&](const util::Value& bad,
+                                   const std::string& what) {
+    const util::Status status = cache.restore(bad);
+    ASSERT_FALSE(status.ok()) << what;
+    EXPECT_EQ(status.error().code, util::ErrorCode::kParseError) << what;
+    EXPECT_EQ(cache.snapshot().dump(), before)
+        << what << ": a rejected snapshot must leave the cache unchanged";
+  };
+
+  const std::vector<std::pair<std::string, util::Value>> entry_fields = {
+      {"src", 17},
+      {"dst", true},
+      {"resolved_at_ns", "5"},
+      {"resolved_at_ns", 1.5},
+      {"negative", 1},
+      {"dirty", "yes"},
+      {"paths", util::Value::object({})},
+  };
+  for (const auto& [field, wrong] : entry_fields) {
+    util::Value bad = good;
+    bad["entries"].as_array()[1][field] = wrong;
+    expect_rejected(bad, "entry field " + field + " = " + wrong.dump());
+  }
+  const std::vector<std::pair<std::string, util::Value>> path_fields = {
+      {"sequence", 3},          {"mtu", "1400"},
+      {"static_latency_ns", 1.5}, {"created_at_ns", "0"},
+      {"expires_at_ns", false}, {"status", 1},
+  };
+  for (const auto& [field, wrong] : path_fields) {
+    util::Value bad = good;
+    bad["entries"].as_array()[1]["paths"].as_array()[0][field] = wrong;
+    expect_rejected(bad, "path field " + field + " = " + wrong.dump());
+  }
+
+  // The same (src, dst) pair twice: restoring it would leave an entry in
+  // the LRU list without an index slot of its own.
+  util::Value twice = good;
+  util::Value::Array& entries = twice["entries"].as_array();
+  entries.push_back(entries[0]);
+  expect_rejected(twice, "duplicate pair");
+
+  // Past every rejection the cache still works as restored.
+  CountingResolver after;
+  EXPECT_TRUE(cache.lookup(kSrc, kDst, util::sim_seconds(7.0), after.fn()).hit);
+  EXPECT_EQ(after.calls, 0u);
 }
 
 }  // namespace

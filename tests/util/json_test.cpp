@@ -173,6 +173,35 @@ TEST(JsonWriter, EscapesControlAndQuoteCharacters) {
   EXPECT_EQ(Value(std::string(1, '\x01')).dump(), "\"\\u0001\"");
 }
 
+TEST(JsonWriter, PinsExactTextOfIntegersAndEscapes) {
+  EXPECT_EQ(Value(std::numeric_limits<std::int64_t>::min()).dump(),
+            "-9223372036854775808");
+  EXPECT_EQ(Value(std::numeric_limits<std::int64_t>::max()).dump(),
+            "9223372036854775807");
+  EXPECT_EQ(Value(0).dump(), "0");
+  EXPECT_EQ(Value(-1).dump(), "-1");
+
+  std::string controls;
+  for (char c = 0; c < 0x20; ++c) controls.push_back(c);
+  controls.push_back('\x7f');
+  EXPECT_EQ(Value(controls).dump(),
+            "\"\\u0000\\u0001\\u0002\\u0003\\u0004\\u0005\\u0006\\u0007"
+            "\\b\\t\\n\\u000b\\f\\r\\u000e\\u000f"
+            "\\u0010\\u0011\\u0012\\u0013\\u0014\\u0015\\u0016\\u0017"
+            "\\u0018\\u0019\\u001a\\u001b\\u001c\\u001d\\u001e\\u001f"
+            "\x7f\"");
+  EXPECT_EQ(Value("\"quoted\" back\\slash \\\"").dump(),
+            R"("\"quoted\" back\\slash \\\"")");
+  // Bytes >= 0x80 (UTF-8 here) pass through unescaped.
+  EXPECT_EQ(Value("caf\xc3\xa9 \xe2\x82\xac \xff").dump(),
+            "\"caf\xc3\xa9 \xe2\x82\xac \xff\"");
+  // Escapes at both ends and between unescaped runs.
+  EXPECT_EQ(Value("\nab\tcd\n").dump(), R"("\nab\tcd\n")");
+  const Value object =
+      Value::object({{"k\"ey", -7}, {"n", Value::array({INT64_C(-42), ""})}});
+  EXPECT_EQ(object.dump(), R"({"k\"ey":-7,"n":[-42,""]})");
+}
+
 TEST(JsonWriter, CompactContainers) {
   const Value v = Value::object({{"a", Value::array({1, 2})}, {"b", "x"}});
   EXPECT_EQ(v.dump(), R"({"a":[1,2],"b":"x"})");
