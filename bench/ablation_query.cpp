@@ -23,6 +23,7 @@
 #include "docdb/collection.hpp"
 #include "docdb/filter.hpp"
 #include "util/json.hpp"
+#include "util/strings.hpp"
 
 namespace {
 
@@ -49,8 +50,8 @@ std::unique_ptr<docdb::Collection> make_collection(int documents) {
   docs.reserve(static_cast<std::size_t>(documents));
   for (int i = 0; i < documents; ++i) {
     docs.push_back(Value::object({
-        {"_id", "d" + std::to_string(i)},
-        {"path_id", "p" + std::to_string(i % paths)},
+        {"_id", util::format("d%d", i)},
+        {"path_id", util::format("p%d", i % paths)},
         {"server_id", i % paths / 12 + 1},
         {"timestamp_ms", static_cast<std::int64_t>(i) * 1000},
         {"latency_ms", 30.0 + i % 50},

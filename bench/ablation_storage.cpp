@@ -138,8 +138,8 @@ void BM_InsertBatchedParallel(benchmark::State& state) {
   for (auto _ : state) {
     // stats_document derives _id from (path_id, timestamp); a per-thread
     // path_id that changes every iteration keeps every _id unique.
-    const std::string path_id = "p" + std::to_string(state.thread_index()) +
-                                "_" + std::to_string(iter++);
+    const std::string path_id =
+        util::format("p%d_%d", state.thread_index(), iter++);
     std::vector<docdb::Document> docs;
     docs.reserve(static_cast<std::size_t>(batch));
     for (int i = 0; i < batch; ++i) {
@@ -177,8 +177,7 @@ void BM_CompactUnderLoad(benchmark::State& state) {
     writers.emplace_back([&coll, &done, batch, w] {
       int iter = 0;
       while (!done.load(std::memory_order_relaxed)) {
-        const std::string path_id =
-            "c" + std::to_string(w) + "_" + std::to_string(iter++);
+        const std::string path_id = util::format("c%d_%d", w, iter++);
         std::vector<docdb::Document> docs;
         docs.reserve(static_cast<std::size_t>(batch));
         for (int i = 0; i < batch; ++i) {

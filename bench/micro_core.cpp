@@ -2,8 +2,11 @@
 // the library (google-benchmark): JSON parse/serialize, filter matching,
 // control-plane path combination, SCION address text (ISD-AS and
 // hop-sequence formatting and parsing, the per-unit control-plane
-// checkpoint), and a full single-destination campaign iteration.  Not a paper figure; a regression harness for contributors.
+// checkpoint and its restore), and a full single-destination campaign
+// iteration.  Not a paper figure; a regression harness for contributors.
 #include <benchmark/benchmark.h>
+
+#include <memory>
 
 #include "apps/host.hpp"
 #include "docdb/filter.hpp"
@@ -129,9 +132,9 @@ void BM_ParseSequence(benchmark::State& state) {
 
 /// The control-plane snapshot the §6 survey (servers 1-5) records per
 /// unit, taken after ten warm units.
-void BM_ControlPlaneCheckpoint(benchmark::State& state) {
-  const scion::ScionlabEnv env = scion::scionlab_topology();
-  apps::ScionHost host(env, 1100, env.user_as, "10.0.8.1");
+/// A host after the §6 survey's first ten units on a fixed seed: the
+/// warm cache both checkpoint benchmarks work from.
+void run_ten_survey_units(apps::ScionHost& host) {
   docdb::Database db;
   obs::Registry registry;
   measure::TestSuiteConfig config;
@@ -143,11 +146,37 @@ void BM_ControlPlaneCheckpoint(benchmark::State& state) {
   for (int unit = 0; unit < 10; ++unit) {
     if (!suite.step().ok()) std::abort();
   }
+}
+
+void BM_ControlPlaneCheckpoint(benchmark::State& state) {
+  const scion::ScionlabEnv env = scion::scionlab_topology();
+  apps::ScionHost host(env, 1100, env.user_as, "10.0.8.1");
+  run_ten_survey_units(host);
   for (auto _ : state) {
     benchmark::DoNotOptimize(host.control_plane().checkpoint());
   }
   state.counters["bytes"] =
       static_cast<double>(host.control_plane().checkpoint().dump().size());
+}
+
+/// The resume side: restoring that checkpoint into a fresh host, whose
+/// empty cache re-resolves every pair (host construction is untimed).
+void BM_ControlPlaneRestoreCheckpoint(benchmark::State& state) {
+  const scion::ScionlabEnv env = scion::scionlab_topology();
+  apps::ScionHost host(env, 1100, env.user_as, "10.0.8.1");
+  run_ten_survey_units(host);
+  const util::Value checkpoint = host.control_plane().checkpoint();
+  const util::SimTime as_of = host.clock().now();
+  for (auto _ : state) {
+    state.PauseTiming();
+    auto fresh =
+        std::make_unique<apps::ScionHost>(env, 1100, env.user_as, "10.0.8.1");
+    state.ResumeTiming();
+    if (!fresh->control_plane().restore(checkpoint, as_of).ok()) std::abort();
+    state.PauseTiming();
+    fresh.reset();
+    state.ResumeTiming();
+  }
 }
 
 void BM_PingMeasurement(benchmark::State& state) {
@@ -184,6 +213,7 @@ BENCHMARK(BM_IsdAsnToString);
 BENCHMARK(BM_PathSequence);
 BENCHMARK(BM_ParseSequence);
 BENCHMARK(BM_ControlPlaneCheckpoint);
+BENCHMARK(BM_ControlPlaneRestoreCheckpoint);
 BENCHMARK(BM_PingMeasurement);
 BENCHMARK(BM_CampaignIteration);
 

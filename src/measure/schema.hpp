@@ -110,15 +110,16 @@ struct CampaignCheckpoint {
   int breaker_failures = 0;
   bool breaker_open = false;
   util::SimTime breaker_opened_at{};
-  /// Path-cache snapshot (scion::PathCache::snapshot()) taken at
-  /// clock_end; null for pre-control-plane checkpoints.  Restoring it
-  /// keeps the resumed cache trajectory — and therefore hit/stale/miss
-  /// behaviour — bit-identical to the uninterrupted run.
+  /// Path-cache snapshot (scion::PathCache::snapshot(): entry metadata,
+  /// no paths) taken at clock_end; null for pre-control-plane checkpoints.
+  /// Restoring it re-resolves the paths through beaconing and keeps the
+  /// resumed cache trajectory — and therefore hit/stale/miss behaviour —
+  /// bit-identical to the uninterrupted run.
   util::Value path_cache{};
 };
 
 /// Takes the checkpoint by value so a caller done with it can move the
-/// path-cache snapshot (tens of KB) into the document instead of copying.
+/// path-cache snapshot (about 100 B per cached pair) into the document.
 [[nodiscard]] docdb::Document checkpoint_document(
     CampaignCheckpoint checkpoint);
 

@@ -11,7 +11,9 @@ ControlPlane::ControlPlane(
     const Beaconing& beaconing,
     const std::unordered_map<IsdAsn, simnet::NodeId>& node_of,
     const simnet::FaultPlan& faults, IsdAsn local_as)
-    : beaconing_(beaconing),
+    : resolve_([&beaconing](IsdAsn src, IsdAsn dst) {
+        return beaconing.paths(src, dst);
+      }),
       revocations_(seed, config.revocation, topology, node_of, faults),
       cache_(config.cache) {
   const auto local = node_of.find(local_as);
@@ -48,10 +50,8 @@ void ControlPlane::sync(SimTime now) {
 
 std::vector<Path> ControlPlane::resolve_raw(IsdAsn src, IsdAsn dst,
                                             SimTime now) {
-  PathCacheLookup looked_up = cache_.lookup(
-      src, dst, now,
-      [this](IsdAsn from, IsdAsn to) { return beaconing_.paths(from, to); },
-      beaconing_available(now));
+  PathCacheLookup looked_up =
+      cache_.lookup(src, dst, now, resolve_, beaconing_available(now));
   // Expired-but-unrevoked paths stay usable, flagged stale: losing every
   // path to a lifetime boundary while beaconing is down would be a
   // self-inflicted outage the paper's testbed never had.
@@ -98,7 +98,7 @@ std::vector<Path> ControlPlane::annotated_paths(IsdAsn src, IsdAsn dst,
 
 util::Status ControlPlane::restore(const util::Value& snapshot,
                                    SimTime as_of) {
-  const util::Status status = cache_.restore(snapshot);
+  const util::Status status = cache_.restore(snapshot, resolve_);
   if (!status.ok()) return status;
   live_replies_.clear();
   revocations_.advance_cursor_to(as_of);

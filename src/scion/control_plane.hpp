@@ -93,11 +93,13 @@ class ControlPlane {
   [[nodiscard]] PathCache& cache() noexcept { return cache_; }
   [[nodiscard]] const PathCache& cache() const noexcept { return cache_; }
 
-  /// Checkpoint support: the cache is the only state that needs saving
-  /// (the revocation log is a pure function of the seed and fault plan).
-  /// `restore` replaces the cache content and fast-forwards the delivery
-  /// cursor to `as_of` without re-invalidating — the snapshot already
-  /// reflects those deliveries.
+  /// Checkpoint support: the cache's entry metadata is the only state that
+  /// needs saving (the revocation log is a pure function of the seed and
+  /// fault plan, and cached paths of beaconing over the topology).
+  /// `restore` replaces the cache content, re-resolving pairs the cache
+  /// does not hold, and fast-forwards the delivery cursor to `as_of`
+  /// without re-invalidating — the snapshot already reflects those
+  /// deliveries.
   [[nodiscard]] util::Value checkpoint() const { return cache_.snapshot(); }
   [[nodiscard]] util::Status restore(const util::Value& snapshot,
                                      util::SimTime as_of);
@@ -113,7 +115,9 @@ class ControlPlane {
   [[nodiscard]] std::vector<Path> resolve_raw(IsdAsn src, IsdAsn dst,
                                               util::SimTime now);
 
-  const Beaconing& beaconing_;
+  /// Beaconing::paths: what lookups refresh from and restore re-resolves
+  /// through.
+  PathCache::Resolver resolve_;
   RevocationLog revocations_;
   PathCache cache_;
   /// Server-down windows of the local AS node (metric-free query path).

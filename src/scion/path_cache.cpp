@@ -189,41 +189,21 @@ void PathCache::clear() {
 }
 
 Value PathCache::snapshot() const {
-  // Checkpoints of a whole campaign stay in memory: the path objects are
-  // built exact-sized through Value::object, the arrays are reserved and
-  // moved (not copied) into their parents.
   Value::Array entries;
   entries.reserve(entries_.size());
   for (const Entry& entry : entries_) {  // front-to-back == LRU order
-    Value::Array paths;
-    paths.reserve(entry.paths.size());
-    for (const Path& path : entry.paths) {
-      paths.push_back(Value::object({
-          {"sequence", path.sequence()},
-          {"mtu", path.mtu()},
-          {"static_latency_ns", path.static_latency().count()},
-          {"created_at_ns", path.created_at().count()},
-          {"expires_at_ns", path.expires_at().count()},
-          {"status", path.status()},
-      }));
-    }
-    Value encoded = Value::object({
+    entries.push_back(Value::object({
         {"src", entry.src.to_string()},
         {"dst", entry.dst.to_string()},
         {"resolved_at_ns", entry.resolved_at.count()},
         {"negative", entry.negative},
         {"dirty", entry.dirty},
-        {"paths", Value()},
-    });
-    encoded["paths"] = Value(std::move(paths));
-    entries.push_back(std::move(encoded));
+    }));
   }
-  Value snapshot = Value::object({{"entries", Value()}});
-  snapshot["entries"] = Value(std::move(entries));
-  return snapshot;
+  return Value::object({{"entries", Value(std::move(entries))}});
 }
 
-util::Status PathCache::restore(const Value& value) {
+util::Status PathCache::restore(const Value& value, const Resolver& resolve) {
   const auto malformed = [](const std::string& what) {
     return util::Status(util::ErrorCode::kParseError,
                         "path cache snapshot: " + what);
@@ -246,57 +226,33 @@ util::Status PathCache::restore(const Value& value) {
     const Value* resolved_at = item.get("resolved_at_ns");
     const Value* negative = item.get("negative");
     const Value* dirty = item.get("dirty");
-    const Value* paths = item.get("paths");
     if (src_text == nullptr || !src_text->is_string() || dst_text == nullptr ||
         !dst_text->is_string() || resolved_at == nullptr ||
         !resolved_at->is_int() ||
         (negative != nullptr && !negative->is_bool()) ||
-        (dirty != nullptr && !dirty->is_bool()) || paths == nullptr ||
-        !paths->is_array()) {
+        (dirty != nullptr && !dirty->is_bool())) {
       return malformed("malformed entry");
     }
+    const std::string pair_text =
+        src_text->as_string() + ">" + dst_text->as_string();
     const util::Result<IsdAsn> src = IsdAsn::parse(src_text->as_string());
     const util::Result<IsdAsn> dst = IsdAsn::parse(dst_text->as_string());
-    if (!src.ok()) return util::Status(src.error());
-    if (!dst.ok()) return util::Status(dst.error());
+    if (!src.ok() || !dst.ok()) return malformed("bad ISD-AS in " + pair_text);
     const AsPair key{src.value(), dst.value()};
-    if (index.contains(key)) {
-      return malformed("duplicate entry " + src_text->as_string() + ">" +
-                       dst_text->as_string());
-    }
+    if (index.contains(key)) return malformed("duplicate entry " + pair_text);
 
-    Entry entry;
-    entry.src = key.first;
-    entry.dst = key.second;
-    entry.resolved_at = SimTime(util::SimDuration(resolved_at->as_int()));
-    entry.negative = negative != nullptr && negative->as_bool();
-    entry.dirty = dirty != nullptr && dirty->as_bool();
-    entry.paths.reserve(paths->as_array().size());
-    for (const Value& encoded : paths->as_array()) {
-      const Value* sequence = encoded.get("sequence");
-      const Value* mtu = encoded.get("mtu");
-      const Value* latency = encoded.get("static_latency_ns");
-      const Value* created = encoded.get("created_at_ns");
-      const Value* expires = encoded.get("expires_at_ns");
-      const Value* status = encoded.get("status");
-      if (sequence == nullptr) return malformed("path without sequence");
-      if (!sequence->is_string() || (mtu != nullptr && !mtu->is_number()) ||
-          (latency != nullptr && !latency->is_int()) ||
-          (created != nullptr && !created->is_int()) ||
-          (expires != nullptr && !expires->is_int()) ||
-          (status != nullptr && !status->is_string())) {
-        return malformed("malformed path");
-      }
-      util::Result<Path> parsed = Path::parse_sequence(sequence->as_string());
-      if (!parsed.ok()) return util::Status(parsed.error());
-      Path path(parsed.value().hops(),
-                mtu != nullptr ? mtu->as_double() : 0.0,
-                util::SimDuration(latency != nullptr ? latency->as_int() : 0));
-      path.set_lifetime(
-          SimTime(util::SimDuration(created != nullptr ? created->as_int() : 0)),
-          SimTime(util::SimDuration(expires != nullptr ? expires->as_int() : 0)));
-      if (status != nullptr) path.set_status(status->as_string());
-      entry.paths.push_back(std::move(path));
+    // A pair this cache already holds keeps its paths: they are the
+    // resolver's answer, so resuming through many units combines it once.
+    const auto held = index_.find(key);
+    Entry entry{key.first, key.second,
+                held != index_.end() ? held->second->paths
+                                     : resolve(key.first, key.second),
+                SimTime(util::SimDuration(resolved_at->as_int())),
+                negative != nullptr && negative->as_bool(),
+                dirty != nullptr && dirty->as_bool()};
+    if (entry.negative != entry.paths.empty()) {
+      return malformed("negative flag of " + pair_text +
+                       " disagrees with the resolver");
     }
     restored.push_front(std::move(entry));
     index.emplace(key, restored.begin());

@@ -22,12 +22,15 @@
 // Because `Beaconing::paths` is a pure function of the topology, a cached
 // answer filtered by revocation state is always content-identical to a
 // fresh recombination under the same filter — the invariant the
-// `fig4_reachability --churn` bench pins.
+// `fig4_reachability --churn` bench pins.  Every entry's paths are
+// therefore exactly the resolver's answer for its pair.
 //
-// The cache is checkpointable: `snapshot()`/`restore()` round-trip the
-// complete observable state (entries, LRU order, timestamps, flags) as a
-// util::Value so a crashed campaign resumes with the identical cache
-// trajectory.  Not thread-safe; one cache belongs to one host.
+// The cache is checkpointable on that invariant: `snapshot()` records
+// each entry's metadata only (pair, resolution time, negative and dirty
+// flags, LRU position), and `restore()` rebuilds the paths through the
+// resolver, so a crashed campaign resumes with the identical cache
+// trajectory from a checkpoint of a few KB.  Not thread-safe; one cache
+// belongs to one host.
 #pragma once
 
 #include <cstdint>
@@ -109,15 +112,23 @@ class PathCache {
     return config_;
   }
 
-  /// Complete observable state (entries in LRU order, timestamps, flags)
-  /// for campaign checkpointing.  restore() replaces the current content;
-  /// a snapshot with a missing or mistyped field, a bad address or path
-  /// text, or a (src, dst) pair listed twice is rejected (kParseError, or
-  /// the text parser's error) and leaves the cache unchanged.  The local
-  /// Stats counters are not part of the snapshot (the obs registry
-  /// carries the metrics story).
+  /// Checkpoint of the observable state: one {src, dst, resolved_at_ns,
+  /// negative, dirty} object per entry, most recently used first.  Paths
+  /// are not recorded; the local Stats counters are not either (the obs
+  /// registry carries the metrics story).
   [[nodiscard]] util::Value snapshot() const;
-  [[nodiscard]] util::Status restore(const util::Value& value);
+
+  /// Replace the content with `value`, re-resolving each entry's paths
+  /// through `resolve`, which must be the resolver the snapshot's cache
+  /// used.  Pairs this cache already holds keep their paths instead (by
+  /// the purity invariant they are the resolver's answer).  Any other
+  /// field of an entry, such as a `paths` array, is ignored.  A snapshot
+  /// with a missing or mistyped field, bad ISD-AS text, a pair listed
+  /// twice, or a `negative` flag the resolver contradicts (a checkpoint of
+  /// another topology) is rejected with kParseError and leaves the cache
+  /// unchanged.
+  [[nodiscard]] util::Status restore(const util::Value& value,
+                                     const Resolver& resolve);
 
  private:
   struct Entry {

@@ -1,6 +1,6 @@
 // sha256.hpp — from-scratch SHA-256 (FIPS 180-4).
 //
-// Used by the trust layer (Lamport one-time signatures, HMAC) that gates
+// Used by the trust layer (Lamport one-time signatures) that gates
 // write access to the measurement database — the PKC design the paper
 // specifies in §4.2.2 but leaves unimplemented.
 #pragma once

@@ -5,6 +5,8 @@
 
 #include <thread>
 
+#include "util/strings.hpp"
+
 namespace upin::docdb {
 namespace {
 
@@ -462,7 +464,7 @@ TEST(QueryPlanner, IndexedFindPreservesInsertionOrder) {
   Collection coll("stats");
   coll.create_index("server_id");
   for (int i = 0; i < 10; ++i) {
-    ASSERT_TRUE(coll.insert_one(Value::object({{"_id", "d" + std::to_string(i)},
+    ASSERT_TRUE(coll.insert_one(Value::object({{"_id", util::format("d%d", i)},
                                                {"server_id", i % 2}}))
                     .ok());
   }
@@ -555,7 +557,7 @@ TEST(QueryPlanner, SortedStreamingMatchesScanOnTies) {
   Collection coll("stats");
   coll.create_index("v");
   for (int i = 0; i < 12; ++i) {
-    ASSERT_TRUE(coll.insert_one(Value::object({{"_id", "d" + std::to_string(i)},
+    ASSERT_TRUE(coll.insert_one(Value::object({{"_id", util::format("d%d", i)},
                                                {"v", i % 3}}))
                     .ok());
   }
@@ -574,7 +576,7 @@ TEST(QueryPlanner, SortedStreamingMatchesScanOnTies) {
 TEST(QueryPlanner, TopKHeapMatchesFullSortOnNonIndexedField) {
   Collection coll("stats");
   for (int i = 0; i < 50; ++i) {
-    ASSERT_TRUE(coll.insert_one(Value::object({{"_id", "d" + std::to_string(i)},
+    ASSERT_TRUE(coll.insert_one(Value::object({{"_id", util::format("d%d", i)},
                                                {"v", (i * 37) % 50},
                                                {"tie", i % 5}}))
                     .ok());

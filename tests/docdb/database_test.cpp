@@ -173,9 +173,7 @@ TEST_F(DurableDatabaseTest, ParallelWritersReplayToIdenticalState) {
         for (int b = 0; b < kBatches; ++b) {
           std::vector<Document> batch;
           for (int i = 0; i < kBatchSize; ++i) {
-            const std::string id = "w" + std::to_string(w) + "_b" +
-                                   std::to_string(b) + "_" +
-                                   std::to_string(i);
+            const std::string id = util::format("w%d_b%d_%d", w, b, i);
             batch.push_back(doc(("{\"_id\": \"" + id + "\", \"w\": " +
                                  std::to_string(w) + ", \"n\": " +
                                  std::to_string(b * kBatchSize + i) + "}")
@@ -223,7 +221,7 @@ TEST_F(DurableDatabaseTest, ShallowJournalQueueStillCommitsEverything) {
     ASSERT_TRUE(opened.ok());
     std::vector<Document> batch;
     for (std::size_t i = 0; i < batch_size; ++i) {
-      ids.push_back("d" + std::to_string(i));
+      ids.push_back(util::format("d%zu", i));
       batch.push_back(Value::object({{"_id", ids.back()}}));
     }
     ASSERT_TRUE(
@@ -548,8 +546,7 @@ TEST_F(DurableDatabaseTest, InsertsWhileCompactingLoseNothing) {
     for (int w = 0; w < kWriters; ++w) {
       writers.emplace_back([&coll, w] {
         for (int i = 0; i < kPerWriter; ++i) {
-          const std::string id =
-              "w" + std::to_string(w) + "_" + std::to_string(i);
+          const std::string id = util::format("w%d_%d", w, i);
           EXPECT_TRUE(
               coll.insert_one(Value::object({{"_id", id}, {"n", i}})).ok());
         }
@@ -573,8 +570,7 @@ TEST_F(DurableDatabaseTest, InsertsWhileCompactingLoseNothing) {
   for (int w = 0; w < kWriters; ++w) {
     for (int i = 0; i < kPerWriter; ++i) {
       EXPECT_TRUE(replayed
-                      .find_by_id("w" + std::to_string(w) + "_" +
-                                  std::to_string(i))
+                      .find_by_id(util::format("w%d_%d", w, i))
                       .ok());
     }
   }

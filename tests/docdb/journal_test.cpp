@@ -8,6 +8,8 @@
 #include <fstream>
 #include <thread>
 
+#include "util/strings.hpp"
+
 namespace upin::docdb {
 namespace {
 
@@ -554,8 +556,7 @@ TEST_F(JournalTest, MultiThreadedWritersReplayCompleteAndPerThreadOrdered) {
       writers.emplace_back([&journal, t] {
         std::uint64_t last = 0;
         for (int i = 0; i < kPerThread; ++i) {
-          const std::string id =
-              "t" + std::to_string(t) + "_" + std::to_string(i);
+          const std::string id = util::format("t%d_%d", t, i);
           last = journal.enqueue(Journal::encode_insert(
               "paths", id, Value::object({{"_id", id}, {"n", i}})));
           ASSERT_GT(last, 0u);

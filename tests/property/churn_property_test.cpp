@@ -8,18 +8,27 @@
 //      error.
 //   3. Kill-then-resume under the same storm is bit-identical: same
 //      paths_stats documents AND the same final path-cache state.
+//   4. A control plane restored from a checkpoint (entry metadata, paths
+//      re-resolved) answers every later lookup exactly as the original
+//      does, from the current format and from the older one that carried
+//      every path in full.
+//   5. Cache-served paths equal a fresh recombination at any instant,
+//      inside server-down windows too: the invariant restore relies on.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <map>
+#include <vector>
 
 #include "docdb/database.hpp"
 #include "measure/testsuite.hpp"
 #include "scion/scionlab.hpp"
 #include "select/selector.hpp"
 #include "upin/controller.hpp"
+#include "util/json.hpp"
+#include "util/rng.hpp"
 
 namespace upin {
 namespace {
@@ -216,6 +225,187 @@ TEST(ControlPlaneChurn, KillThenResumeIsBitIdenticalUnderStorm) {
         << "the resumed cache trajectory diverged from the uninterrupted run";
   }
   std::filesystem::remove(journal);
+}
+
+/// One step of a seeded control-plane workload: deliver revocations due
+/// by `at`, then look up the user AS → `server` path set.
+struct LookupStep {
+  SimTime at{};
+  std::size_t server = 0;
+  bool annotated = false;  ///< annotated_paths, else live_paths
+};
+
+/// `steps` lookups at increasing instants from `from`.  Gaps reach past
+/// the cache's TTL and grace windows; some are zero, so the live-reply
+/// memo is exercised too.
+std::vector<LookupStep> lookup_script(util::Rng& rng, SimTime from, int steps,
+                                      std::size_t servers) {
+  std::vector<LookupStep> script;
+  SimTime at = from;
+  for (int i = 0; i < steps; ++i) {
+    if (rng.uniform() < 0.8) at += util::sim_seconds(rng.uniform(0.0, 420.0));
+    script.push_back(
+        {at,
+         static_cast<std::size_t>(
+             rng.uniform_int(0, static_cast<std::int64_t>(servers) - 1)),
+         rng.uniform() < 0.5});
+  }
+  return script;
+}
+
+std::vector<scion::Path> run_step(scion::ControlPlane& control_plane,
+                                  const scion::ScionlabEnv& env,
+                                  const LookupStep& step) {
+  control_plane.sync(step.at);
+  const scion::IsdAsn server = env.servers[step.server].ia;
+  return step.annotated
+             ? control_plane.annotated_paths(env.user_as, server, step.at)
+             : control_plane.live_paths(env.user_as, server, step.at);
+}
+
+/// The checkpoint format written before entries dropped their paths: the
+/// same entries, each with its paths in full.  The paths are the
+/// resolver's answer, as the cached ones were.
+util::Value with_path_arrays(util::Value snapshot,
+                             const scion::Beaconing& beaconing) {
+  for (util::Value& entry : snapshot["entries"].as_array()) {
+    const auto src = scion::IsdAsn::parse(entry["src"].as_string());
+    const auto dst = scion::IsdAsn::parse(entry["dst"].as_string());
+    EXPECT_TRUE(src.ok() && dst.ok());
+    if (!src.ok() || !dst.ok()) continue;
+    util::Value::Array paths;
+    for (const scion::Path& path : beaconing.paths(src.value(), dst.value())) {
+      paths.push_back(util::Value::object({
+          {"sequence", path.sequence()},
+          {"mtu", path.mtu()},
+          {"static_latency_ns", path.static_latency().count()},
+          {"created_at_ns", path.created_at().count()},
+          {"expires_at_ns", path.expires_at().count()},
+          {"status", path.status()},
+      }));
+    }
+    entry["paths"] = util::Value(std::move(paths));
+  }
+  return snapshot;
+}
+
+TEST(ControlPlaneChurn, RestoredControlPlaneFollowsTheOriginalTrajectory) {
+  const scion::ScionlabEnv env = scion::scionlab_topology();
+  const simnet::NetworkConfig net = storm_config();
+  util::Rng rng(2023);
+  std::size_t dirty_entries = 0;
+  for (int trial = 0; trial < 4; ++trial) {
+    SCOPED_TRACE("trial " + std::to_string(trial));
+    apps::ScionHost original(env, 42, env.user_as, "10.0.8.1", net);
+    scion::ControlPlane& reference = original.control_plane();
+    ASSERT_FALSE(reference.revocations().events().empty());
+
+    // Warm the cache up to a random instant, then checkpoint it there.
+    const std::vector<LookupStep> warm = lookup_script(
+        rng, SimTime::zero(), 10 + static_cast<int>(rng.uniform_int(0, 50)),
+        env.servers.size());
+    for (const LookupStep& step : warm) (void)run_step(reference, env, step);
+    const SimTime as_of = warm.back().at;
+    reference.sync(as_of);
+    const util::Result<util::Value> compact =
+        util::Value::parse(reference.checkpoint().dump());
+    ASSERT_TRUE(compact.ok());
+    for (const util::Value& entry :
+         compact.value().get("entries")->as_array()) {
+      if (entry.get("dirty")->as_bool()) ++dirty_entries;
+    }
+    const util::Value older =
+        with_path_arrays(compact.value(), original.beaconing());
+
+    apps::ScionHost from_compact(env, 42, env.user_as, "10.0.8.1", net);
+    apps::ScionHost from_older(env, 42, env.user_as, "10.0.8.1", net);
+    ASSERT_TRUE(
+        from_compact.control_plane().restore(compact.value(), as_of).ok());
+    ASSERT_TRUE(from_older.control_plane().restore(older, as_of).ok());
+    const std::string restored_state = compact.value().dump();
+    EXPECT_EQ(from_compact.control_plane().checkpoint().dump(), restored_state);
+    EXPECT_EQ(from_older.control_plane().checkpoint().dump(), restored_state);
+
+    // Every later reply must match: sequence, MTU, latency, lifetime and
+    // status are all part of Path equality.
+    const std::vector<LookupStep> after =
+        lookup_script(rng, as_of, 60, env.servers.size());
+    for (std::size_t i = 0; i < after.size(); ++i) {
+      const std::vector<scion::Path> expected =
+          run_step(reference, env, after[i]);
+      EXPECT_TRUE(run_step(from_compact.control_plane(), env, after[i]) ==
+                  expected)
+          << "step " << i << ": the compact restore diverged";
+      EXPECT_TRUE(run_step(from_older.control_plane(), env, after[i]) ==
+                  expected)
+          << "step " << i << ": the path-array restore diverged";
+    }
+    const std::string final_state = reference.checkpoint().dump();
+    EXPECT_EQ(from_compact.control_plane().checkpoint().dump(), final_state);
+    EXPECT_EQ(from_older.control_plane().checkpoint().dump(), final_state);
+  }
+  EXPECT_GT(dirty_entries, 0u)
+      << "no checkpoint held a revocation-dirtied entry";
+}
+
+TEST(ControlPlaneChurn, CacheServedPathsEqualRecombination) {
+  const scion::ScionlabEnv env = scion::scionlab_topology();
+  apps::ScionHost host(env, 42, env.user_as, "10.0.8.1", storm_config());
+  scion::ControlPlane& control_plane = host.control_plane();
+
+  // Instants within the first three hours of the storm: seeded random
+  // ones, a dozen inside destination server-down windows (their paths
+  // read "revoked") and one inside every server-down window of the user
+  // AS itself (beaconing unavailable, the cache serves stale).
+  const SimTime horizon = util::sim_seconds(3.0 * 3600.0);
+  util::Rng rng(1107);
+  std::vector<SimTime> instants;
+  for (int i = 0; i < 24; ++i) {
+    instants.push_back(util::sim_seconds(rng.uniform(0.0, 3.0 * 3600.0)));
+  }
+  std::vector<SimTime> dark;
+  for (const scion::Revocation& event : control_plane.revocations().events()) {
+    if (event.kind == scion::Revocation::Kind::kServerDown &&
+        event.delivered_at < std::min(event.fault_end, horizon)) {
+      dark.push_back(event.delivered_at +
+                     (event.fault_end - event.delivered_at) / 2);
+    }
+  }
+  const std::size_t stride = std::max<std::size_t>(1, dark.size() / 12);
+  for (std::size_t i = 0; i < dark.size(); i += stride) {
+    instants.push_back(dark[i]);
+  }
+  const auto route = host.route_of(
+      host.beaconing().paths(env.user_as, env.servers.front().ia).front());
+  ASSERT_TRUE(route.ok());
+  for (const simnet::FaultWindow& window :
+       host.network().faults().server_down_windows(route.value().front())) {
+    if (window.start < horizon) {
+      instants.push_back(window.start + (window.end - window.start) / 2);
+    }
+  }
+  std::sort(instants.begin(), instants.end());
+
+  std::size_t revoked_seen = 0;
+  std::size_t degraded_instants = 0;
+  for (const SimTime now : instants) {
+    control_plane.sync(now);
+    if (!control_plane.beaconing_available(now)) ++degraded_instants;
+    for (const scion::SnetAddress& server : env.servers) {
+      std::vector<scion::Path> served =
+          control_plane.annotated_paths(env.user_as, server.ia, now);
+      for (scion::Path& path : served) {
+        if (path.status() == "revoked") ++revoked_seen;
+        path.set_status(scion::Path().status());
+      }
+      EXPECT_TRUE(served == host.beaconing().paths(env.user_as, server.ia))
+          << "cache diverged from recombination for " << server.ia.to_string()
+          << " at " << util::to_seconds(now) << " s";
+    }
+  }
+  EXPECT_GT(revoked_seen, 0u) << "no instant fell inside a revocation";
+  EXPECT_GT(degraded_instants, 0u)
+      << "no instant fell inside a user-AS server-down window";
 }
 
 }  // namespace

@@ -11,6 +11,7 @@
 #include "measure/testsuite.hpp"
 #include "select/selector.hpp"
 #include "util/rng.hpp"
+#include "util/strings.hpp"
 
 namespace upin {
 namespace {
@@ -35,7 +36,7 @@ void random_operation(Rng& rng, Collection& coll, int& id_counter) {
   const auto choice = rng.uniform_int(0, 9);
   if (choice <= 4) {  // insert (most frequent)
     util::JsonObject doc;
-    doc.set("_id", Value("d" + std::to_string(id_counter++)));
+    doc.set("_id", Value(util::format("d%d", id_counter++)));
     doc.set("v", Value(rng.uniform_int(0, 20)));
     doc.set("w", Value(rng.uniform(0.0, 1.0)));
     (void)coll.insert_one(Value(std::move(doc)));
@@ -46,7 +47,7 @@ void random_operation(Rng& rng, Collection& coll, int& id_counter) {
     std::vector<Document> batch;
     for (int i = 0; i < 3; ++i) {
       util::JsonObject doc;
-      doc.set("_id", Value("d" + std::to_string(id_counter++)));
+      doc.set("_id", Value(util::format("d%d", id_counter++)));
       doc.set("v", Value(rng.uniform_int(0, 20)));
       batch.push_back(Value(std::move(doc)));
     }
@@ -119,7 +120,7 @@ TEST_P(AggregationProperty, GroupMatchesManualComputation) {
     const std::int64_t key = rng.uniform_int(0, 6);
     const double value = rng.uniform(-50.0, 50.0);
     util::JsonObject doc;
-    doc.set("_id", Value("d" + std::to_string(i)));
+    doc.set("_id", Value(util::format("d%lld", static_cast<long long>(i))));
     doc.set("k", Value(key));
     doc.set("v", Value(value));
     ASSERT_TRUE(coll.insert_one(Value(std::move(doc))).ok());

@@ -1,6 +1,6 @@
 // Tests for scion/path_cache: TTL, stale-while-revalidate, negative
 // entries, LRU bounds, revocation-driven invalidation, and the
-// snapshot/restore round-trip behind crash-safe campaign resume.
+// metadata snapshot/restore round-trip behind crash-safe campaign resume.
 #include "scion/path_cache.hpp"
 
 #include <gtest/gtest.h>
@@ -221,55 +221,111 @@ TEST(PathCache, DisabledCacheBypassesToTheResolver) {
   EXPECT_EQ(cache.size(), 0u);
 }
 
+/// A resolver whose answer depends on the pair, as Beaconing::paths does:
+/// kDst via AS 2, kUnreachable nothing, any other destination via AS 4.
+const IsdAsn kUnreachable{1, 7};
+
+struct PairResolver {
+  std::size_t calls = 0;
+
+  PathCache::Resolver fn() {
+    return [this](IsdAsn, IsdAsn dst) {
+      ++calls;
+      if (dst == kUnreachable) return std::vector<Path>{};
+      return std::vector<Path>{make_path(1, dst == kDst ? 2 : 4, dst.asn())};
+    };
+  }
+};
+
 TEST(PathCache, SnapshotRestoreRoundTripsObservableState) {
+  const IsdAsn other{1, 5};
   PathCache cache(PathCacheConfig{.negative_ttl_s = 30.0});
-  CountingResolver resolver;
+  PairResolver resolver;
   (void)cache.lookup(kSrc, kDst, util::sim_seconds(5.0), resolver.fn());
-  CountingResolver empty;
-  empty.answer.clear();
-  (void)cache.lookup(kSrc, IsdAsn{1, 7}, util::sim_seconds(6.0), empty.fn());
+  (void)cache.lookup(kSrc, kUnreachable, util::sim_seconds(6.0),
+                     resolver.fn());
+  const PathCacheLookup original =
+      cache.lookup(kSrc, other, util::sim_seconds(6.5), resolver.fn());
   (void)cache.invalidate_if(
       [](const Path& path) { return path.traverses(IsdAsn{1, 2}); });
 
+  // The snapshot is entry metadata only.
   const util::Value snapshot = cache.snapshot();
+  for (const util::Value& entry : snapshot.get("entries")->as_array()) {
+    EXPECT_EQ(entry.get("paths"), nullptr);
+  }
+
   PathCache restored(cache.config());
-  ASSERT_TRUE(restored.restore(snapshot).ok());
+  PairResolver resolving;
+  ASSERT_TRUE(restored.restore(snapshot, resolving.fn()).ok());
+  EXPECT_EQ(resolving.calls, 3u) << "each restored pair resolves once";
   EXPECT_EQ(restored.size(), cache.size());
   // The full observable state (entries, LRU order, timestamps, flags)
   // must survive the round trip bit-for-bit.
   EXPECT_EQ(restored.snapshot().dump(), snapshot.dump());
 
-  // Behavioural equivalence: the restored dirty entry still re-resolves,
-  // the restored negative entry still answers empty from the cache.
-  CountingResolver after;
+  // Pairs the cache already holds keep their paths: no resolver call.
+  ASSERT_TRUE(restored.restore(snapshot, resolving.fn()).ok());
+  EXPECT_EQ(resolving.calls, 3u);
+  EXPECT_EQ(restored.snapshot().dump(), snapshot.dump());
+
+  // Behavioural equivalence: the restored clean entry serves the original
+  // paths from the cache, the restored dirty entry still re-resolves, the
+  // restored negative entry still answers empty from the cache.
+  PairResolver after;
+  const PathCacheLookup served =
+      restored.lookup(kSrc, other, util::sim_seconds(7.0), after.fn());
+  EXPECT_TRUE(served.hit);
+  EXPECT_EQ(served.paths, original.paths);
+  EXPECT_EQ(after.calls, 0u);
   EXPECT_TRUE(
       restored.lookup(kSrc, kDst, util::sim_seconds(7.0), after.fn()).refreshed);
   EXPECT_EQ(after.calls, 1u);
   const PathCacheLookup negative =
-      restored.lookup(kSrc, IsdAsn{1, 7}, util::sim_seconds(8.0), after.fn());
+      restored.lookup(kSrc, kUnreachable, util::sim_seconds(8.0), after.fn());
   EXPECT_TRUE(negative.negative);
   EXPECT_TRUE(negative.hit);
   EXPECT_EQ(after.calls, 1u);
 }
 
+TEST(PathCache, RestoreIgnoresPathArraysOfOlderSnapshots) {
+  PathCache source;
+  PairResolver resolver;
+  (void)source.lookup(kSrc, kDst, util::sim_seconds(5.0), resolver.fn());
+  (void)source.lookup(kSrc, kUnreachable, util::sim_seconds(6.0),
+                      resolver.fn());
+  const util::Value compact = source.snapshot();
+
+  // Checkpoints written before entries dropped their paths carry a
+  // `paths` array per entry; restore re-resolves and ignores it.
+  util::Value older = compact;
+  for (util::Value& entry : older["entries"].as_array()) {
+    entry["paths"] = util::Value::array({util::Value::object(
+        {{"sequence", "not a sequence"}, {"mtu", "1400"}})});
+  }
+  PathCache restored;
+  ASSERT_TRUE(restored.restore(older, resolver.fn()).ok());
+  EXPECT_EQ(restored.snapshot().dump(), compact.dump());
+}
+
 TEST(PathCache, RestoreRejectsMalformedSnapshots) {
   PathCache cache;
-  EXPECT_FALSE(cache.restore(util::Value()).ok());
-  EXPECT_FALSE(cache.restore(util::Value::object({})).ok());
+  CountingResolver resolver;
+  EXPECT_FALSE(cache.restore(util::Value(), resolver.fn()).ok());
+  EXPECT_FALSE(cache.restore(util::Value::object({}), resolver.fn()).ok());
 
   // A valid two-entry snapshot, corrupted one field at a time.
   PathCache source;
-  CountingResolver resolver;
   (void)source.lookup(kSrc, kDst, util::sim_seconds(5.0), resolver.fn());
   (void)source.lookup(kSrc, IsdAsn{1, 7}, util::sim_seconds(6.0),
                       resolver.fn());
   const util::Value good = source.snapshot();
-  ASSERT_TRUE(cache.restore(good).ok());
+  ASSERT_TRUE(cache.restore(good, resolver.fn()).ok());
   const std::string before = cache.snapshot().dump();
 
   const auto expect_rejected = [&](const util::Value& bad,
                                    const std::string& what) {
-    const util::Status status = cache.restore(bad);
+    const util::Status status = cache.restore(bad, resolver.fn());
     ASSERT_FALSE(status.ok()) << what;
     EXPECT_EQ(status.error().code, util::ErrorCode::kParseError) << what;
     EXPECT_EQ(cache.snapshot().dump(), before)
@@ -279,27 +335,31 @@ TEST(PathCache, RestoreRejectsMalformedSnapshots) {
   const std::vector<std::pair<std::string, util::Value>> entry_fields = {
       {"src", 17},
       {"dst", true},
+      {"src", "1-zz"},
       {"resolved_at_ns", "5"},
       {"resolved_at_ns", 1.5},
       {"negative", 1},
       {"dirty", "yes"},
-      {"paths", util::Value::object({})},
   };
   for (const auto& [field, wrong] : entry_fields) {
     util::Value bad = good;
     bad["entries"].as_array()[1][field] = wrong;
     expect_rejected(bad, "entry field " + field + " = " + wrong.dump());
   }
-  const std::vector<std::pair<std::string, util::Value>> path_fields = {
-      {"sequence", 3},          {"mtu", "1400"},
-      {"static_latency_ns", 1.5}, {"created_at_ns", "0"},
-      {"expires_at_ns", false}, {"status", 1},
-  };
-  for (const auto& [field, wrong] : path_fields) {
-    util::Value bad = good;
-    bad["entries"].as_array()[1]["paths"].as_array()[0][field] = wrong;
-    expect_rejected(bad, "path field " + field + " = " + wrong.dump());
-  }
+
+  // A `negative` flag the resolver contradicts: a checkpoint of another
+  // topology.  Checked for a pair the cache holds and for a new one.
+  util::Value held = good;
+  held["entries"].as_array()[1]["negative"] = true;
+  expect_rejected(held, "negative flag of a held pair");
+  util::Value fresh = good;
+  fresh["entries"].as_array().push_back(util::Value::object({
+      {"src", "1-9"},
+      {"dst", "1-3"},
+      {"resolved_at_ns", 0},
+      {"negative", true},
+  }));
+  expect_rejected(fresh, "negative flag of a new pair");
 
   // The same (src, dst) pair twice: restoring it would leave an entry in
   // the LRU list without an index slot of its own.
