@@ -2,11 +2,13 @@
 // the library (google-benchmark): JSON parse/serialize, filter matching,
 // control-plane path combination, SCION address text (ISD-AS and
 // hop-sequence formatting and parsing, the per-unit control-plane
-// checkpoint and its restore), and a full single-destination campaign
+// checkpoint and its restore), the selection read path (per-destination
+// paths_stats summaries) and a full single-destination campaign
 // iteration.  Not a paper figure; a regression harness for contributors.
 #include <benchmark/benchmark.h>
 
 #include <memory>
+#include <optional>
 
 #include "apps/host.hpp"
 #include "docdb/filter.hpp"
@@ -15,6 +17,7 @@
 #include "obs/metrics.hpp"
 #include "scion/beacon.hpp"
 #include "scion/scionlab.hpp"
+#include "select/selector.hpp"
 
 namespace {
 
@@ -203,6 +206,56 @@ void BM_CampaignIteration(benchmark::State& state) {
   }
 }
 
+/// A select-mix-shaped database: every destination x 40 iterations
+/// (~11 k paths_stats documents), built once on first use.
+struct SelectPopulation {
+  SelectPopulation()
+      : env(scion::scionlab_topology()),
+        host(env, 1001, env.user_as, "10.0.8.1") {
+    measure::TestSuiteConfig config;
+    config.iterations = 40;
+    config.registry = &registry;
+    config.checkpoints = false;
+    config.metrics_snapshots = false;
+    measure::TestSuite suite(host, db, config);
+    if (!suite.run().ok()) std::abort();
+    window_start_ms = static_cast<std::int64_t>(
+        0.9 * static_cast<double>(host.clock().now().count()) / 1e6);
+  }
+  scion::ScionlabEnv env;
+  apps::ScionHost host;
+  obs::Registry registry;
+  docdb::Database db;
+  std::int64_t window_start_ms = 0;  ///< the last 10 % of the timeline
+};
+
+/// PathSelector::summarize for every destination: over the freshness
+/// window select-mix uses for 75 % of its requests, or the full history.
+void BM_SelectorSummarize(benchmark::State& state, bool windowed) {
+  static const SelectPopulation population;
+  const select::PathSelector selector(population.db, population.env.topology);
+  const std::optional<std::int64_t> since =
+      windowed ? std::optional<std::int64_t>(population.window_start_ms)
+               : std::nullopt;
+  const int servers = static_cast<int>(population.env.servers.size());
+  std::size_t samples = 0;
+  for (auto _ : state) {
+    samples = 0;
+    for (int server = 1; server <= servers; ++server) {
+      auto summaries = selector.summarize(server, since);
+      if (!summaries.ok()) std::abort();
+      benchmark::DoNotOptimize(summaries);
+      for (const select::PathSummary& summary : summaries.value()) {
+        samples += summary.samples;
+      }
+    }
+  }
+  state.counters["samples"] = static_cast<double>(samples);
+  state.counters["docs_per_s"] = benchmark::Counter(
+      static_cast<double>(samples) * static_cast<double>(state.iterations()),
+      benchmark::Counter::kIsRate);
+}
+
 BENCHMARK(BM_JsonParse);
 BENCHMARK(BM_JsonDump);
 BENCHMARK(BM_FilterCompile);
@@ -216,6 +269,8 @@ BENCHMARK(BM_ControlPlaneCheckpoint);
 BENCHMARK(BM_ControlPlaneRestoreCheckpoint);
 BENCHMARK(BM_PingMeasurement);
 BENCHMARK(BM_CampaignIteration);
+BENCHMARK_CAPTURE(BM_SelectorSummarize, windowed, true);
+BENCHMARK_CAPTURE(BM_SelectorSummarize, full, false);
 
 }  // namespace
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <limits>
 #include <mutex>
 #include <unordered_set>
 #include <utility>
@@ -255,12 +256,16 @@ CandidatePlan build_index_plan(
   plan.kind = all_points ? QueryPlan::Kind::kIndexPoint
                          : QueryPlan::Kind::kIndexRange;
 
-  // Selectivity estimate: entries/distinct per fully-pinned key; partial
-  // prefixes assume evenly split key populations and windows a fixed
-  // fraction — crude, but it only has to rank plans.
+  // Selectivity estimate: entries/distinct per fully-pinned key, and
+  // entries/distinct-first-values for a one-column prefix (the index
+  // counts those exactly).  Deeper partial prefixes assume evenly split
+  // key populations and windows a fixed fraction — crude, but it only
+  // has to rank plans.
+  const auto at_least_one = [](std::size_t n) {
+    return static_cast<double>(std::max<std::size_t>(1, n));
+  };
   const double entries = static_cast<double>(index.entry_count());
-  const double distinct =
-      static_cast<double>(std::max<std::size_t>(1, index.distinct_keys()));
+  const double distinct = at_least_one(index.distinct_keys());
   const std::size_t pinned =
       plan.ranges.empty() ? columns : plan.ranges.front().prefix.size();
   double per_range;
@@ -268,7 +273,9 @@ CandidatePlan build_index_plan(
     per_range = entries / distinct;
   } else {
     double fraction = 1.0;
-    if (pinned > 0) {
+    if (pinned == 1) {
+      fraction /= at_least_one(index.distinct_first());
+    } else if (pinned > 1) {
       fraction /= std::pow(distinct, static_cast<double>(pinned) /
                                          static_cast<double>(columns));
     }
@@ -562,34 +569,41 @@ std::vector<std::size_t> Collection::plan_candidates_locked(
   return out;
 }
 
-std::vector<Document> Collection::find(const Filter& filter,
-                                       const FindOptions& options) const {
+void Collection::for_each_match(
+    const Filter& filter, const FindOptions& options,
+    const std::function<bool(const Document&)>& fn) const {
   const std::shared_lock lock(mutex_);
   const QueryPlan plan = plan_locked(filter, &options);
+  if (options.limit.has_value() && *options.limit == 0) return;
 
-  std::vector<Document> out;
+  // A residual-free plan's candidates provably match (count() relies on
+  // the same contract), so the filter only re-runs when it is residual.
+  const auto matches = [&](const Slot& slot) {
+    return slot.alive && (!plan.residual || filter.matches(slot.doc));
+  };
   std::size_t to_skip = options.skip;
-  const auto emit_doc = [&](const Document& doc) {
-    if (options.limit.has_value() && out.size() >= *options.limit) return false;
+  std::size_t to_emit =
+      options.limit.value_or(std::numeric_limits<std::size_t>::max());
+  // Skip, then hand over; false once the caller or the limit stops.
+  const auto emit = [&](const Document& doc) {
     if (to_skip > 0) {
       --to_skip;
       return true;
     }
-    out.push_back(doc);
-    return !options.limit.has_value() || out.size() < *options.limit;
+    return fn(doc) && --to_emit > 0;
   };
 
   if (plan.covers_sort) {
     // Stream straight off index order.  Positions within one key ascend
     // (insertion order) — exactly what the scan path's stable sort
-    // produces for ties — and the residual filter runs per candidate.
+    // produces for ties.
     bool more = true;
     const auto visit = [&](const IndexKey&,
                            const std::vector<std::size_t>& positions) {
       for (const std::size_t position : positions) {
         const Slot& slot = slots_[position];
-        if (!slot.alive || !filter.matches(slot.doc)) continue;
-        if (!emit_doc(slot.doc)) {
+        if (!matches(slot)) continue;
+        if (!emit(slot.doc)) {
           more = false;
           return false;
         }
@@ -607,7 +621,7 @@ std::vector<Document> Collection::find(const Filter& filter,
         plan.index->scan(*it, false, visit);
       }
     }
-    return out;
+    return;
   }
 
   const std::vector<std::size_t> candidates = plan_candidates_locked(plan);
@@ -616,10 +630,9 @@ std::vector<Document> Collection::find(const Filter& filter,
     // Insertion order: stream with skip/limit, stopping at the cap.
     for (const std::size_t position : candidates) {
       const Slot& slot = slots_[position];
-      if (!slot.alive || !filter.matches(slot.doc)) continue;
-      if (!emit_doc(slot.doc)) break;
+      if (matches(slot) && !emit(slot.doc)) return;
     }
-    return out;
+    return;
   }
 
   // Sorted without index cover: order (sort key, position) pairs.  The
@@ -630,7 +643,7 @@ std::vector<Document> Collection::find(const Filter& filter,
   std::vector<std::pair<const Value*, std::size_t>> keyed;
   for (const std::size_t position : candidates) {
     const Slot& slot = slots_[position];
-    if (!slot.alive || !filter.matches(slot.doc)) continue;
+    if (!matches(slot)) continue;
     const Value* key = slot.doc.get_path(options.sort_by);
     keyed.emplace_back(key != nullptr ? key : &kNullValue, position);
   }
@@ -653,22 +666,32 @@ std::vector<Document> Collection::find(const Filter& filter,
   } else {
     std::sort(keyed.begin(), keyed.end(), before);
   }
-  const std::size_t begin = std::min(options.skip, keyed.size());
-  out.reserve(keyed.size() - begin);
-  for (std::size_t i = begin; i < keyed.size(); ++i) {
-    out.push_back(slots_[keyed[i].second].doc);
+  for (std::size_t i = std::min(options.skip, keyed.size()); i < keyed.size();
+       ++i) {
+    if (!fn(slots_[keyed[i].second].doc)) return;
   }
+}
+
+std::vector<Document> Collection::find(const Filter& filter,
+                                       const FindOptions& options) const {
+  std::vector<Document> out;
+  for_each_match(filter, options, [&out](const Document& doc) {
+    out.push_back(doc);
+    return true;
+  });
   return out;
 }
 
 Result<Document> Collection::find_one(const Filter& filter) const {
-  const std::shared_lock lock(mutex_);
-  const QueryPlan plan = plan_locked(filter, nullptr);
-  for (const std::size_t position : plan_candidates_locked(plan)) {
-    const Slot& slot = slots_[position];
-    if (slot.alive && filter.matches(slot.doc)) return slot.doc;
+  std::optional<Document> first;
+  for_each_match(filter, {}, [&first](const Document& doc) {
+    first = doc;
+    return false;
+  });
+  if (!first.has_value()) {
+    return util::Error{ErrorCode::kNotFound, "no matching document"};
   }
-  return util::Error{ErrorCode::kNotFound, "no matching document"};
+  return std::move(*first);
 }
 
 std::size_t Collection::count(const Filter& filter) const {
@@ -848,6 +871,10 @@ void Collection::create_index(std::vector<std::string> fields) {
   std::uint64_t last_seq = 0;
   {
     const std::shared_lock gate = gate_lock();
+    if (const Status open = check_journal_open(); !open.ok()) {
+      util::Log::error(open.error().message);
+      return;
+    }
     const std::unique_lock lock(mutex_);
     for (const auto& existing : indexes_) {
       if (existing->spec() == index->spec()) return;

@@ -17,6 +17,11 @@
 // trade-off of paper §4.2.2, measured in bench/ablation_storage; under
 // a DeferredSync (database.hpp) calls leave the wait to Database::sync().  A
 // collection without a journal (in-memory) never encodes a payload.
+//
+// Queries that return documents have one path too: for_each_match()
+// plans the query and hands each match to a callback in place, under the
+// shared lock; find() and find_one() copy what it visits.  count() and
+// distinct() may answer from index postings without touching documents.
 #pragma once
 
 #include <atomic>
@@ -104,11 +109,20 @@ class Collection {
   /// Fetch by id.
   [[nodiscard]] util::Result<Document> find_by_id(std::string_view id) const;
 
-  /// All documents matching `filter`, honoring `options`.  The planner
-  /// turns extractable `$eq`/`$in`/range bounds into an ordered-index
-  /// range scan (residual predicate applied per candidate); results come
-  /// back in insertion order — identical to a scan — unless sorted, and
-  /// `sort_by` on a single-field index streams straight off index order.
+  /// Visit the documents matching `filter`, honoring `options`, in place
+  /// and in find()'s order; return false from `fn` to stop the walk.  The
+  /// planner turns extractable `$eq`/`$in`/range bounds into an
+  /// ordered-index range scan; the filter re-runs per candidate only
+  /// when the plan is residual (a residual-free plan's candidates provably
+  /// match).  Results come in insertion order — identical to a scan —
+  /// unless sorted, and `sort_by` on a single-field index streams
+  /// straight off index order.  `fn` runs under the collection's shared
+  /// lock: it must not mutate this collection (that would deadlock), and
+  /// the reference is only valid during the call.
+  void for_each_match(const Filter& filter, const FindOptions& options,
+                      const std::function<bool(const Document&)>& fn) const;
+
+  /// Copies of the documents for_each_match() visits.
   [[nodiscard]] std::vector<Document> find(const Filter& filter,
                                            const FindOptions& options = {}) const;
 
@@ -142,7 +156,9 @@ class Collection {
   /// Create (and backfill) an ordered index on a dotted field, or a
   /// compound one via a comma-separated spec ("path_id,timestamp_ms").
   /// Idempotent.  On a journaled collection the declaration is persisted
-  /// as a meta-record so it survives reopen.
+  /// as a meta-record so it survives reopen; once the journal has closed
+  /// (see the constructor) the declaration is logged and declined, like
+  /// every other mutation, instead of building an unjournaled index.
   void create_index(std::string spec);
   void create_index(std::vector<std::string> fields);
   /// Declarations of every index, in creation order (compound specs are

@@ -105,6 +105,11 @@ Collection& Database::collection(const std::string& name) {
     if (journal_ != nullptr && journal_->is_open()) {
       // A rejected frame (pipeline stopped) is logged by the journal.
       (void)journal_->enqueue(Journal::encode_create_collection(name));
+    } else if (journal_ != nullptr && journal_->closed()) {
+      // The caller still gets its (in-memory) collection, but the
+      // database can no longer make it durable: say so.
+      util::Log::error("journal closed (failed compaction); collection " +
+                       name + " created without a create_collection frame");
     }
   }
   return *it->second;

@@ -60,7 +60,9 @@ class Database {
       const std::string& path, const DatabaseOptions& options);
 
   /// Get or create a collection.  The returned pointer is stable for the
-  /// lifetime of the Database.
+  /// lifetime of the Database.  Once a failed compact() has closed the
+  /// journal, a new collection exists in memory only, and that is logged
+  /// (its mutations are then refused, see Collection).
   Collection& collection(const std::string& name);
 
   /// Existing collection or nullptr.

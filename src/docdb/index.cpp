@@ -1,6 +1,7 @@
 #include "docdb/index.hpp"
 
 #include <algorithm>
+#include <iterator>
 
 #include "docdb/filter.hpp"
 
@@ -125,22 +126,48 @@ void OrderedIndex::expand_keys(const Document& doc, Expansion& out) const {
   }
 }
 
+bool OrderedIndex::first_column_shared(const PostingMap& map,
+                                       PostingMap::const_iterator next,
+                                       const Value& first) {
+  if (next != map.end() && compare_values(next->first.front(), first) == 0) {
+    return true;
+  }
+  return next != map.begin() &&
+         compare_values(std::prev(next)->first.front(), first) == 0;
+}
+
 void OrderedIndex::posting_insert(PostingMap& map, const IndexKey& key,
-                                  std::size_t position) {
-  std::vector<std::size_t>& positions = map[key];
+                                  std::size_t position,
+                                  std::size_t* distinct_first) {
+  auto it = map.lower_bound(key);
+  if (it == map.end() || KeyLess()(key, it->first)) {
+    if (distinct_first != nullptr &&
+        !first_column_shared(map, it, key.front())) {
+      ++*distinct_first;
+    }
+    it = map.emplace_hint(it, key, std::vector<std::size_t>{});
+  }
+  std::vector<std::size_t>& positions = it->second;
   const auto at = std::lower_bound(positions.begin(), positions.end(), position);
   if (at == positions.end() || *at != position) positions.insert(at, position);
 }
 
 bool OrderedIndex::posting_erase(PostingMap& map, const IndexKey& key,
-                                 std::size_t position) {
+                                 std::size_t position,
+                                 std::size_t* distinct_first) {
   const auto it = map.find(key);
   if (it == map.end()) return false;
   std::vector<std::size_t>& positions = it->second;
   const auto at = std::lower_bound(positions.begin(), positions.end(), position);
   if (at == positions.end() || *at != position) return false;
   positions.erase(at);
-  if (positions.empty()) map.erase(it);
+  if (positions.empty()) {
+    const auto next = map.erase(it);
+    if (distinct_first != nullptr &&
+        !first_column_shared(map, next, key.front())) {
+      --*distinct_first;
+    }
+  }
   return true;
 }
 
@@ -149,8 +176,9 @@ void OrderedIndex::add(const Document& doc, std::size_t position) {
   expand_keys(doc, keys);
   if (keys.missing_first) ++missing_docs_;
   if (keys.saw_array) multikey_ = true;
+  std::size_t* const first = single_field() ? nullptr : &distinct_first_;
   for (const IndexKey& key : keys.element_keys) {
-    posting_insert(entries_, key, position);
+    posting_insert(entries_, key, position, first);
     ++entry_count_;
   }
   for (const IndexKey& key : keys.self_keys) {
@@ -165,8 +193,9 @@ void OrderedIndex::remove(const Document& doc, std::size_t position) {
   if (keys.missing_first && missing_docs_ > 0) --missing_docs_;
   // multikey_ stays sticky: a once-multikey index keeps planning
   // conservatively, matching Mongo.
+  std::size_t* const first = single_field() ? nullptr : &distinct_first_;
   for (const IndexKey& key : keys.element_keys) {
-    if (posting_erase(entries_, key, position)) --entry_count_;
+    if (posting_erase(entries_, key, position, first)) --entry_count_;
   }
   for (const IndexKey& key : keys.self_keys) {
     if (posting_erase(array_self_, key, position)) --entry_count_;
@@ -178,6 +207,7 @@ void OrderedIndex::clear() noexcept {
   array_self_.clear();
   entry_count_ = 0;
   missing_docs_ = 0;
+  distinct_first_ = 0;
   multikey_ = false;
 }
 

@@ -72,6 +72,12 @@ class OrderedIndex {
   [[nodiscard]] std::size_t distinct_keys() const noexcept {
     return entries_.size();
   }
+  /// Distinct first-column values among those keys — the planner's
+  /// selectivity for a one-column prefix of a compound index.  Equals
+  /// distinct_keys() for a single-field index.
+  [[nodiscard]] std::size_t distinct_first() const noexcept {
+    return single_field() ? entries_.size() : distinct_first_;
+  }
   /// Total posting entries across all keys — the `upin_index_entries`
   /// figure; >= live documents for multikey indexes.
   [[nodiscard]] std::size_t entry_count() const noexcept {
@@ -145,10 +151,20 @@ class OrderedIndex {
     bool saw_array = false;      ///< any column held an array value
   };
   void expand_keys(const Document& doc, Expansion& out) const;
+  /// Insert/erase one posting.  With `distinct_first` given, keep that
+  /// count of distinct first-column values exact: a key that appears or
+  /// disappears changes it only when neither map neighbour shares the
+  /// key's first column (one lower_bound, two neighbour compares).
   static void posting_insert(PostingMap& map, const IndexKey& key,
-                             std::size_t position);
+                             std::size_t position,
+                             std::size_t* distinct_first = nullptr);
   static bool posting_erase(PostingMap& map, const IndexKey& key,
-                            std::size_t position);
+                            std::size_t position,
+                            std::size_t* distinct_first = nullptr);
+  /// Whether the key at `next` or the one before it starts with `first`.
+  static bool first_column_shared(const PostingMap& map,
+                                  PostingMap::const_iterator next,
+                                  const util::Value& first);
   /// Iterate one map's entries inside `range`; false from visit stops.
   static void scan_map(const PostingMap& map, const Range& range,
                        std::size_t columns,
@@ -162,6 +178,7 @@ class OrderedIndex {
   PostingMap array_self_;  ///< whole-array keys (single-field multikey)
   std::size_t entry_count_ = 0;
   std::size_t missing_docs_ = 0;  ///< docs missing the first column
+  std::size_t distinct_first_ = 0;  ///< compound indexes only
   bool multikey_ = false;
 };
 

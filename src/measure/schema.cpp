@@ -1,5 +1,7 @@
 #include "measure/schema.hpp"
 
+#include <array>
+#include <string_view>
 #include <utility>
 
 #include "util/strings.hpp"
@@ -143,45 +145,107 @@ Result<PathRecord> parse_path_document(const Document& doc) {
   return record;
 }
 
-Result<StatsSample> parse_stats_document(const Document& doc) {
-  StatsSample sample;
-  const Value* path_id = doc.get("path_id");
-  const Value* server_id = doc.get("server_id");
-  const Value* timestamp = doc.get("timestamp_ms");
-  const Value* hop_count = doc.get("hop_count");
-  const Value* loss = doc.get("loss_pct");
+namespace {
+
+/// The top-level fields view_stats_document() reads, picked up in one
+/// walk over the document.
+enum StatsField {
+  kPathId,
+  kServerId,
+  kTimestampMs,
+  kHopCount,
+  kLossPct,
+  kIsds,
+  kLatencyMs,
+  kJitterMs,
+  kBw,
+  kTargetMbps,
+  kStatsFieldCount
+};
+constexpr std::string_view kStatsFieldNames[kStatsFieldCount] = {
+    "path_id",    "server_id", "timestamp_ms", "hop_count", "loss_pct",
+    "isds",       "latency_ms", "jitter_ms",   "bw",        "target_mbps"};
+
+std::optional<double> optional_double(const Value* value) {
+  if (value == nullptr || !value->is_number()) return std::nullopt;
+  return value->as_double();
+}
+
+}  // namespace
+
+Result<StatsView> view_stats_document(const Document& doc) {
+  // The first entry of a name wins, as with JsonObject::find.
+  std::array<const Value*, kStatsFieldCount> field{};
+  if (doc.is_object()) {
+    for (const auto& [key, value] : doc.as_object()) {
+      for (std::size_t i = 0; i < kStatsFieldCount; ++i) {
+        if (field[i] == nullptr && key == kStatsFieldNames[i]) {
+          field[i] = &value;
+          break;
+        }
+      }
+    }
+  }
+  const Value* path_id = field[kPathId];
+  const Value* server_id = field[kServerId];
+  const Value* timestamp = field[kTimestampMs];
+  const Value* hop_count = field[kHopCount];
+  const Value* loss = field[kLossPct];
+  const Value* isds = field[kIsds];
   if (path_id == nullptr || !path_id->is_string() || server_id == nullptr ||
       !server_id->is_int() || timestamp == nullptr || !timestamp->is_int() ||
       hop_count == nullptr || !hop_count->is_int() || loss == nullptr ||
       !loss->is_number()) {
     return util::Error{ErrorCode::kParseError, "stats doc missing fields"};
   }
-  sample.path_id = path_id->as_string();
-  sample.server_id = static_cast<int>(server_id->as_int());
-  sample.timestamp = util::SimTime(timestamp->as_int() * 1'000'000);
-  sample.hop_count = static_cast<std::size_t>(hop_count->as_int());
-  sample.loss_pct = loss->as_double();
-
-  Result<std::vector<std::int64_t>> isds = read_isds(doc);
-  if (!isds.ok()) return Result<StatsSample>(isds.error());
-  sample.isds = std::move(isds).value();
-
-  const auto optional_double =
-      [&](std::string_view path) -> std::optional<double> {
-    const Value* value = doc.get_path(path);
-    if (value == nullptr || !value->is_number()) return std::nullopt;
-    return value->as_double();
-  };
-  sample.latency_ms = optional_double("latency_ms");
-  sample.jitter_ms = optional_double("jitter_ms");
-  sample.bw_up_64 = optional_double("bw.up_64");
-  sample.bw_down_64 = optional_double("bw.down_64");
-  sample.bw_up_mtu = optional_double("bw.up_mtu");
-  sample.bw_down_mtu = optional_double("bw.down_mtu");
-  if (const Value* target = doc.get("target_mbps");
-      target != nullptr && target->is_number()) {
-    sample.target_mbps = target->as_double();
+  if (isds == nullptr || !isds->is_array()) {
+    return util::Error{ErrorCode::kParseError, "document missing isds array"};
   }
+  for (const Value& isd : isds->as_array()) {
+    if (!isd.is_int()) {
+      return util::Error{ErrorCode::kParseError, "non-integer isd entry"};
+    }
+  }
+
+  StatsView view;
+  view.path_id = path_id;
+  view.isds = isds;
+  view.server_id = static_cast<int>(server_id->as_int());
+  view.timestamp_ms = timestamp->as_int();
+  view.hop_count = static_cast<std::size_t>(hop_count->as_int());
+  view.loss_pct = loss->as_double();
+  view.latency_ms = optional_double(field[kLatencyMs]);
+  view.jitter_ms = optional_double(field[kJitterMs]);
+  if (const Value* bw = field[kBw]; bw != nullptr) {
+    view.bw_up_64 = optional_double(bw->get("up_64"));
+    view.bw_down_64 = optional_double(bw->get("down_64"));
+    view.bw_up_mtu = optional_double(bw->get("up_mtu"));
+    view.bw_down_mtu = optional_double(bw->get("down_mtu"));
+  }
+  view.target_mbps = optional_double(field[kTargetMbps]).value_or(0.0);
+  return view;
+}
+
+Result<StatsSample> parse_stats_document(const Document& doc) {
+  Result<StatsView> viewed = view_stats_document(doc);
+  if (!viewed.ok()) return Result<StatsSample>(viewed.error());
+  const StatsView& view = viewed.value();
+  StatsSample sample;
+  sample.path_id = view.path_id->as_string();
+  sample.server_id = view.server_id;
+  sample.timestamp = util::SimTime(view.timestamp_ms * 1'000'000);
+  sample.hop_count = view.hop_count;
+  for (const Value& isd : view.isds->as_array()) {
+    sample.isds.push_back(isd.as_int());
+  }
+  sample.latency_ms = view.latency_ms;
+  sample.loss_pct = view.loss_pct;
+  sample.jitter_ms = view.jitter_ms;
+  sample.bw_up_64 = view.bw_up_64;
+  sample.bw_down_64 = view.bw_down_64;
+  sample.bw_up_mtu = view.bw_up_mtu;
+  sample.bw_down_mtu = view.bw_down_mtu;
+  sample.target_mbps = view.target_mbps;
   return sample;
 }
 

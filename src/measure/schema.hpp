@@ -89,7 +89,31 @@ struct PathRecord {
 [[nodiscard]] util::Result<PathRecord> parse_path_document(
     const docdb::Document& doc);
 
-/// Decoded paths_stats document.
+/// A paths_stats document read in place: its numeric fields decoded,
+/// `path_id` and `isds` left as views into the document.  Valid only as
+/// long as the document is (e.g. inside Collection::for_each_match).
+struct StatsView {
+  const util::Value* path_id = nullptr;  ///< a string
+  const util::Value* isds = nullptr;     ///< an array of ints
+  int server_id = 0;
+  std::int64_t timestamp_ms = 0;
+  std::size_t hop_count = 0;
+  double loss_pct = 0.0;
+  std::optional<double> latency_ms;
+  std::optional<double> jitter_ms;
+  std::optional<double> bw_up_64;
+  std::optional<double> bw_down_64;
+  std::optional<double> bw_up_mtu;
+  std::optional<double> bw_down_mtu;
+  double target_mbps = 0.0;
+};
+
+/// View a paths_stats document in one walk over its fields, copying
+/// nothing.  Accepts exactly the documents parse_stats_document() does.
+[[nodiscard]] util::Result<StatsView> view_stats_document(
+    const docdb::Document& doc);
+
+/// Decoded paths_stats document: view_stats_document(), then copied.
 [[nodiscard]] util::Result<StatsSample> parse_stats_document(
     const docdb::Document& doc);
 

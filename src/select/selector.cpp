@@ -11,7 +11,7 @@ namespace upin::select {
 using docdb::Document;
 using docdb::Filter;
 using measure::PathRecord;
-using measure::StatsSample;
+using measure::StatsView;
 using util::ErrorCode;
 using util::Result;
 using util::Value;
@@ -57,30 +57,25 @@ Result<PathSummary> PathSelector::summarize_path(
   std::vector<double> losses;
   std::vector<double> jitters;
   std::vector<double> bw_down_mtu, bw_up_mtu, bw_down_64, bw_up_64;
-  for (const Document& doc : stats->find(by_path.value())) {
-    Result<StatsSample> sample = measure::parse_stats_document(doc);
-    if (!sample.ok()) continue;  // tolerate foreign documents
+  const auto add = [](std::vector<double>& to, std::optional<double> value) {
+    if (value.has_value()) to.push_back(*value);
+  };
+  // Read each document in place, in find()'s order, so every mean sums
+  // the same values in the same order as a copying read would.
+  stats->for_each_match(by_path.value(), {}, [&](const Document& doc) {
+    Result<StatsView> sample = measure::view_stats_document(doc);
+    if (!sample.ok()) return true;  // tolerate foreign documents
+    const StatsView& view = sample.value();
     ++summary.samples;
-    losses.push_back(sample.value().loss_pct);
-    if (sample.value().latency_ms.has_value()) {
-      latencies.push_back(*sample.value().latency_ms);
-    }
-    if (sample.value().jitter_ms.has_value()) {
-      jitters.push_back(*sample.value().jitter_ms);
-    }
-    if (sample.value().bw_down_mtu.has_value()) {
-      bw_down_mtu.push_back(*sample.value().bw_down_mtu);
-    }
-    if (sample.value().bw_up_mtu.has_value()) {
-      bw_up_mtu.push_back(*sample.value().bw_up_mtu);
-    }
-    if (sample.value().bw_down_64.has_value()) {
-      bw_down_64.push_back(*sample.value().bw_down_64);
-    }
-    if (sample.value().bw_up_64.has_value()) {
-      bw_up_64.push_back(*sample.value().bw_up_64);
-    }
-  }
+    losses.push_back(view.loss_pct);
+    add(latencies, view.latency_ms);
+    add(jitters, view.jitter_ms);
+    add(bw_down_mtu, view.bw_down_mtu);
+    add(bw_up_mtu, view.bw_up_mtu);
+    add(bw_down_64, view.bw_down_64);
+    add(bw_up_64, view.bw_up_64);
+    return true;
+  });
 
   summary.latency_samples = latencies.size();
   if (!latencies.empty()) summary.latency_ms = util::box_stats(latencies);

@@ -448,6 +448,98 @@ TEST(QueryPlanner, CompoundIndexConsumesPrefixAndWindow) {
   }
 }
 
+TEST(QueryPlanner, WindowedPerPathQueryUsesCompoundIndexBesideSingleFields) {
+  // measure::TestSuite's real paths_stats index set on a select-mix-shaped
+  // population: 21 destinations x 13 paths x 40 samples.  A one-column
+  // prefix of the compound index used to be costed as entries /
+  // distinct_keys^(1/2) = sqrt(10920) / 2 = 52 for the window, which lost
+  // to the single-field path_id estimate of 40: the windowed query ran as
+  // a point scan over all 40 samples with a residual timestamp check.
+  // The prefix now costs entries / distinct_first = 10920 / 273 / 2 = 20.
+  Collection coll("paths_stats");
+  coll.create_index("path_id");
+  coll.create_index("server_id");
+  coll.create_index("path_id,timestamp_ms");
+  for (int t = 0; t < 40; ++t) {
+    for (int server = 1; server <= 21; ++server) {
+      for (int path = 0; path < 13; ++path) {
+        const std::string path_id = util::format("%d_%d", server, path);
+        ASSERT_TRUE(coll.insert_one(Value::object({{"path_id", path_id},
+                                                   {"server_id", server},
+                                                   {"timestamp_ms", t * 1000}}))
+                        .ok());
+      }
+    }
+  }
+  const char* windowed =
+      R"({"path_id": "3_2", "timestamp_ms": {"$gte": 36000}})";
+  const Value plan = coll.explain(filter(windowed));
+  EXPECT_EQ(plan.get("plan")->as_string(), "index_range");
+  EXPECT_EQ(plan.get("index")->as_string(), "path_id,timestamp_ms");
+  EXPECT_FALSE(plan.get("residual")->as_bool());
+  EXPECT_DOUBLE_EQ(plan.get("estimated_candidates")->as_double(), 20.0);
+  EXPECT_EQ(coll.find(filter(windowed)).size(), 4u);
+
+  // The full-history query ties at 40 and keeps the first-declared
+  // single-field index.
+  const Value full = coll.explain(filter(R"({"path_id": "3_2"})"));
+  EXPECT_EQ(full.get("plan")->as_string(), "index_point");
+  EXPECT_EQ(full.get("index")->as_string(), "path_id");
+  EXPECT_DOUBLE_EQ(full.get("estimated_candidates")->as_double(), 40.0);
+}
+
+TEST(Collection, ForEachMatchVisitsInPlaceInFindOrder) {
+  Collection coll("c");
+  coll.create_index("k");
+  for (int i = 0; i < 10; ++i) {
+    ASSERT_TRUE(coll.insert_one(Value::object({{"k", i % 3}, {"i", i}})).ok());
+  }
+  FindOptions options;
+  options.sort_by = "i";
+  options.descending = true;
+  options.skip = 1;
+  const Filter by_k = filter(R"({"k": {"$in": [0, 2]}})");
+  const std::vector<Document> found = coll.find(by_k, options);
+  std::vector<const Document*> visited;
+  coll.for_each_match(by_k, options, [&](const Document& d) {
+    visited.push_back(&d);
+    return true;
+  });
+  ASSERT_EQ(visited.size(), found.size());
+  for (std::size_t i = 0; i < found.size(); ++i) {
+    EXPECT_EQ(*visited[i], found[i]);
+  }
+  // In place: a second walk hands over the very same documents.
+  std::size_t at = 0;
+  coll.for_each_match(by_k, options, [&](const Document& d) {
+    EXPECT_EQ(&d, visited[at++]);
+    return true;
+  });
+  EXPECT_EQ(at, visited.size());
+}
+
+TEST(Collection, ForEachMatchStopsWhenTheVisitorSaysSo) {
+  Collection coll("c");
+  for (int i = 0; i < 10; ++i) {
+    ASSERT_TRUE(coll.insert_one(Value::object({{"i", i}})).ok());
+  }
+  std::vector<std::int64_t> seen;
+  coll.for_each_match(Filter::match_all(), {}, [&](const Document& d) {
+    seen.push_back(d.get("i")->as_int());
+    return seen.size() < 3;
+  });
+  EXPECT_EQ(seen, (std::vector<std::int64_t>{0, 1, 2}));
+
+  FindOptions none;
+  none.limit = 0;
+  bool called = false;
+  coll.for_each_match(Filter::match_all(), none, [&](const Document&) {
+    called = true;
+    return true;
+  });
+  EXPECT_FALSE(called);
+}
+
 TEST(QueryPlanner, InFansOutToPointRanges) {
   Collection coll("stats");
   coll.create_index("server_id");

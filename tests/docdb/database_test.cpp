@@ -13,6 +13,7 @@
 #include "docdb/vfs.hpp"
 #include "obs/metrics.hpp"
 #include "util/crc32.hpp"
+#include "util/log.hpp"
 #include "util/strings.hpp"
 
 namespace upin::docdb {
@@ -521,6 +522,56 @@ TEST_F(DurableDatabaseTest, MutationsAfterFailedCompactionAreRefused) {
   EXPECT_EQ(coll.size(), 1u);
   EXPECT_FALSE(coll.find_by_id("phantom").ok());
   EXPECT_EQ(coll.find_by_id("kept").value(), doc(R"({"_id": "kept", "v": 1})"));
+}
+
+TEST_F(DurableDatabaseTest, DeclarationsAfterFailedCompactionAreDeclined) {
+  // The same closed journal: create_index must not build an index that
+  // no journal frame declares, and a collection created now has no
+  // create_collection frame — both are logged.
+  FaultVfsConfig faults;
+  faults.fail_rename_at = 1;
+  FaultVfs fs(faults);
+  DatabaseOptions options;
+  options.vfs = &fs;
+  struct ErrorCapture {
+    ErrorCapture() {
+      util::Log::set_sink([this](util::LogLevel level, std::string_view text) {
+        if (level == util::LogLevel::kError) messages.emplace_back(text);
+      });
+    }
+    ~ErrorCapture() { util::Log::set_sink(nullptr); }
+    std::vector<std::string> messages;
+  };
+  {
+    ErrorCapture capture;
+    std::vector<std::string>& errors = capture.messages;
+    auto db = Database::open(path_, options);
+    ASSERT_TRUE(db.ok());
+    Collection& coll = db.value()->collection("c");
+    ASSERT_TRUE(coll.insert_one(doc(R"({"_id": "kept", "v": 1})")).ok());
+    ASSERT_FALSE(db.value()->compact().ok());
+    errors.clear();
+
+    coll.create_index("v");
+    EXPECT_TRUE(coll.indexed_fields().empty());
+    ASSERT_EQ(errors.size(), 1u);
+    EXPECT_NE(errors[0].find("journal closed"), std::string::npos) << errors[0];
+
+    Collection& late = db.value()->collection("late");
+    EXPECT_TRUE(late.empty());
+    ASSERT_EQ(errors.size(), 2u);
+    EXPECT_NE(errors[1].find("late"), std::string::npos) << errors[1];
+    EXPECT_NE(errors[1].find("create_collection"), std::string::npos)
+        << errors[1];
+    // Asking again finds the collection: nothing new to report.
+    (void)db.value()->collection("late");
+    EXPECT_EQ(errors.size(), 2u);
+  }
+  std::filesystem::remove(path_ + ".tmp");
+  auto reopened = Database::open(path_);
+  ASSERT_TRUE(reopened.ok());
+  EXPECT_TRUE(reopened.value()->collection("c").indexed_fields().empty());
+  EXPECT_EQ(reopened.value()->find_collection("late"), nullptr);
 }
 
 TEST(Database, CompactOnInMemoryIsNoop) {

@@ -4,7 +4,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <filesystem>
+#include <set>
+#include <string>
 #include <vector>
+
+#include "docdb/collection.hpp"
+#include "docdb/database.hpp"
+#include "util/rng.hpp"
 
 namespace upin::docdb {
 namespace {
@@ -243,6 +250,166 @@ TEST(OrderedIndex, ClearEmptiesEverything) {
   EXPECT_EQ(index.distinct_keys(), 0u);
   EXPECT_EQ(index.entry_count(), 0u);
   EXPECT_FALSE(index.has_missing());
+}
+
+// ------------------------------------------------------ distinct_first()
+
+/// Distinct first-column values among the index's keys, counted from a
+/// full in-order walk: equal first columns are adjacent in key order.
+std::size_t walked_distinct_first(const OrderedIndex& index) {
+  std::size_t count = 0;
+  const Value* previous = nullptr;
+  index.scan(OrderedIndex::Range{}, false,
+             [&](const IndexKey& key, const std::vector<std::size_t>&) {
+               if (previous == nullptr ||
+                   compare_values(*previous, key.front()) != 0) {
+                 ++count;
+               }
+               previous = &key.front();
+               return true;
+             });
+  return count;
+}
+
+TEST(OrderedIndex, DistinctFirstCountsFirstColumnValues) {
+  OrderedIndex index("a,b");
+  const Document a1b1 = doc(R"({"a": 1, "b": 1})");
+  const Document a1b2 = doc(R"({"a": 1, "b": 2})");
+  const Document a2b1 = doc(R"({"a": 2.0, "b": 1})");
+  index.add(a1b1, 0);
+  index.add(a1b2, 1);
+  index.add(a2b1, 2);
+  index.add(doc(R"({"a": 2, "b": 7})"), 3);  // 2 and 2.0 are one value
+  EXPECT_EQ(index.distinct_keys(), 4u);
+  EXPECT_EQ(index.distinct_first(), 2u);
+  index.remove(a1b1, 0);
+  EXPECT_EQ(index.distinct_first(), 2u);  // a = 1 still has (1, 2)
+  index.remove(a1b2, 1);
+  EXPECT_EQ(index.distinct_first(), 1u);
+  index.clear();
+  EXPECT_EQ(index.distinct_first(), 0u);
+
+  OrderedIndex single("a");
+  single.add(a1b1, 0);
+  single.add(a1b2, 1);
+  single.add(a2b1, 2);
+  EXPECT_EQ(single.distinct_first(), single.distinct_keys());
+  EXPECT_EQ(single.distinct_first(), 2u);
+}
+
+TEST(OrderedIndex, DistinctFirstStaysExactUnderRandomChurn) {
+  // Arrays (multikey cartesian keys), missing fields (null folds) and
+  // int/double collisions, added and removed at random.
+  util::Rng rng(17);
+  const auto random_value = [&rng]() -> Value {
+    switch (rng.uniform_int(0, 4)) {
+      case 0: return Value();
+      case 1: return Value(rng.uniform_int(0, 5));
+      case 2: return Value(static_cast<double>(rng.uniform_int(0, 10)) / 2.0);
+      case 3: return Value::array({Value(rng.uniform_int(0, 5)),
+                                   Value(rng.uniform_int(0, 5))});
+      default: return Value("s" + std::to_string(rng.uniform_int(0, 3)));
+    }
+  };
+  for (const char* spec : {"a,b", "a,b,c"}) {
+    OrderedIndex index(spec);
+    std::vector<std::pair<Document, std::size_t>> live;
+    std::size_t next_position = 0;
+    for (int step = 0; step < 600; ++step) {
+      if (!live.empty() && rng.bernoulli(0.4)) {
+        const auto victim = static_cast<std::size_t>(
+            rng.uniform_int(0, static_cast<std::int64_t>(live.size()) - 1));
+        index.remove(live[victim].first, live[victim].second);
+        live.erase(live.begin() + static_cast<std::ptrdiff_t>(victim));
+      } else {
+        util::JsonObject d;
+        for (const char* field : {"a", "b", "c"}) {
+          if (!rng.bernoulli(0.1)) d.set(field, random_value());
+        }
+        live.emplace_back(Value(std::move(d)), next_position);
+        index.add(live.back().first, next_position++);
+      }
+      ASSERT_EQ(index.distinct_first(), walked_distinct_first(index))
+          << spec << " step " << step;
+    }
+  }
+}
+
+/// Brute-force distinct `a` values among a collection's documents.
+std::size_t documents_distinct_a(const Collection& coll) {
+  std::set<std::int64_t> values;
+  coll.for_each(
+      [&](const Document& d) { values.insert(d.get("a")->as_int()); });
+  return values.size();
+}
+
+/// The collection's "a,b" index's distinct_first(), as the planner sees
+/// it: a one-column prefix is estimated at entries / distinct_first.
+double planned_candidates_for_a(const Collection& coll) {
+  const Filter by_a =
+      Filter::compile(Value::parse(R"({"a": 0})").value()).value();
+  return coll.explain(by_a).get("estimated_candidates")->as_double();
+}
+
+void expect_distinct_first_exact(const Collection& coll) {
+  EXPECT_DOUBLE_EQ(planned_candidates_for_a(coll),
+                   static_cast<double>(coll.size()) /
+                       static_cast<double>(documents_distinct_a(coll)));
+}
+
+TEST(OrderedIndex, DistinctFirstFollowsUpdateRekeying) {
+  Collection coll("c");
+  coll.create_index("a,b");
+  for (int i = 0; i < 24; ++i) {
+    ASSERT_TRUE(coll.insert_one(Value::object({{"a", i % 6}, {"b", i}})).ok());
+  }
+  expect_distinct_first_exact(coll);  // 24 / 6
+  const auto merged = coll.update_many(
+      Filter::compile(Value::parse(R"({"a": {"$gte": 3}})").value()).value(),
+      Value::parse(R"({"$set": {"a": 0}})").value());
+  ASSERT_TRUE(merged.ok());
+  EXPECT_EQ(merged.value(), 12u);
+  expect_distinct_first_exact(coll);  // 24 / 3
+  const auto split = coll.update_many(
+      Filter::compile(Value::parse(R"({"b": {"$lt": 4}})").value()).value(),
+      Value::parse(R"({"$inc": {"a": 100}})").value());
+  ASSERT_TRUE(split.ok());
+  expect_distinct_first_exact(coll);
+}
+
+TEST(OrderedIndex, DistinctFirstSurvivesReopenAndCompact) {
+  const std::string path = (std::filesystem::temp_directory_path() /
+                            "index_test_distinct_first.jsonl")
+                               .string();
+  std::filesystem::remove(path);
+  double before = 0.0;
+  {
+    auto db = Database::open(path);
+    ASSERT_TRUE(db.ok());
+    Collection& coll = db.value()->collection("c");
+    coll.create_index("a,b");
+    for (int i = 0; i < 30; ++i) {
+      ASSERT_TRUE(
+          coll.insert_one(Value::object({{"a", i % 7}, {"b", i}})).ok());
+    }
+    ASSERT_TRUE(coll.delete_many(Filter::compile(
+                                     Value::parse(R"({"a": 6})").value())
+                                     .value())
+                    .ok());
+    expect_distinct_first_exact(coll);  // 26 / 6
+    before = planned_candidates_for_a(coll);
+    ASSERT_TRUE(db.value()->compact().ok());
+    expect_distinct_first_exact(coll);
+  }
+  {
+    auto reopened = Database::open(path);
+    ASSERT_TRUE(reopened.ok());
+    const Collection* coll = reopened.value()->find_collection("c");
+    ASSERT_NE(coll, nullptr);
+    expect_distinct_first_exact(*coll);
+    EXPECT_DOUBLE_EQ(planned_candidates_for_a(*coll), before);
+  }
+  std::filesystem::remove(path);
 }
 
 }  // namespace

@@ -3,6 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <functional>
+
 namespace upin::measure {
 namespace {
 
@@ -136,6 +139,187 @@ TEST(Schema, ParseStatsDocumentRejectsMalformed) {
   docdb::Document missing = stats_document(full_sample());
   missing.as_object().erase("path_id");
   EXPECT_FALSE(parse_stats_document(missing).ok());
+}
+
+// ------------------------------------------- in-place reader vs the copy
+
+/// The copying decoder as it was before view_stats_document(): the
+/// reference the in-place reader must agree with.
+util::Result<StatsSample> reference_parse_stats(const docdb::Document& doc) {
+  using util::ErrorCode;
+  using util::Value;
+  StatsSample sample;
+  const Value* path_id = doc.get("path_id");
+  const Value* server_id = doc.get("server_id");
+  const Value* timestamp = doc.get("timestamp_ms");
+  const Value* hop_count = doc.get("hop_count");
+  const Value* loss = doc.get("loss_pct");
+  if (path_id == nullptr || !path_id->is_string() || server_id == nullptr ||
+      !server_id->is_int() || timestamp == nullptr || !timestamp->is_int() ||
+      hop_count == nullptr || !hop_count->is_int() || loss == nullptr ||
+      !loss->is_number()) {
+    return util::Error{ErrorCode::kParseError, "stats doc missing fields"};
+  }
+  sample.path_id = path_id->as_string();
+  sample.server_id = static_cast<int>(server_id->as_int());
+  sample.timestamp = util::SimTime(timestamp->as_int() * 1'000'000);
+  sample.hop_count = static_cast<std::size_t>(hop_count->as_int());
+  sample.loss_pct = loss->as_double();
+  const Value* isds = doc.get("isds");
+  if (isds == nullptr || !isds->is_array()) {
+    return util::Error{ErrorCode::kParseError, "document missing isds array"};
+  }
+  for (const Value& isd : isds->as_array()) {
+    if (!isd.is_int()) {
+      return util::Error{ErrorCode::kParseError, "non-integer isd entry"};
+    }
+    sample.isds.push_back(isd.as_int());
+  }
+  const auto optional_double =
+      [&](std::string_view path) -> std::optional<double> {
+    const Value* value = doc.get_path(path);
+    if (value == nullptr || !value->is_number()) return std::nullopt;
+    return value->as_double();
+  };
+  sample.latency_ms = optional_double("latency_ms");
+  sample.jitter_ms = optional_double("jitter_ms");
+  sample.bw_up_64 = optional_double("bw.up_64");
+  sample.bw_down_64 = optional_double("bw.down_64");
+  sample.bw_up_mtu = optional_double("bw.up_mtu");
+  sample.bw_down_mtu = optional_double("bw.down_mtu");
+  if (const Value* target = doc.get("target_mbps");
+      target != nullptr && target->is_number()) {
+    sample.target_mbps = target->as_double();
+  }
+  return sample;
+}
+
+/// Bitwise equality, so -0.0 vs 0.0 or a differently rounded value shows.
+bool same_bits(double a, double b) {
+  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+}
+bool same_bits(const std::optional<double>& a, const std::optional<double>& b) {
+  return a.has_value() == b.has_value() &&
+         (!a.has_value() || same_bits(*a, *b));
+}
+
+/// view_stats_document, parse_stats_document and the reference accept
+/// and reject the same document; accepted, every field agrees bit for bit.
+void expect_readers_agree(const docdb::Document& doc,
+                          const std::string& label) {
+  SCOPED_TRACE(label + ": " + doc.dump());
+  const auto reference = reference_parse_stats(doc);
+  const auto view = view_stats_document(doc);
+  const auto parsed = parse_stats_document(doc);
+  ASSERT_EQ(view.ok(), reference.ok());
+  ASSERT_EQ(parsed.ok(), reference.ok());
+  if (!reference.ok()) {
+    EXPECT_EQ(view.error().code, reference.error().code);
+    EXPECT_EQ(view.error().message, reference.error().message);
+    return;
+  }
+  const StatsSample& want = reference.value();
+  const StatsView& v = view.value();
+  EXPECT_EQ(v.path_id->as_string(), want.path_id);
+  EXPECT_EQ(v.path_id, doc.get("path_id"));  // a view, not a copy
+  EXPECT_EQ(v.isds, doc.get("isds"));
+  EXPECT_EQ(v.server_id, want.server_id);
+  EXPECT_EQ(util::SimTime(v.timestamp_ms * 1'000'000), want.timestamp);
+  EXPECT_EQ(v.hop_count, want.hop_count);
+  EXPECT_TRUE(same_bits(v.loss_pct, want.loss_pct));
+  EXPECT_TRUE(same_bits(v.latency_ms, want.latency_ms));
+  EXPECT_TRUE(same_bits(v.jitter_ms, want.jitter_ms));
+  EXPECT_TRUE(same_bits(v.bw_up_64, want.bw_up_64));
+  EXPECT_TRUE(same_bits(v.bw_down_64, want.bw_down_64));
+  EXPECT_TRUE(same_bits(v.bw_up_mtu, want.bw_up_mtu));
+  EXPECT_TRUE(same_bits(v.bw_down_mtu, want.bw_down_mtu));
+  EXPECT_TRUE(same_bits(v.target_mbps, want.target_mbps));
+
+  const StatsSample& got = parsed.value();
+  EXPECT_EQ(got.path_id, want.path_id);
+  EXPECT_EQ(got.server_id, want.server_id);
+  EXPECT_EQ(got.timestamp, want.timestamp);
+  EXPECT_EQ(got.hop_count, want.hop_count);
+  EXPECT_EQ(got.isds, want.isds);
+  EXPECT_TRUE(same_bits(got.loss_pct, want.loss_pct));
+  EXPECT_TRUE(same_bits(got.latency_ms, want.latency_ms));
+  EXPECT_TRUE(same_bits(got.jitter_ms, want.jitter_ms));
+  EXPECT_TRUE(same_bits(got.bw_up_64, want.bw_up_64));
+  EXPECT_TRUE(same_bits(got.bw_down_64, want.bw_down_64));
+  EXPECT_TRUE(same_bits(got.bw_up_mtu, want.bw_up_mtu));
+  EXPECT_TRUE(same_bits(got.bw_down_mtu, want.bw_down_mtu));
+  EXPECT_TRUE(same_bits(got.target_mbps, want.target_mbps));
+}
+
+TEST(Schema, InPlaceReaderMatchesTheCopyingReference) {
+  using util::Value;
+  const docdb::Document full = stats_document(full_sample());
+  StatsSample sparse = full_sample();
+  sparse.latency_ms.reset();
+  sparse.jitter_ms.reset();
+  sparse.bw_up_64.reset();
+  sparse.bw_down_mtu.reset();
+  sparse.loss_pct = -0.0;
+  const std::vector<std::pair<std::string, docdb::Document>> bases = {
+      {"full", full}, {"sparse", stats_document(sparse)}};
+
+  // Mutations of a well-formed document: name + edit.
+  using Fields = util::JsonObject;
+  using Edit = std::function<void(Fields&)>;
+  std::vector<std::pair<std::string, Edit>> edits = {
+      {"as built", [](util::JsonObject&) {}},
+      {"int loss_pct", [](Fields& d) { d.set("loss_pct", Value(2)); }},
+      {"bw not an object", [](Fields& d) { d.set("bw", Value(5.0)); }},
+      {"bw an array",
+       [](Fields& d) { d.set("bw", Value::array({Value(1.0)})); }},
+      {"bw field mistyped",
+       [](Fields& d) {
+         d.set("bw", Value::object({{"up_64", Value("fast")},
+                                    {"down_mtu", Value(7)}}));
+       }},
+      {"non-int isd entry",
+       [](Fields& d) {
+         d.set("isds", Value::array({Value(16), Value(17.5)}));
+       }},
+      {"isds not an array", [](Fields& d) { d.set("isds", Value(16)); }},
+      {"empty isds", [](Fields& d) { d.set("isds", Value::array({})); }},
+      {"latency mistyped",
+       [](Fields& d) { d.set("latency_ms", Value("slow")); }},
+      {"int latency", [](Fields& d) { d.set("latency_ms", Value(40)); }},
+      {"target mistyped",
+       [](Fields& d) { d.set("target_mbps", Value(true)); }},
+      {"foreign extra fields",
+       [](Fields& d) {
+         d.set("note", Value("imported"));
+         d.set("bw.up_64", Value(99.0));  // a literal dotted key
+         d.set("latency", Value(1.0));
+       }},
+  };
+  for (const char* field :
+       {"path_id", "server_id", "timestamp_ms", "hop_count", "loss_pct", "isds",
+        "latency_ms", "jitter_ms", "bw", "target_mbps", "_id"}) {
+    edits.emplace_back(std::string("without ") + field,
+                       [field](Fields& d) { d.erase(field); });
+    edits.emplace_back(std::string("null ") + field,
+                       [field](Fields& d) { d.set(field, Value()); });
+    edits.emplace_back(std::string("string ") + field,
+                       [field](Fields& d) { d.set(field, Value("x")); });
+    edits.emplace_back(std::string("double ") + field,
+                       [field](Fields& d) { d.set(field, Value(3.5)); });
+  }
+
+  for (const auto& [base_name, base] : bases) {
+    for (const auto& [edit_name, edit] : edits) {
+      docdb::Document doc = base;
+      edit(doc.as_object());
+      expect_readers_agree(doc, base_name + " / " + edit_name);
+    }
+  }
+  // The existing malformed cases and non-object documents.
+  expect_readers_agree(Value(), "null document");
+  expect_readers_agree(Value::array({full}), "array document");
+  expect_readers_agree(Value("stats"), "string document");
+  expect_readers_agree(Value::object({}), "empty object");
 }
 
 TEST(Schema, CollectionNamesMatchPaperFig3) {

@@ -125,6 +125,9 @@ TEST_P(QueryPlanProperty, PlannedAndScannedExecutionAgree) {
     ASSERT_TRUE(coll.update_many(to_update.value(), Value(std::move(update))).ok());
   }
 
+  // Visitor stop points draw from their own stream, so the documents,
+  // indexes and queries above stay those of the scan-only property.
+  Rng stop_rng(GetParam() + 1000);
   for (int q = 0; q < 25; ++q) {
     const Value query = random_query(rng);
     const auto compiled = Filter::compile(query);
@@ -153,6 +156,33 @@ TEST_P(QueryPlanProperty, PlannedAndScannedExecutionAgree) {
     ASSERT_EQ(planned.size(), scanned.size()) << context;
     for (std::size_t i = 0; i < planned.size(); ++i) {
       ASSERT_EQ(planned[i], scanned[i]) << context << " position " << i;
+    }
+
+    // The visitor walks exactly find()'s documents, in find()'s order —
+    // the collection's own, not copies — and a residual-free plan, which
+    // skips the per-candidate filter, still agrees with the forced scan.
+    std::vector<const docdb::Document*> visited;
+    coll.for_each_match(filter, options, [&](const docdb::Document& d) {
+      visited.push_back(&d);
+      return true;
+    });
+    ASSERT_EQ(visited.size(), scanned.size()) << context;
+    for (std::size_t i = 0; i < visited.size(); ++i) {
+      ASSERT_EQ(*visited[i], scanned[i]) << context << " visit " << i;
+    }
+    // Stopping after k documents sees exactly the first k.
+    if (!visited.empty()) {
+      const auto k = static_cast<std::size_t>(stop_rng.uniform_int(
+          1, static_cast<std::int64_t>(visited.size())));
+      std::vector<const docdb::Document*> stopped;
+      coll.for_each_match(filter, options, [&](const docdb::Document& d) {
+        stopped.push_back(&d);
+        return stopped.size() < k;
+      });
+      ASSERT_EQ(stopped.size(), k) << context;
+      for (std::size_t i = 0; i < k; ++i) {
+        ASSERT_EQ(stopped[i], visited[i]) << context << " stop " << i;
+      }
     }
 
     // count() agrees with an unlimited forced scan.
@@ -188,6 +218,102 @@ TEST_P(QueryPlanProperty, PlannedAndScannedExecutionAgree) {
           << context << " distinct " << field << " position " << i;
     }
   }
+}
+
+TEST_P(QueryPlanProperty, ResidualFreePlansSkipTheFilterAndStillAgree) {
+  // Residual-free plans are rare above (arrays, missing fields and extra
+  // clauses keep the filter), so this population is built to produce
+  // them: scalar fields only, every field present, every field indexed,
+  // queries the indexes consume whole.  for_each_match() then never runs
+  // the filter, and must still visit exactly the forced scan's documents.
+  Rng rng(GetParam());
+  Collection coll("stats");
+  for (const char* spec : {"a", "b", "c", "a,b"}) coll.create_index(spec);
+  const auto random_doc = [&rng] {
+    util::JsonObject d;
+    for (const char* field : kFields) d.set(field, random_scalar(rng));
+    return Value(std::move(d));
+  };
+  const std::int64_t docs = rng.uniform_int(60, 180);
+  for (std::int64_t i = 0; i < docs; ++i) {
+    ASSERT_TRUE(coll.insert_one(random_doc()).ok());
+  }
+  util::JsonObject rekey;
+  rekey.set("a", random_scalar(rng));
+  const Value set_a = Value::object({{"$set", Value(std::move(rekey))}});
+  ASSERT_TRUE(coll.update_many(Filter::compile(Value::object(
+                                   {{"b", random_scalar(rng)}}))
+                                   .value(),
+                               set_a)
+                  .ok());
+  ASSERT_TRUE(coll.delete_many(Filter::compile(Value::object(
+                                   {{"c", random_scalar(rng)}}))
+                                   .value())
+                  .ok());
+
+  std::size_t residual_free = 0;
+  for (int q = 0; q < 25; ++q) {
+    util::JsonObject query;
+    const std::string field =
+        rng.bernoulli(0.3) ? "a" : kFields[rng.uniform_int(0, 2)];
+    util::JsonObject block;
+    switch (rng.uniform_int(0, 3)) {
+      case 0: query.set(field, random_scalar(rng)); break;
+      case 1: {
+        Value::Array in;
+        for (std::int64_t j = rng.uniform_int(1, 3); j > 0; --j) {
+          in.push_back(random_scalar(rng));
+        }
+        block.set("$in", Value(std::move(in)));
+        break;
+      }
+      default:
+        block.set(rng.bernoulli(0.5) ? "$gt" : "$gte", random_scalar(rng));
+        if (rng.bernoulli(0.5)) {
+          block.set(rng.bernoulli(0.5) ? "$lt" : "$lte", random_scalar(rng));
+        }
+        break;
+    }
+    if (!block.empty()) query.set(field, Value(std::move(block)));
+    if (field == "a" && rng.bernoulli(0.5)) {  // the compound shape
+      query.set("b", Value::object({{"$gte", random_scalar(rng)}}));
+    }
+    const Value query_value(std::move(query));
+    const auto compiled = Filter::compile(query_value);
+    ASSERT_TRUE(compiled.ok()) << query_value.dump();
+
+    FindOptions options;
+    if (rng.bernoulli(0.5)) {
+      options.sort_by = kFields[rng.uniform_int(0, 2)];
+      options.descending = rng.bernoulli(0.5);
+    }
+    if (rng.bernoulli(0.3)) {
+      options.skip = static_cast<std::size_t>(rng.uniform_int(0, 5));
+    }
+    if (rng.bernoulli(0.3)) {
+      options.limit = static_cast<std::size_t>(rng.uniform_int(0, 20));
+    }
+    FindOptions forced = options;
+    forced.force_scan = true;
+
+    const Value plan = coll.explain(compiled.value(), options);
+    if (!plan.get("residual")->as_bool()) ++residual_free;
+    const std::string context = query_value.dump() + " [" +
+                                options_label(options) +
+                                "] plan=" + plan.dump();
+    const auto scanned = coll.find(compiled.value(), forced);
+    std::vector<docdb::Document> visited;
+    coll.for_each_match(compiled.value(), options,
+                        [&](const docdb::Document& d) {
+                          visited.push_back(d);
+                          return true;
+                        });
+    ASSERT_EQ(visited.size(), scanned.size()) << context;
+    for (std::size_t i = 0; i < visited.size(); ++i) {
+      ASSERT_EQ(visited[i], scanned[i]) << context << " position " << i;
+    }
+  }
+  EXPECT_GE(residual_free, 10u) << "population no longer exercises the skip";
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, QueryPlanProperty,

@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+
 #include "measure/schema.hpp"
 #include "measure/testsuite.hpp"
 
@@ -366,6 +368,192 @@ TEST(RequestDescribe, MentionsAllConstraints) {
   EXPECT_NE(text.find("50.0ms"), std::string::npos);
   EXPECT_NE(text.find("US,SG"), std::string::npos);
   EXPECT_NE(text.find("ISD 19"), std::string::npos);
+}
+
+// --------------------------------------- in-place summaries vs the copies
+
+/// summarize() as it was before the in-place read path: find() copies of
+/// the path's paths_stats documents, each decoded by parse_stats_document.
+std::vector<PathSummary> reference_summaries(
+    const docdb::Database& db, int server_id,
+    std::optional<std::int64_t> since_ms) {
+  using util::Value;
+  docdb::FindOptions in_order;
+  in_order.sort_by = "path_index";
+  const auto by_server = docdb::Filter::compile(
+      Value::object({{"server_id", Value(server_id)}}));
+  std::vector<PathSummary> out;
+  for (const docdb::Document& path_doc :
+       db.find_collection(measure::kPaths)->find(by_server.value(), in_order)) {
+    const measure::PathRecord record =
+        measure::parse_path_document(path_doc).value();
+    PathSummary summary;
+    summary.path_id = record.id;
+    summary.server_id = record.server_id;
+    summary.sequence = record.sequence;
+    summary.hop_count = record.hop_count;
+    summary.isds = record.isds;
+    summary.mtu = record.mtu;
+    if (auto parsed = scion::Path::parse_sequence(record.sequence);
+        parsed.ok()) {
+      for (const scion::PathHop& hop : parsed.value().hops()) {
+        summary.hops.push_back(hop.ia);
+      }
+    }
+    util::JsonObject query;
+    query.set("path_id", Value(summary.path_id));
+    if (since_ms.has_value()) {
+      query.set("timestamp_ms", Value::object({{"$gte", Value(*since_ms)}}));
+    }
+    std::vector<double> latencies, losses, jitters;
+    std::vector<double> bw_down_mtu, bw_up_mtu, bw_down_64, bw_up_64;
+    const auto add = [](std::vector<double>& to, std::optional<double> value) {
+      if (value.has_value()) to.push_back(*value);
+    };
+    for (const docdb::Document& doc :
+         db.find_collection(measure::kPathsStats)
+             ->find(docdb::Filter::compile(Value(std::move(query))).value())) {
+      const auto sample = measure::parse_stats_document(doc);
+      if (!sample.ok()) continue;
+      ++summary.samples;
+      losses.push_back(sample.value().loss_pct);
+      add(latencies, sample.value().latency_ms);
+      add(jitters, sample.value().jitter_ms);
+      add(bw_down_mtu, sample.value().bw_down_mtu);
+      add(bw_up_mtu, sample.value().bw_up_mtu);
+      add(bw_down_64, sample.value().bw_down_64);
+      add(bw_up_64, sample.value().bw_up_64);
+    }
+    summary.latency_samples = latencies.size();
+    if (!latencies.empty()) summary.latency_ms = util::box_stats(latencies);
+    if (!losses.empty()) summary.mean_loss_pct = util::mean(losses);
+    if (!jitters.empty()) summary.mean_jitter_ms = util::mean(jitters);
+    const auto mean_of = [](const std::vector<double>& values) {
+      return values.empty() ? std::nullopt
+                            : std::optional<double>(util::mean(values));
+    };
+    summary.mean_bw_down_mtu = mean_of(bw_down_mtu);
+    summary.mean_bw_up_mtu = mean_of(bw_up_mtu);
+    summary.mean_bw_down_64 = mean_of(bw_down_64);
+    summary.mean_bw_up_64 = mean_of(bw_up_64);
+    out.push_back(std::move(summary));
+  }
+  return out;
+}
+
+std::uint64_t bits(double value) { return std::bit_cast<std::uint64_t>(value); }
+
+void expect_same_bits(const std::optional<double>& a,
+                      const std::optional<double>& b, const char* what) {
+  ASSERT_EQ(a.has_value(), b.has_value()) << what;
+  if (a.has_value()) {
+    EXPECT_EQ(bits(*a), bits(*b)) << what;
+  }
+}
+
+void expect_same_summary(const PathSummary& got, const PathSummary& want) {
+  SCOPED_TRACE(want.path_id);
+  EXPECT_EQ(got.path_id, want.path_id);
+  EXPECT_EQ(got.server_id, want.server_id);
+  EXPECT_EQ(got.sequence, want.sequence);
+  EXPECT_EQ(got.hops, want.hops);
+  EXPECT_EQ(got.hop_count, want.hop_count);
+  EXPECT_EQ(got.isds, want.isds);
+  EXPECT_EQ(bits(got.mtu), bits(want.mtu));
+  EXPECT_EQ(got.samples, want.samples);
+  EXPECT_EQ(got.latency_samples, want.latency_samples);
+  EXPECT_EQ(bits(got.mean_loss_pct), bits(want.mean_loss_pct));
+  expect_same_bits(got.mean_jitter_ms, want.mean_jitter_ms, "jitter");
+  expect_same_bits(got.mean_bw_down_mtu, want.mean_bw_down_mtu, "down_mtu");
+  expect_same_bits(got.mean_bw_up_mtu, want.mean_bw_up_mtu, "up_mtu");
+  expect_same_bits(got.mean_bw_down_64, want.mean_bw_down_64, "down_64");
+  expect_same_bits(got.mean_bw_up_64, want.mean_bw_up_64, "up_64");
+  ASSERT_EQ(got.latency_ms.has_value(), want.latency_ms.has_value());
+  if (!want.latency_ms.has_value()) return;
+  const util::BoxStats& g = *got.latency_ms;
+  const util::BoxStats& w = *want.latency_ms;
+  EXPECT_EQ(g.count, w.count);
+  for (const auto& [a, b] :
+       {std::pair{g.minimum, w.minimum}, {g.maximum, w.maximum},
+        {g.mean, w.mean}, {g.q1, w.q1}, {g.median, w.median}, {g.q3, w.q3},
+        {g.iqr, w.iqr}, {g.whisker_low, w.whisker_low},
+        {g.whisker_high, w.whisker_high}}) {
+    EXPECT_EQ(bits(a), bits(b));
+  }
+  EXPECT_EQ(g.outliers, w.outliers);
+}
+
+TEST(SelectorReadPath, SummariesEqualTheCopyingReferenceWithForeignDocuments) {
+  using util::Value;
+  const scion::ScionlabEnv env = scion::scionlab_topology();
+  docdb::Database db;
+  {
+    apps::ScionHost host(env, 7, env.user_as, "10.0.8.1");
+    measure::TestSuiteConfig config;
+    config.iterations = 5;
+    config.server_ids = {{3, 4}};
+    measure::TestSuite suite(host, db, config);
+    ASSERT_TRUE(suite.run().ok());
+  }
+  docdb::Collection& stats = db.collection(measure::kPathsStats);
+  std::vector<std::int64_t> timestamps;
+  stats.for_each([&](const docdb::Document& doc) {
+    timestamps.push_back(doc.get("timestamp_ms")->as_int());
+  });
+  std::sort(timestamps.begin(), timestamps.end());
+  const std::int64_t midpoint = timestamps[timestamps.size() / 2];
+  const std::int64_t late = timestamps.back();
+
+  // Foreign documents on real path ids, inside and outside the window:
+  // malformed ones both readers must skip, odd-but-valid ones (int loss,
+  // mistyped optional metrics, extra fields) both must count alike.
+  const std::string path = "3_0";
+  const std::vector<Value> foreign = {
+      Value::object({{"path_id", Value(path)}, {"note", Value("imported")}}),
+      Value::object({{"path_id", Value(path)}, {"server_id", Value(3)},
+                     {"timestamp_ms", Value(late)}, {"hop_count", Value(4)},
+                     {"loss_pct", Value(1.0)},
+                     {"isds", Value::array({Value(16), Value("x")})}}),
+      Value::object({{"path_id", Value(path)}, {"server_id", Value(3)},
+                     {"timestamp_ms", Value(late)}, {"hop_count", Value(2)},
+                     {"loss_pct", Value(7)}, {"isds", Value::array({})},
+                     {"latency_ms", Value("n/a")}, {"bw", Value(5.0)},
+                     {"origin", Value("other-tool")}}),
+      Value::object({{"path_id", Value(path)}, {"server_id", Value(3)},
+                     {"timestamp_ms", Value(timestamps.front())},
+                     {"hop_count", Value(2)}, {"loss_pct", Value(0.5)},
+                     {"isds", Value::array({Value(17)})},
+                     {"latency_ms", Value(123.25)}, {"jitter_ms", Value(2)},
+                     {"bw", Value::object({{"up_mtu", Value(3)},
+                                           {"down_mtu", Value("fast")}})}}),
+      Value::object({{"path_id", Value("4_1")}, {"server_id", Value("4")},
+                     {"timestamp_ms", Value(late)}}),
+  };
+  for (const Value& doc : foreign) ASSERT_TRUE(stats.insert_one(doc).ok());
+
+  const PathSelector selector(db, env.topology);
+  for (const int server : {3, 4}) {
+    for (const std::optional<std::int64_t> since :
+         {std::optional<std::int64_t>(), std::optional<std::int64_t>(midpoint),
+          std::optional<std::int64_t>(late)}) {
+      SCOPED_TRACE("server " + std::to_string(server) + " since " +
+                   (since ? std::to_string(*since) : std::string("-")));
+      const auto got = selector.summarize(server, since);
+      ASSERT_TRUE(got.ok());
+      const std::vector<PathSummary> want =
+          reference_summaries(db, server, since);
+      ASSERT_FALSE(want.empty());
+      ASSERT_EQ(got.value().size(), want.size());
+      for (std::size_t i = 0; i < want.size(); ++i) {
+        expect_same_summary(got.value()[i], want[i]);
+      }
+    }
+  }
+  // The two well-formed foreign documents did reach path 3_0's summary.
+  const auto full = selector.summarize(3);
+  ASSERT_TRUE(full.ok());
+  EXPECT_EQ(full.value().front().path_id, path);
+  EXPECT_EQ(full.value().front().samples, 5u + 2u);
 }
 
 }  // namespace
