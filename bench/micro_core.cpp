@@ -3,10 +3,13 @@
 // control-plane path combination, SCION address text (ISD-AS and
 // hop-sequence formatting and parsing, the per-unit control-plane
 // checkpoint and its restore), the selection read path (per-destination
-// paths_stats summaries) and a full single-destination campaign
-// iteration.  Not a paper figure; a regression harness for contributors.
+// paths_stats summaries), probe dispatch (host ping / bwtestclient next
+// to the bare network call on the same route) and a full
+// single-destination campaign iteration.  Not a paper figure; a
+// regression harness for contributors.
 #include <benchmark/benchmark.h>
 
+#include <array>
 #include <memory>
 #include <optional>
 
@@ -191,6 +194,79 @@ void BM_PingMeasurement(benchmark::State& state) {
   }
 }
 
+/// A host on a calm network and one stored path to Ireland (the middle
+/// of its showpaths list), as a §5 campaign probes it by sequence.
+struct ProbeTarget {
+  ProbeTarget()
+      : env(scion::scionlab_topology()),
+        host(env, 42, env.user_as, "10.0.8.1", calm()),
+        server{scion::scionlab::kIreland, "172.31.43.7"} {
+    const std::vector<scion::Path> paths =
+        host.beaconing().paths(env.user_as, server.ia);
+    const scion::Path& path = paths[paths.size() / 2];
+    sequence = path.sequence();
+    route = host.route_of(path).value();
+  }
+  static simnet::NetworkConfig calm() {
+    simnet::NetworkConfig config;
+    config.server_error_prob = 0.0;
+    return config;
+  }
+  scion::ScionlabEnv env;
+  apps::ScionHost host;
+  scion::SnetAddress server;
+  std::string sequence;
+  std::vector<simnet::NodeId> route;
+};
+
+/// `scion ping -c 30 --sequence S` through the host (path pick included),
+/// or the bare Network::ping on the same route at the same instants: the
+/// difference is the host's dispatch cost per probe.
+void BM_HostPing(benchmark::State& state, bool through_host) {
+  ProbeTarget target;
+  apps::PingOptions options;
+  options.sequence = target.sequence;
+  const simnet::PingOptions network_options;
+  util::VirtualClock& clock = target.host.clock();
+  for (auto _ : state) {
+    if (through_host) {
+      benchmark::DoNotOptimize(target.host.ping(target.server, options));
+    } else {
+      benchmark::DoNotOptimize(target.host.network().ping(
+          target.route, network_options, clock.now()));
+      clock.advance(util::sim_seconds(3.0));
+    }
+  }
+}
+
+/// `scion-bwtestclient -cs 3,64,?,12Mbps --sequence S` through the host,
+/// or the two bare Network::bwtest runs (both directions) it makes.
+void BM_HostBwtestclient(benchmark::State& state, bool through_host) {
+  ProbeTarget target;
+  apps::BwtestOptions options;
+  options.cs_spec = "3,64,?,12Mbps";
+  options.sequence = target.sequence;
+  simnet::BwtestOptions network_options;
+  network_options.packet_bytes = 64.0;
+  const std::vector<simnet::NodeId> reverse(target.route.rbegin(),
+                                            target.route.rend());
+  const std::array<const std::vector<simnet::NodeId>*, 2> routes = {
+      &target.route, &reverse};
+  util::VirtualClock& clock = target.host.clock();
+  for (auto _ : state) {
+    if (through_host) {
+      benchmark::DoNotOptimize(
+          target.host.bwtestclient(target.server, options));
+    } else {
+      for (const std::vector<simnet::NodeId>* route : routes) {
+        benchmark::DoNotOptimize(
+            target.host.network().bwtest(*route, network_options, clock.now()));
+        clock.advance(util::sim_seconds(network_options.duration_s));
+      }
+    }
+  }
+}
+
 void BM_CampaignIteration(benchmark::State& state) {
   const scion::ScionlabEnv env = scion::scionlab_topology();
   for (auto _ : state) {
@@ -268,6 +344,10 @@ BENCHMARK(BM_ParseSequence);
 BENCHMARK(BM_ControlPlaneCheckpoint);
 BENCHMARK(BM_ControlPlaneRestoreCheckpoint);
 BENCHMARK(BM_PingMeasurement);
+BENCHMARK_CAPTURE(BM_HostPing, host, true);
+BENCHMARK_CAPTURE(BM_HostPing, network, false);
+BENCHMARK_CAPTURE(BM_HostBwtestclient, host, true);
+BENCHMARK_CAPTURE(BM_HostBwtestclient, network, false);
 BENCHMARK(BM_CampaignIteration);
 BENCHMARK_CAPTURE(BM_SelectorSummarize, windowed, true);
 BENCHMARK_CAPTURE(BM_SelectorSummarize, full, false);

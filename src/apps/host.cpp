@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
 
 #include "util/strings.hpp"
 
@@ -83,48 +84,45 @@ Result<std::vector<PathListing>> ScionHost::showpaths(
 Result<Path> ScionHost::pick_path(IsdAsn dst, const std::string& sequence) {
   const SimTime now = clock_.now();
   control_plane_.sync(now);
-  const std::vector<Path> paths =
-      control_plane_.annotated_paths(local_as_, dst, now);
-  if (paths.empty()) {
+  // A sequence names its path by the AS chain.  A malformed one still
+  // costs the lookup, and "no path" is reported before it.
+  std::optional<util::Error> malformed;
+  std::vector<IsdAsn> ases;
+  if (!sequence.empty()) {
+    const Result<Path> wanted = Path::parse_sequence(sequence);
+    if (wanted.ok()) {
+      ases.reserve(wanted.value().hops().size());
+      for (const scion::PathHop& hop : wanted.value().hops()) {
+        ases.push_back(hop.ia);
+      }
+    } else {
+      malformed = wanted.error();
+    }
+  }
+  scion::PathPick pick = control_plane_.pick(local_as_, dst, ases, now);
+  if (!pick.any) {
     return util::Error{ErrorCode::kUnreachable,
                        "no path to " + dst.to_string()};
   }
-
-  if (sequence.empty()) {
-    // Best live path: skip anything with a delivered revocation.  This is
-    // host-level failover — the ranking is untouched, dead paths just
-    // drop out until their fault window heals.
-    for (const Path& candidate : paths) {
-      if (candidate.status() != "revoked") return candidate;
+  if (malformed.has_value()) return *malformed;
+  if (!pick.path.has_value()) {
+    return util::Error{ErrorCode::kNotFound,
+                       "no discovered path matches sequence: " + sequence};
+  }
+  if (pick.path->status() == "revoked") {
+    // Without a sequence every path is revoked (host-level failover skips
+    // dead paths until their fault window heals); with one, the named
+    // path is.  The revocation was delivered before send time: fail
+    // without putting a single probe on the wire (the churn invariant).
+    if (sequence.empty()) {
+      return util::Error{ErrorCode::kRevoked,
+                         "all paths to " + dst.to_string() +
+                             " are revoked by the control plane"};
     }
     return util::Error{ErrorCode::kRevoked,
-                       "all paths to " + dst.to_string() +
-                           " are revoked by the control plane"};
+                       "path revoked by control plane: " + sequence};
   }
-
-  Result<Path> wanted = Path::parse_sequence(sequence);
-  if (!wanted.ok()) return wanted;
-  for (const Path& candidate : paths) {
-    if (candidate.hops().size() != wanted.value().hops().size()) continue;
-    bool same = true;
-    for (std::size_t i = 0; i < candidate.hops().size(); ++i) {
-      if (candidate.hops()[i].ia != wanted.value().hops()[i].ia) {
-        same = false;
-        break;
-      }
-    }
-    if (same) {
-      if (candidate.status() == "revoked") {
-        // The revocation was delivered before send time: fail without
-        // putting a single probe on the wire (the churn invariant).
-        return util::Error{ErrorCode::kRevoked,
-                           "path revoked by control plane: " + sequence};
-      }
-      return candidate;
-    }
-  }
-  return util::Error{ErrorCode::kNotFound,
-                     "no discovered path matches sequence: " + sequence};
+  return std::move(*pick.path);
 }
 
 util::Error ScionHost::classify_dead_path(const Path& path,

@@ -23,6 +23,13 @@ using util::Value;
 TestSuite::TestSuite(apps::ScionHost& host, docdb::Database& db,
                      TestSuiteConfig config)
     : host_(host), db_(db), config_(std::move(config)) {
+  // The two `-cs` specs, d,{64|MTU},?,target, built once per suite.
+  const auto bw_spec = [&](const std::string& size) {
+    return util::format("%g,%s,?,%gMbps", config_.bw_duration_s, size.c_str(),
+                        config_.bw_target_mbps);
+  };
+  bw_small_spec_ = bw_spec(util::format("%g", config_.small_packet_bytes));
+  bw_mtu_spec_ = bw_spec("MTU");
   // Resolve the counter handles once (registration mutex), so every
   // update below is a lock-free sharded add.  All of these advance with
   // virtual-time logic only — fixed-seed runs reproduce the values
@@ -354,11 +361,6 @@ Status TestSuite::run_unit(const Destination& destination, int iteration,
       // --- bandwidth: scion-bwtestclient -cs d,{64|MTU},?,target ----
       bool operation_failed = false;
       bool data_plane_failed = false;
-      const auto bw_spec = [&](std::string_view size) {
-        return util::format("%g,%.*s,?,%gMbps", config_.bw_duration_s,
-                            static_cast<int>(size.size()), size.data(),
-                            config_.bw_target_mbps);
-      };
       const auto run_bwtest = [&](const std::string& spec,
                                   std::string_view label)
           -> Result<apps::BwtestReport> {
@@ -373,9 +375,8 @@ Status TestSuite::run_unit(const Destination& destination, int iteration,
             std::string(label) + ":" + sample.path_id, progress_.retry,
             [&] { return host_.bwtestclient(destination.address, options); });
       };
-      Result<apps::BwtestReport> small = run_bwtest(
-          bw_spec(util::format("%g", config_.small_packet_bytes)), "bw64");
-      Result<apps::BwtestReport> mtu = run_bwtest(bw_spec("MTU"), "bwmtu");
+      Result<apps::BwtestReport> small = run_bwtest(bw_small_spec_, "bw64");
+      Result<apps::BwtestReport> mtu = run_bwtest(bw_mtu_spec_, "bwmtu");
 
       if (small.ok()) {
         sample.bw_up_64 = small.value().client_to_server.achieved_mbps;

@@ -240,6 +240,10 @@ class TestSuite {
   apps::ScionHost& host_;
   docdb::Database& db_;
   TestSuiteConfig config_;
+  /// `scion-bwtestclient -cs` specs of the two bandwidth probes (64 B and
+  /// MTU packets), derived from config_ once.
+  std::string bw_small_spec_;
+  std::string bw_mtu_spec_;
   TestSuiteProgress progress_;
   Metrics metrics_;
   scion::TrustStore* trust_ = nullptr;

@@ -1,5 +1,6 @@
 #include "scion/control_plane.hpp"
 
+#include <algorithm>
 #include <utility>
 
 namespace upin::scion {
@@ -94,6 +95,44 @@ std::vector<Path> ControlPlane::annotated_paths(IsdAsn src, IsdAsn dst,
     if (revocations_.path_revoked(path, now)) path.set_status("revoked");
   }
   return paths;
+}
+
+PathPick ControlPlane::pick(IsdAsn src, IsdAsn dst,
+                            const std::vector<IsdAsn>& ases, SimTime now) {
+  const auto same_chain = [&ases](const Path& path) {
+    return std::equal(path.hops().begin(), path.hops().end(), ases.begin(),
+                      ases.end(), [](const PathHop& hop, IsdAsn ia) {
+                        return hop.ia == ia;
+                      });
+  };
+  PathPick pick;
+  cache_.visit(
+      src, dst, now, resolve_, beaconing_available(now),
+      [&](const std::vector<Path>& paths, const PathCacheServed& served) {
+        pick.any = !paths.empty();
+        const Path* chosen = nullptr;
+        if (ases.empty()) {
+          const auto live = std::find_if(
+              paths.begin(), paths.end(), [&](const Path& path) {
+                return !revocations_.path_revoked(path, now);
+              });
+          if (live != paths.end()) {
+            chosen = &*live;
+          } else if (!paths.empty()) {
+            chosen = &paths.front();
+          }
+        } else {
+          const auto match =
+              std::find_if(paths.begin(), paths.end(), same_chain);
+          if (match != paths.end()) chosen = &*match;
+        }
+        if (chosen == nullptr) return;
+        // The statuses `resolve_raw` and `annotated_paths` apply, in order.
+        Path& path = pick.path.emplace(*chosen);
+        if (served.stale || path.expired(now)) path.set_status("stale");
+        if (revocations_.path_revoked(path, now)) path.set_status("revoked");
+      });
+  return pick;
 }
 
 util::Status ControlPlane::restore(const util::Value& snapshot,

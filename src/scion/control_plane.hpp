@@ -39,6 +39,14 @@ struct ControlPlaneConfig {
   RevocationConfig revocation;
 };
 
+/// Outcome of `ControlPlane::pick`.
+struct PathPick {
+  bool any = false;  ///< the cache served at least one path
+  /// The chosen path, annotated as `annotated_paths` annotates it; unset
+  /// when no path matched (or none was served).
+  std::optional<Path> path;
+};
+
 class ControlPlane {
  public:
   /// `topology`, `beaconing` and `faults` must outlive the control plane
@@ -69,6 +77,15 @@ class ControlPlane {
   /// ("alive" | "stale" | "revoked") — what `showpaths` renders.
   [[nodiscard]] std::vector<Path> annotated_paths(IsdAsn src, IsdAsn dst,
                                                   util::SimTime now);
+
+  /// The one path src→dst a probe needs, chosen from the cache-served
+  /// paths in place with a single cache lookup; only the chosen path is
+  /// copied.  With a non-empty `ases` it is the first path whose hop ASes
+  /// equal `ases`; with an empty one, the first unrevoked path, else the
+  /// first path.  Its status is what `annotated_paths` reports for it.
+  [[nodiscard]] PathPick pick(IsdAsn src, IsdAsn dst,
+                              const std::vector<IsdAsn>& ases,
+                              util::SimTime now);
 
   /// Is the local AS's path infrastructure reachable at `now`?  False
   /// while the local node sits in a server-down window: no re-beaconing,

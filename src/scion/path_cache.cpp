@@ -33,11 +33,6 @@ struct CacheMetrics {
 
 PathCache::PathCache(PathCacheConfig config) : config_(config) {}
 
-std::vector<Path> PathCache::flag_stale(std::vector<Path> paths) {
-  for (Path& path : paths) path.set_status("stale");
-  return paths;
-}
-
 void PathCache::touch(EntryList::iterator it) {
   entries_.splice(entries_.begin(), entries_, it);
 }
@@ -58,37 +53,44 @@ void PathCache::refresh(Entry& entry, SimTime now, const Resolver& resolve) {
   entry.dirty = false;
 }
 
-PathCacheLookup PathCache::lookup(IsdAsn src, IsdAsn dst, SimTime now,
-                                  const Resolver& resolve,
-                                  bool resolver_available) {
-  PathCacheLookup result;
+void PathCache::visit(IsdAsn src, IsdAsn dst, SimTime now,
+                      const Resolver& resolve, bool resolver_available,
+                      const Visitor& fn) {
+  PathCacheServed served;
   if (!config_.enabled) {
     // Bypass mode: every lookup is a direct recombination.
-    result.paths = resolve(src, dst);
-    result.refreshed = true;
-    return result;
+    served.refreshed = true;
+    fn(resolve(src, dst), served);
+    return;
   }
   CacheMetrics& metrics = CacheMetrics::get();
+  // A miss that re-resolves `entry` and serves the fresh answer.
+  const auto serve_refreshed = [&](Entry& entry) {
+    ++stats_.misses;
+    metrics.misses.add();
+    refresh(entry, now, resolve);
+    served.negative = entry.negative;
+    served.refreshed = true;
+    fn(entry.paths, served);
+  };
   const AsPair key{src, dst};
   const auto found = index_.find(key);
 
   if (found == index_.end()) {
-    ++stats_.misses;
-    metrics.misses.add();
     if (!resolver_available) {
       // Nothing cached and no path server to ask: a hard miss.
-      result.negative = true;
-      return result;
+      ++stats_.misses;
+      metrics.misses.add();
+      served.negative = true;
+      fn({}, served);
+      return;
     }
-    entries_.push_front(Entry{src, dst, resolve(src, dst), now});
-    Entry& entry = entries_.front();
-    entry.negative = entry.paths.empty();
+    entries_.push_front(Entry{src, dst, {}, now});
     index_[key] = entries_.begin();
+    serve_refreshed(entries_.front());
+    // Evict only after serving: at capacity 0 the new entry goes too.
     evict_to_capacity();
-    result.paths = entry.paths;
-    result.negative = entry.negative;
-    result.refreshed = true;
-    return result;
+    return;
   }
 
   touch(found->second);
@@ -100,44 +102,35 @@ PathCacheLookup PathCache::lookup(IsdAsn src, IsdAsn dst, SimTime now,
       ++stats_.hits;
       ++stats_.negative_hits;
       metrics.hits.add();
-      result.hit = true;
-      result.negative = true;
-      return result;
+      served.hit = true;
+      served.negative = true;
+      fn(entry.paths, served);
+      return;
     }
-    ++stats_.misses;
-    metrics.misses.add();
-    refresh(entry, now, resolve);
-    result.paths = entry.paths;
-    result.negative = entry.negative;
-    result.refreshed = true;
-    return result;
+    serve_refreshed(entry);
+    return;
   }
 
   if (entry.dirty) {
     if (resolver_available) {
       // A revocation touched this entry; re-resolve before serving.
-      ++stats_.misses;
-      metrics.misses.add();
-      refresh(entry, now, resolve);
-      result.paths = entry.paths;
-      result.negative = entry.negative;
-      result.refreshed = true;
-      return result;
+      serve_refreshed(entry);
+      return;
     }
     ++stats_.stale_served;
     metrics.stale_served.add();
-    result.paths = flag_stale(entry.paths);
-    result.hit = true;
-    result.stale = true;
-    return result;
+    served.hit = true;
+    served.stale = true;
+    fn(entry.paths, served);
+    return;
   }
 
   if (age_s < config_.ttl_s) {
     ++stats_.hits;
     metrics.hits.add();
-    result.paths = entry.paths;
-    result.hit = true;
-    return result;
+    served.hit = true;
+    fn(entry.paths, served);
+    return;
   }
 
   if (age_s < config_.ttl_s + config_.stale_serve_s || !resolver_available) {
@@ -146,23 +139,31 @@ PathCacheLookup PathCache::lookup(IsdAsn src, IsdAsn dst, SimTime now,
     // the grace window is unbounded — stale beats unreachable.
     ++stats_.stale_served;
     metrics.stale_served.add();
-    result.paths = flag_stale(entry.paths);
-    result.hit = true;
-    result.stale = true;
-    if (resolver_available) {
-      refresh(entry, now, resolve);
-      result.refreshed = true;
-    }
-    return result;
+    served.hit = true;
+    served.stale = true;
+    served.refreshed = resolver_available;
+    fn(entry.paths, served);
+    if (resolver_available) refresh(entry, now, resolve);
+    return;
   }
 
   // Too stale even for the grace window: a plain refresh.
-  ++stats_.misses;
-  metrics.misses.add();
-  refresh(entry, now, resolve);
-  result.paths = entry.paths;
-  result.negative = entry.negative;
-  result.refreshed = true;
+  serve_refreshed(entry);
+}
+
+PathCacheLookup PathCache::lookup(IsdAsn src, IsdAsn dst, SimTime now,
+                                  const Resolver& resolve,
+                                  bool resolver_available) {
+  PathCacheLookup result;
+  visit(src, dst, now, resolve, resolver_available,
+        [&result](const std::vector<Path>& paths,
+                  const PathCacheServed& served) {
+          static_cast<PathCacheServed&>(result) = served;
+          result.paths = paths;
+        });
+  if (result.stale) {
+    for (Path& path : result.paths) path.set_status("stale");
+  }
   return result;
 }
 

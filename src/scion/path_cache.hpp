@@ -66,13 +66,18 @@ struct PathCacheConfig {
   double negative_ttl_s = 30.0;  ///< lifetime of cached empty answers
 };
 
-/// Outcome of one cache lookup.
-struct PathCacheLookup {
-  std::vector<Path> paths;
+/// How one cache lookup was served.
+struct PathCacheServed {
   bool hit = false;       ///< served from the cache (fresh or stale)
-  bool stale = false;     ///< served past its TTL (flagged on each path)
+  bool stale = false;     ///< served past its TTL
   bool negative = false;  ///< served from a cached empty answer
   bool refreshed = false;  ///< this lookup re-resolved the entry
+};
+
+/// Outcome of one copying cache lookup: the served paths, each flagged
+/// "stale" when the lookup was served stale.
+struct PathCacheLookup : PathCacheServed {
+  std::vector<Path> paths;
 };
 
 class PathCache {
@@ -93,9 +98,24 @@ class PathCache {
 
   explicit PathCache(PathCacheConfig config = {});
 
-  /// Look up paths src→dst at `now`.  `resolver_available` is false while
-  /// beaconing is inside a fault window: no refresh happens and stale
-  /// entries are served at any age.
+  /// Sees the served paths in place and how they were served.
+  using Visitor =
+      std::function<void(const std::vector<Path>&, const PathCacheServed&)>;
+
+  /// Look up paths src→dst at `now` and hand them to `fn` in place, once,
+  /// without copying them.  `resolver_available` is false while beaconing
+  /// is inside a fault window: no refresh happens and stale entries are
+  /// served at any age.  Stale paths keep their cached status (only
+  /// `lookup` flags them).  In the stale-while-revalidate window `fn` runs
+  /// before the refresh, so it sees the old paths.  `fn` must not call
+  /// back into the cache: the paths it sees are the entry's own.  One
+  /// visit counts as one lookup in the stats and the global counters.
+  void visit(IsdAsn src, IsdAsn dst, util::SimTime now,
+             const Resolver& resolve, bool resolver_available,
+             const Visitor& fn);
+
+  /// `visit`, returning a copy of the served paths, each flagged "stale"
+  /// when the lookup was served stale.
   [[nodiscard]] PathCacheLookup lookup(IsdAsn src, IsdAsn dst,
                                        util::SimTime now,
                                        const Resolver& resolve,
@@ -144,7 +164,6 @@ class PathCache {
   void refresh(Entry& entry, util::SimTime now, const Resolver& resolve);
   void touch(EntryList::iterator it);
   void evict_to_capacity();
-  [[nodiscard]] static std::vector<Path> flag_stale(std::vector<Path> paths);
 
   PathCacheConfig config_{};
   EntryList entries_;  ///< front = most recently used

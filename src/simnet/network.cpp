@@ -523,8 +523,8 @@ Result<BwtestResult> Network::bwtest_loaded(
   std::uint64_t label =
       util::fnv1a64_extend(route_prefix("bwtest", route), start.count());
   for (const double knob : {options.packet_bytes, options.target_mbps}) {
-    label = util::fnv1a64_extend(util::fnv1a64_extend(label, ":"),
-                                 std::to_string(knob));
+    label = util::fnv1a64_extend_fixed(util::fnv1a64_extend(label, ":"),
+                                       knob);
   }
   Rng rng = master_.fork_hashed(label);
   const double measurement_noise = rng.lognormal(0.0, 0.03);

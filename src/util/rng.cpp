@@ -44,6 +44,16 @@ std::uint64_t fnv1a64_extend(std::uint64_t hash, std::int64_t value) noexcept {
                                          written.ptr - digits)));
 }
 
+std::uint64_t fnv1a64_extend_fixed(std::uint64_t hash, double value) noexcept {
+  // A sign, the 309 integer digits of DBL_MAX, the point and six decimals.
+  char text[320];
+  const std::to_chars_result written = std::to_chars(
+      text, text + sizeof text, value, std::chars_format::fixed, 6);
+  return fnv1a64_extend(
+      hash, std::string_view(text, static_cast<std::size_t>(
+                                       written.ptr - text)));
+}
+
 Rng::Rng(std::uint64_t seed) noexcept {
   // Expand the seed with splitmix64, per the xoshiro authors' guidance;
   // guards against the all-zero state.

@@ -28,6 +28,11 @@ namespace upin::util {
 /// characters `std::to_string(value)` produces, without building them.
 [[nodiscard]] std::uint64_t fnv1a64_extend(std::uint64_t hash,
                                            std::int64_t value) noexcept;
+/// Continue an FNV-1a hash over `value` in fixed notation with six
+/// decimals — the characters `std::to_string(value)` produces, without
+/// building them.
+[[nodiscard]] std::uint64_t fnv1a64_extend_fixed(std::uint64_t hash,
+                                                 double value) noexcept;
 
 /// xoshiro256** PRNG — fast, high-quality, deterministic across platforms.
 class Rng {

@@ -14,6 +14,9 @@
 //      every path in full.
 //   5. Cache-served paths equal a fresh recombination at any instant,
 //      inside server-down windows too: the invariant restore relies on.
+//   6. `ControlPlane::pick` (one path, read from the cache in place)
+//      equals the reduction of `annotated_paths` probe dispatch used to
+//      make, with the same cache trajectory, cached and bypassed.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -406,6 +409,209 @@ TEST(ControlPlaneChurn, CacheServedPathsEqualRecombination) {
   EXPECT_GT(revoked_seen, 0u) << "no instant fell inside a revocation";
   EXPECT_GT(degraded_instants, 0u)
       << "no instant fell inside a user-AS server-down window";
+}
+
+/// The reduction probe dispatch made of `annotated_paths` before `pick`
+/// existed: the first path with the AS chain `ases` (an error if that one
+/// is revoked), or for an empty chain the first unrevoked path.
+util::Result<scion::Path> reduce_annotated(
+    const std::vector<scion::Path>& paths,
+    const std::vector<scion::IsdAsn>& ases) {
+  using util::ErrorCode;
+  if (paths.empty()) return util::Error{ErrorCode::kUnreachable, "no path"};
+  if (ases.empty()) {
+    for (const scion::Path& candidate : paths) {
+      if (candidate.status() != "revoked") return candidate;
+    }
+    return util::Error{ErrorCode::kRevoked, "all paths revoked"};
+  }
+  for (const scion::Path& candidate : paths) {
+    if (candidate.hops().size() != ases.size()) continue;
+    bool same = true;
+    for (std::size_t i = 0; i < ases.size(); ++i) {
+      same = same && candidate.hops()[i].ia == ases[i];
+    }
+    if (!same) continue;
+    if (candidate.status() == "revoked") {
+      return util::Error{ErrorCode::kRevoked, "path revoked"};
+    }
+    return candidate;
+  }
+  return util::Error{ErrorCode::kNotFound, "no match"};
+}
+
+/// The same error rules applied to a `pick`.
+util::Result<scion::Path> reduce_pick(const scion::PathPick& pick) {
+  using util::ErrorCode;
+  if (!pick.any) return util::Error{ErrorCode::kUnreachable, "no path"};
+  if (!pick.path.has_value()) {
+    return util::Error{ErrorCode::kNotFound, "no match"};
+  }
+  if (pick.path->status() == "revoked") {
+    return util::Error{ErrorCode::kRevoked, "revoked"};
+  }
+  return *pick.path;
+}
+
+std::vector<scion::IsdAsn> chain_of(const scion::Path& path) {
+  std::vector<scion::IsdAsn> ases;
+  for (const scion::PathHop& hop : path.hops()) ases.push_back(hop.ia);
+  return ases;
+}
+
+/// Twin hosts (same seed, same storm) at instants that cover server-down
+/// windows, link flaps, TTL expiry, the stale-while-revalidate window, the
+/// user AS's own server-down windows (beaconing unavailable), the segment
+/// lifetime running out, and an unknown destination (negative entries).
+/// At each one the reference twin answers through `annotated_paths` and
+/// the other through `pick`, asked for a served, a revoked, a foreign or
+/// an empty chain.  Returns how often each outcome occurred.
+std::map<std::string, std::size_t> run_pick_twins(apps::HostConfig config) {
+  const scion::ScionlabEnv env = scion::scionlab_topology();
+  apps::ScionHost reference_host(env, 42, env.user_as, "10.0.8.1",
+                                 storm_config(), config);
+  apps::ScionHost pick_host(env, 42, env.user_as, "10.0.8.1", storm_config(),
+                            config);
+  scion::ControlPlane& reference = reference_host.control_plane();
+  scion::ControlPlane& picker = pick_host.control_plane();
+  const scion::Beaconing& beaconing = reference_host.beaconing();
+
+  // Seeded instants over the first eight hours (past the six-hour segment
+  // lifetime), the middle of every revocation (link flaps and dark
+  // servers) and of every user-AS server-down window in that span, and a
+  // follow-up 330 s after a third of them: inside the grace window of
+  // pairs resolved at the first.
+  const SimTime horizon = util::sim_seconds(8.0 * 3600.0);
+  util::Rng rng(1108);
+  std::vector<SimTime> instants;
+  for (int i = 0; i < 60; ++i) {
+    instants.push_back(util::sim_seconds(rng.uniform(0.0, 8.0 * 3600.0)));
+  }
+  std::vector<SimTime> revoked;
+  for (const scion::Revocation& event : reference.revocations().events()) {
+    if (event.delivered_at < std::min(event.fault_end, horizon)) {
+      revoked.push_back(event.delivered_at +
+                        (event.fault_end - event.delivered_at) / 2);
+    }
+  }
+  const std::size_t stride = std::max<std::size_t>(1, revoked.size() / 60);
+  for (std::size_t i = 0; i < revoked.size(); i += stride) {
+    instants.push_back(revoked[i]);
+  }
+  const auto route = reference_host.route_of(
+      beaconing.paths(env.user_as, env.servers.front().ia).front());
+  EXPECT_TRUE(route.ok());
+  if (route.ok()) {
+    for (const simnet::FaultWindow& window :
+         reference_host.network().faults().server_down_windows(
+             route.value().front())) {
+      if (window.start < horizon) {
+        instants.push_back(window.start + (window.end - window.start) / 2);
+      }
+    }
+  }
+  for (std::size_t i = 0, n = instants.size(); i < n; i += 3) {
+    instants.push_back(instants[i] + util::sim_seconds(330.0));
+  }
+  std::sort(instants.begin(), instants.end());
+
+  const scion::IsdAsn unknown{99, 1};
+  std::map<std::string, std::size_t> seen;
+  for (const SimTime now : instants) {
+    reference.sync(now);
+    picker.sync(now);
+    if (!picker.beaconing_available(now)) ++seen["beaconing down"];
+    for (int ask = 0; ask < 4; ++ask) {
+      const bool to_unknown = rng.uniform() < 0.1;
+      const scion::IsdAsn dst =
+          to_unknown ? unknown
+                     : env.servers[static_cast<std::size_t>(rng.uniform_int(
+                                       0, static_cast<std::int64_t>(
+                                              env.servers.size()) -
+                                              1))]
+                           .ia;
+      // The chain asked for: one the destination's paths have (a revoked
+      // one when there is one, half the time), one of another destination,
+      // or none.
+      const std::vector<scion::Path> discovered =
+          beaconing.paths(env.user_as, dst);
+      std::vector<scion::IsdAsn> ases;
+      const double kind = rng.uniform();
+      if (kind < 0.6 && !discovered.empty()) {
+        const scion::Path* wanted = &discovered[static_cast<std::size_t>(
+            rng.uniform_int(0, static_cast<std::int64_t>(discovered.size()) -
+                                   1))];
+        if (rng.uniform() < 0.5) {
+          for (const scion::Path& path : discovered) {
+            if (reference.path_revoked(path, now)) {
+              wanted = &path;
+              break;
+            }
+          }
+        }
+        ases = chain_of(*wanted);
+      } else if (kind < 0.8) {
+        ases = chain_of(
+            beaconing.paths(env.user_as, env.servers[0].ia == dst
+                                             ? env.servers[1].ia
+                                             : env.servers[0].ia)
+                .front());
+      }
+
+      const util::Result<scion::Path> expected = reduce_annotated(
+          reference.annotated_paths(env.user_as, dst, now), ases);
+      const util::Result<scion::Path> actual =
+          reduce_pick(picker.pick(env.user_as, dst, ases, now));
+      const std::string where = "at " + std::to_string(util::to_seconds(now)) +
+                                " s to " + dst.to_string();
+      EXPECT_EQ(actual.ok(), expected.ok()) << where;
+      if (actual.ok() != expected.ok()) continue;
+      if (expected.ok()) {
+        EXPECT_TRUE(actual.value() == expected.value())
+            << where << ": picked " << actual.value().sequence() << " ("
+            << actual.value().status() << "), expected "
+            << expected.value().sequence() << " ("
+            << expected.value().status() << ")";
+        ++seen[expected.value().status()];
+      } else {
+        EXPECT_EQ(actual.error().code, expected.error().code) << where;
+        ++seen[std::string(ases.empty() ? "no chain, " : "") +
+               util::to_string(expected.error().code)];
+      }
+      const scion::PathCache::Stats& a = reference.cache().stats();
+      const scion::PathCache::Stats& b = picker.cache().stats();
+      EXPECT_EQ(b.hits, a.hits) << where;
+      EXPECT_EQ(b.misses, a.misses) << where;
+      EXPECT_EQ(b.stale_served, a.stale_served) << where;
+      EXPECT_EQ(b.evictions, a.evictions) << where;
+      EXPECT_EQ(b.negative_hits, a.negative_hits) << where;
+      EXPECT_EQ(b.invalidations, a.invalidations) << where;
+      EXPECT_EQ(picker.checkpoint().dump(), reference.checkpoint().dump())
+          << where;
+    }
+  }
+  const scion::PathCache::Stats& stats = reference.cache().stats();
+  if (stats.stale_served > 0) ++seen["cache stale"];
+  if (stats.negative_hits > 0) ++seen["negative hit"];
+  return seen;
+}
+
+TEST(ControlPlaneChurn, PickEqualsAnnotatedReduction) {
+  const std::map<std::string, std::size_t> cached =
+      run_pick_twins(apps::HostConfig{});
+  for (const char* outcome :
+       {"alive", "stale", "revoked", "no chain, revoked", "not_found",
+        "unreachable", "no chain, unreachable", "beaconing down",
+        "cache stale", "negative hit"}) {
+    EXPECT_GT(cached.count(outcome), 0u) << "never reached: " << outcome;
+  }
+
+  apps::HostConfig bypass;
+  bypass.control_plane.cache.enabled = false;
+  const std::map<std::string, std::size_t> uncached = run_pick_twins(bypass);
+  for (const char* outcome : {"alive", "stale", "revoked", "not_found"}) {
+    EXPECT_GT(uncached.count(outcome), 0u) << "never reached: " << outcome;
+  }
 }
 
 }  // namespace

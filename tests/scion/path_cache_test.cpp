@@ -5,11 +5,14 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "obs/metrics.hpp"
 #include "util/json.hpp"
+#include "util/rng.hpp"
 
 namespace upin::scion {
 namespace {
@@ -372,6 +375,171 @@ TEST(PathCache, RestoreRejectsMalformedSnapshots) {
   CountingResolver after;
   EXPECT_TRUE(cache.lookup(kSrc, kDst, util::sim_seconds(7.0), after.fn()).hit);
   EXPECT_EQ(after.calls, 0u);
+}
+
+/// A resolver whose answer changes with every call (the MTU counts the
+/// calls), so an entry's old paths differ from its refreshed ones;
+/// kUnreachable resolves to nothing.
+struct ChangingResolver {
+  std::size_t calls = 0;
+
+  PathCache::Resolver fn() {
+    return [this](IsdAsn src, IsdAsn dst) {
+      ++calls;
+      std::vector<Path> paths;
+      if (dst == kUnreachable) return paths;
+      for (const std::uint64_t mid : {2u, 4u}) {
+        Path path({{src, 0, 1}, {IsdAsn{1, mid}, 1, 2}, {dst, 2, 0}},
+                  static_cast<double>(calls), util::sim_seconds(0.012));
+        path.set_lifetime(SimTime::zero(), util::sim_seconds(21600.0));
+        paths.push_back(std::move(path));
+      }
+      return paths;
+    };
+  }
+};
+
+/// The process-wide counters every lookup feeds.
+std::vector<std::uint64_t> global_cache_counters() {
+  std::vector<std::uint64_t> values;
+  for (const char* name :
+       {"upin_path_cache_hits_total", "upin_path_cache_misses_total",
+        "upin_path_cache_stale_served_total",
+        "upin_path_cache_evictions_total"}) {
+    values.push_back(obs::Registry::global().counter(name).value());
+  }
+  return values;
+}
+
+std::vector<std::uint64_t> counter_deltas(
+    const std::vector<std::uint64_t>& before) {
+  std::vector<std::uint64_t> deltas = global_cache_counters();
+  for (std::size_t i = 0; i < deltas.size(); ++i) deltas[i] -= before[i];
+  return deltas;
+}
+
+void expect_same_stats(const PathCache::Stats& a, const PathCache::Stats& b) {
+  EXPECT_EQ(a.hits, b.hits);
+  EXPECT_EQ(a.misses, b.misses);
+  EXPECT_EQ(a.stale_served, b.stale_served);
+  EXPECT_EQ(a.evictions, b.evictions);
+  EXPECT_EQ(a.negative_hits, b.negative_hits);
+  EXPECT_EQ(a.invalidations, b.invalidations);
+}
+
+/// Twin caches driven by the same seeded script, one through lookup() and
+/// one through visit(): every served answer, flag, local stat, global
+/// counter delta and snapshot must agree.  Returns how often each way of
+/// serving occurred, so the caller can check the script reached them all.
+std::map<std::string, std::size_t> run_twin_script(PathCacheConfig config,
+                                                   std::uint64_t seed,
+                                                   int steps) {
+  PathCache looked_up(config);
+  PathCache visited(config);
+  ChangingResolver lookup_resolver;
+  ChangingResolver visit_resolver;
+  const std::vector<IsdAsn> destinations = {kDst, IsdAsn{1, 10},
+                                            IsdAsn{1, 11}, IsdAsn{1, 12},
+                                            kUnreachable};
+  std::map<std::string, std::size_t> seen;
+  util::Rng rng(seed);
+  SimTime now = SimTime::zero();
+  for (int step = 0; step < steps; ++step) {
+    SCOPED_TRACE("step " + std::to_string(step));
+    // Gaps that land fresh, in the negative TTL, in the grace window,
+    // beyond it, or at the same instant.
+    const double gaps[] = {0.0, rng.uniform(0.0, 40.0),
+                           rng.uniform(0.0, 299.0), rng.uniform(300.0, 359.0),
+                           rng.uniform(360.0, 900.0)};
+    now += util::sim_seconds(gaps[static_cast<std::size_t>(rng.uniform_int(0, 4))]);
+    if (rng.uniform() < 0.1) {
+      const IsdAsn mid{1, rng.uniform() < 0.5 ? 2u : 4u};
+      const auto covered = [mid](const Path& path) {
+        return path.traverses(mid);
+      };
+      EXPECT_EQ(looked_up.invalidate_if(covered),
+                visited.invalidate_if(covered));
+      if (looked_up.stats().invalidations > 0) ++seen["invalidated"];
+      continue;
+    }
+    const IsdAsn dst = destinations[static_cast<std::size_t>(
+        rng.uniform_int(0, static_cast<std::int64_t>(destinations.size()) - 1))];
+    const bool available = rng.uniform() < 0.8;
+
+    std::vector<std::uint64_t> before = global_cache_counters();
+    const PathCacheLookup expected =
+        looked_up.lookup(kSrc, dst, now, lookup_resolver.fn(), available);
+    const std::vector<std::uint64_t> lookup_deltas = counter_deltas(before);
+
+    before = global_cache_counters();
+    const std::size_t calls_before = visit_resolver.calls;
+    int visits = 0;
+    PathCacheLookup actual;
+    visited.visit(kSrc, dst, now, visit_resolver.fn(), available,
+                  [&](const std::vector<Path>& paths,
+                      const PathCacheServed& served) {
+                    ++visits;
+                    static_cast<PathCacheServed&>(actual) = served;
+                    actual.paths = paths;
+                  });
+    const std::vector<std::uint64_t> visit_deltas = counter_deltas(before);
+    EXPECT_EQ(visits, 1) << "visit must call its visitor exactly once";
+    // Independently of lookup: a refresh resolves once, a stale answer
+    // predates this call's refresh, a refreshed one is the newest.
+    EXPECT_EQ(visit_resolver.calls, calls_before + (actual.refreshed ? 1 : 0));
+    if (!actual.paths.empty()) {
+      const double resolved_by = actual.paths.front().mtu();
+      if (actual.stale) {
+        EXPECT_LE(resolved_by, static_cast<double>(calls_before));
+      } else if (actual.refreshed) {
+        EXPECT_EQ(resolved_by, static_cast<double>(visit_resolver.calls));
+      }
+    }
+    if (actual.stale) {
+      for (Path& path : actual.paths) path.set_status("stale");
+    }
+
+    EXPECT_EQ(actual.paths, expected.paths);
+    EXPECT_EQ(actual.hit, expected.hit);
+    EXPECT_EQ(actual.stale, expected.stale);
+    EXPECT_EQ(actual.negative, expected.negative);
+    EXPECT_EQ(actual.refreshed, expected.refreshed);
+    EXPECT_EQ(visit_deltas, lookup_deltas);
+    EXPECT_EQ(visit_resolver.calls, lookup_resolver.calls);
+    expect_same_stats(visited.stats(), looked_up.stats());
+    EXPECT_EQ(visited.snapshot().dump(), looked_up.snapshot().dump());
+
+    if (expected.stale) {
+      ++seen[expected.refreshed ? "stale, revalidated" : "stale, resolver down"];
+    } else if (expected.hit) {
+      ++seen[expected.negative ? "negative hit" : "fresh hit"];
+    } else if (expected.refreshed) {
+      ++seen[expected.negative ? "resolved empty" : "resolved"];
+    } else {
+      ++seen["hard miss"];
+    }
+  }
+  if (looked_up.stats().evictions > 0) ++seen["evicted"];
+  return seen;
+}
+
+TEST(PathCache, VisitServesWhatLookupCopiesThroughEveryBranch) {
+  const std::map<std::string, std::size_t> seen =
+      run_twin_script(PathCacheConfig{.capacity = 3}, 2024, 800);
+  for (const char* branch :
+       {"fresh hit", "negative hit", "resolved", "resolved empty",
+        "stale, revalidated", "stale, resolver down", "hard miss",
+        "invalidated", "evicted"}) {
+    EXPECT_GT(seen.count(branch), 0u) << "the script never reached: " << branch;
+  }
+}
+
+TEST(PathCache, VisitServesWhatLookupCopiesInBypassMode) {
+  const std::map<std::string, std::size_t> seen =
+      run_twin_script(PathCacheConfig{.enabled = false}, 2025, 100);
+  // Bypass mode re-resolves every lookup and flags no answer negative.
+  EXPECT_EQ(seen.size(), 1u);
+  EXPECT_EQ(seen.count("resolved"), 1u);
 }
 
 }  // namespace

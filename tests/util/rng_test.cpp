@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
 #include <limits>
 #include <set>
@@ -199,6 +200,31 @@ TEST(Fnv1a64, ExtendByIntegerHashesItsDecimalDigits) {
       EXPECT_EQ(fnv1a64_extend(fnv1a64(prefix), value),
                 fnv1a64(prefix + std::to_string(value)))
           << prefix << value;
+    }
+  }
+}
+
+TEST(Fnv1a64, ExtendByDoubleHashesItsToStringText) {
+  std::vector<double> values = {
+      0.0, -0.0, 1.0, -1.0, 64.0, 1500.0, 12.0, 150.0, 0.5, 1e-7, 5e-7,
+      2.5e-6, 0.0000015, 123456.7890125, -98765.4321, 1e15, 1e300, -1e308,
+      std::numeric_limits<double>::max(), std::numeric_limits<double>::min(),
+      std::numeric_limits<double>::denorm_min(),
+      std::numeric_limits<double>::infinity(),
+      -std::numeric_limits<double>::infinity(),
+      std::numeric_limits<double>::quiet_NaN(),
+      -std::numeric_limits<double>::quiet_NaN(),
+      0.0078125, 0.0234375, -1.0078125};  // exact ties at the 7th decimal
+  Rng rng(77);
+  for (int i = 0; i < 2000; ++i) {
+    values.push_back(rng.uniform(-1e4, 1e4));
+    values.push_back(std::round(rng.uniform(0.0, 1e9)) / 1e6);
+  }
+  for (const std::string prefix : {"", "bwtest:1-2-:0:"}) {
+    for (const double value : values) {
+      EXPECT_EQ(fnv1a64_extend_fixed(fnv1a64(prefix), value),
+                fnv1a64(prefix + std::to_string(value)))
+          << prefix << std::to_string(value);
     }
   }
 }
