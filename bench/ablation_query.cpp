@@ -11,7 +11,7 @@
 //   ablation_query                 full sweep (3k / 100k / 1M)
 //   ablation_query --gate          100k only; exit 1 unless the indexed
 //                                  point query is >= 10x faster than the
-//                                  scan (CI smoke gate)
+//                                  scan (ctest ablation_query_gate)
 //   ablation_query --out FILE      write the JSON report to FILE
 #include <chrono>
 #include <cstdio>
@@ -22,6 +22,7 @@
 
 #include "docdb/collection.hpp"
 #include "docdb/filter.hpp"
+#include "util/clock.hpp"
 #include "util/json.hpp"
 #include "util/strings.hpp"
 
@@ -68,10 +69,9 @@ double mean_us(int iterations, Fn&& fn) {
   // elimination of the find() results.
   static volatile std::size_t sink = 0;
   sink = sink + fn();
-  const auto start = std::chrono::steady_clock::now();
+  const util::Stopwatch watch;
   for (int i = 0; i < iterations; ++i) sink = sink + fn();
-  const auto elapsed = std::chrono::steady_clock::now() - start;
-  return std::chrono::duration<double, std::micro>(elapsed).count() /
+  return std::chrono::duration<double, std::micro>(watch.elapsed()).count() /
          iterations;
 }
 
@@ -112,12 +112,10 @@ std::vector<QueryCase> make_cases(int documents) {
 Value run_scale(int documents, bool* gate_ok) {
   std::fprintf(stderr, "[ablation_query] building %d documents...\n",
                documents);
-  const auto build_start = std::chrono::steady_clock::now();
+  const util::Stopwatch build;
   const auto coll = make_collection(documents);
   const double build_ms =
-      std::chrono::duration<double, std::milli>(
-          std::chrono::steady_clock::now() - build_start)
-          .count();
+      std::chrono::duration<double, std::milli>(build.elapsed()).count();
 
   // Size iteration counts off the scan side so each cell costs roughly
   // the same wall-clock regardless of scale.

@@ -12,12 +12,12 @@
 // at least 10x faster.  Exits non-zero when either property fails, so CI
 // can pin it.
 #include <algorithm>
-#include <chrono>
 #include <cstring>
 #include <map>
 #include <set>
 
 #include "common.hpp"
+#include "util/clock.hpp"
 
 namespace {
 
@@ -25,12 +25,9 @@ namespace {
 /// time — virtual time drives everything else).
 template <typename Body>
 std::uint64_t time_ns(Body&& body) {
-  const auto start = std::chrono::steady_clock::now();
+  const upin::util::Stopwatch watch;
   body();
-  const auto stop = std::chrono::steady_clock::now();
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(stop - start)
-          .count());
+  return static_cast<std::uint64_t>(watch.elapsed().count());
 }
 
 /// The --churn mode: one virtual hour of flap storm, sampled every 60 s.

@@ -20,7 +20,7 @@
 //   strategy_tournament --csv       CSV rows instead of the table
 //   strategy_tournament --gate      link-flap regime only; exit 1 unless
 //                                   disjointness-max k=2 goodput beats
-//                                   k=1 by >= 1.5x (CI smoke gate)
+//                                   k=1 by >= 1.5x (the ctest gate)
 //   strategy_tournament --out FILE  JSON report path (BENCH_strategy.json)
 //   strategy_tournament --seed N    campaign + fault seed (default 42)
 #include <algorithm>

@@ -8,11 +8,11 @@
 // database is durable, so the closing metrics table reports real
 // group-commit pipeline numbers (flush latency, group size, stalls)
 // instead of zeros.
-#include <chrono>
 #include <cstring>
 
 #include "common.hpp"
 #include "obs/metrics.hpp"
+#include "util/clock.hpp"
 #include "util/strings.hpp"
 
 int main(int argc, char** argv) {
@@ -32,12 +32,9 @@ int main(int argc, char** argv) {
                         bench::kIrelandId, bench::kSingaporeId,
                         bench::kKoreaId}};
 
-  const auto wall_start = std::chrono::steady_clock::now();
+  const util::Stopwatch wall;
   const measure::TestSuiteProgress progress = campaign.run(config);
-  const double wall_s =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                    wall_start)
-          .count();
+  const double wall_s = wall.seconds();
 
   const double virtual_s =
       util::to_seconds(campaign.host().clock().now());

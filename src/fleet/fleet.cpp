@@ -13,6 +13,7 @@
 #include "obs/metrics.hpp"
 #include "obs/span.hpp"
 #include "util/bounded_queue.hpp"
+#include "util/clock.hpp"
 #include "util/log.hpp"
 #include "util/rng.hpp"
 
@@ -340,7 +341,7 @@ Result<FleetResult> FleetScheduler::run(
     }
   }
 
-  const auto wall_start = std::chrono::steady_clock::now();
+  const util::Stopwatch wall;
 
   // Build + begin every tenant up front (cheap phases; the measurement
   // loops are what the workers multiplex).
@@ -494,10 +495,7 @@ Result<FleetResult> FleetScheduler::run(
       case TenantState::kHealthy: break;
     }
   }
-  result.wall_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                    wall_start)
-          .count();
+  result.wall_seconds = wall.seconds();
   return result;
 }
 

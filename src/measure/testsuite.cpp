@@ -162,46 +162,10 @@ Status TestSuite::store_batch(std::vector<Document> docs) {
   if (docs.empty()) return Status::success();
   const std::size_t batch_size = docs.size();
 
-  if (trust_ == nullptr) {
-    Result<std::vector<std::string>> inserted =
-        db_.collection(kPathsStats).insert_many(std::move(docs));
-    if (!inserted.ok()) {
-      ++progress_.batches_rejected;
-      metrics_.batches_rejected->add();
-      return Status(inserted.error());
-    }
-    progress_.stats_inserted += batch_size;
-    ++progress_.batches_inserted;
-    metrics_.stats_inserted->add(batch_size);
-    metrics_.batches_inserted->add();
-    return Status::success();
-  }
-
-  // Signed write: fresh one-time key, certificate from our ISD core,
-  // signature over the batch digest (paper §4.2.2's designed PKC gate).
-  const std::string batch_label =
-      "batch:" + std::to_string(batch_counter_++);
-  const util::LamportKeyPair key = trust_->generate_client_key(batch_label);
-  Result<scion::Certificate> cert = trust_->issue_certificate(
-      host_.address().local.ia, key.public_key);
-  if (!cert.ok()) {
-    ++progress_.batches_rejected;
-    metrics_.batches_rejected->add();
-    return Status(cert.error());
-  }
-  std::string payload;
-  for (const Document& doc : docs) payload += doc.dump();
-  const std::string digest_hex = util::to_hex(util::Sha256::hash(payload));
-
-  scion::WriteCredential credential;
-  credential.certificate = std::move(cert).value();
-  credential.subject_key = key.public_key;
-  credential.batch_digest_hex = digest_hex;
-  credential.batch_signature = util::lamport_sign(key.private_key, digest_hex);
-
-  Result<std::vector<std::string>> inserted = db_.guarded_insert_many(
-      kPathsStats, std::move(docs),
-      scion::TrustStore::encode_credential(credential));
+  Result<std::vector<std::string>> inserted =
+      trust_ == nullptr
+          ? db_.collection(kPathsStats).insert_many(std::move(docs))
+          : signed_insert(std::move(docs));
   if (!inserted.ok()) {
     ++progress_.batches_rejected;
     metrics_.batches_rejected->add();
@@ -212,6 +176,31 @@ Status TestSuite::store_batch(std::vector<Document> docs) {
   metrics_.stats_inserted->add(batch_size);
   metrics_.batches_inserted->add();
   return Status::success();
+}
+
+Result<std::vector<std::string>> TestSuite::signed_insert(
+    std::vector<Document> docs) {
+  // Signed write: fresh one-time key, certificate from our ISD core,
+  // signature over the batch digest (paper §4.2.2's designed PKC gate).
+  const std::string batch_label =
+      "batch:" + std::to_string(batch_counter_++);
+  const util::LamportKeyPair key = trust_->generate_client_key(batch_label);
+  Result<scion::Certificate> cert = trust_->issue_certificate(
+      host_.address().local.ia, key.public_key);
+  if (!cert.ok()) return cert.error();
+  std::string payload;
+  for (const Document& doc : docs) payload += doc.dump();
+  const std::string digest_hex = util::to_hex(util::Sha256::hash(payload));
+
+  scion::WriteCredential credential;
+  credential.certificate = std::move(cert).value();
+  credential.subject_key = key.public_key;
+  credential.batch_digest_hex = digest_hex;
+  credential.batch_signature = util::lamport_sign(key.private_key, digest_hex);
+
+  return db_.guarded_insert_many(
+      kPathsStats, std::move(docs),
+      scion::TrustStore::encode_credential(credential));
 }
 
 std::size_t TestSuite::completed_iterations(int server_id) const {

@@ -220,6 +220,10 @@ class TestSuite {
   [[nodiscard]] obs::Registry& registry() const;
   [[nodiscard]] std::vector<Destination> selected_destinations() const;
   [[nodiscard]] util::Status store_batch(std::vector<docdb::Document> docs);
+  /// store_batch's insert when signed writes are on: one certified
+  /// one-time key per batch, through the database's write guard.
+  [[nodiscard]] util::Result<std::vector<std::string>> signed_insert(
+      std::vector<docdb::Document> docs);
 
   /// Resume planning for step(): destination list, per-destination
   /// remaining-iteration counts, checkpoint availability.  Idempotent.

@@ -151,13 +151,16 @@ Gauge& Registry::gauge(std::string_view name, std::string_view campaign) {
       [] { return std::make_unique<Gauge>(); });
 }
 
-LatencyHistogram& Registry::histogram(std::string_view name,
-                                      std::string_view campaign, double lo,
-                                      double hi, std::size_t bins) {
+const Counter* Registry::find_counter(std::string_view name) const {
   const std::lock_guard<std::mutex> lock(mutex_);
-  return labeled_get_or_create<LatencyHistogram>(
-      labeled_histograms_, name, campaign,
-      [&] { return std::make_unique<LatencyHistogram>(lo, hi, bins); });
+  const auto it = counters_.find(name);
+  return it == counters_.end() ? nullptr : it->second.get();
+}
+
+const LatencyHistogram* Registry::find_histogram(std::string_view name) const {
+  const std::lock_guard<std::mutex> lock(mutex_);
+  const auto it = histograms_.find(name);
+  return it == histograms_.end() ? nullptr : it->second.get();
 }
 
 std::string Registry::to_prometheus() const {
@@ -198,24 +201,6 @@ std::string Registry::to_prometheus() const {
            "\n";
     out += name + "_sum " + util::format("%g", histogram->sum()) + "\n";
     out += name + "_count " + std::to_string(histogram->total()) + "\n";
-  }
-  for (const auto& [name, series] : labeled_histograms_) {
-    out += "# TYPE " + name + " histogram\n";
-    for (const auto& [campaign, histogram] : series) {
-      std::uint64_t cumulative = 0;
-      for (std::size_t bin = 0; bin < histogram->bin_count(); ++bin) {
-        cumulative += histogram->count(bin);
-        out += name + "_bucket{campaign=\"" + campaign + "\",le=\"" +
-               util::format("%g", histogram->bin_high(bin)) + "\"} " +
-               std::to_string(cumulative) + "\n";
-      }
-      out += name + "_bucket{campaign=\"" + campaign + "\",le=\"+Inf\"} " +
-             std::to_string(histogram->total()) + "\n";
-      out += series_key(name + "_sum", campaign) + " " +
-             util::format("%g", histogram->sum()) + "\n";
-      out += series_key(name + "_count", campaign) + " " +
-             std::to_string(histogram->total()) + "\n";
-    }
   }
   return out;
 }
@@ -260,11 +245,6 @@ Value Registry::snapshot() const {
   for (const auto& [name, histogram] : histograms_) {
     histograms.set(name, histogram_entry(*histogram));
   }
-  for (const auto& [name, series] : labeled_histograms_) {
-    for (const auto& [campaign, histogram] : series) {
-      histograms.set(series_key(name, campaign), histogram_entry(*histogram));
-    }
-  }
   util::JsonObject root;
   root.set("counters", Value(std::move(counters)));
   root.set("gauges", Value(std::move(gauges)));
@@ -283,57 +263,22 @@ void Registry::reset_values() {
   for (const auto& [name, series] : labeled_gauges_) {
     for (const auto& [campaign, gauge] : series) gauge->reset();
   }
-  for (const auto& [name, series] : labeled_histograms_) {
-    for (const auto& [campaign, histogram] : series) histogram->reset();
-  }
 }
 
 std::string pipeline_summary(const Registry& registry) {
-  // The registry parameter is non-const in spirit (get-or-create), but
-  // summaries read existing metrics only; cast through the public API by
-  // snapshotting.  Reading via snapshot keeps this function usable on
-  // `const Registry&` without exposing internal maps.
-  const Value snap = registry.snapshot();
-  const auto counter_of = [&](const char* name) -> std::uint64_t {
-    const Value* v = snap.get_path(std::string("counters.") + name);
-    return v == nullptr
-               ? 0
-               : static_cast<std::uint64_t>(v->try_int().value_or(0));
+  const auto counter_of = [&](std::string_view name) -> std::uint64_t {
+    const Counter* counter = registry.find_counter(name);
+    return counter == nullptr ? 0 : counter->value();
   };
-  const auto histogram_stats = [&](const char* name, double& mean_out,
+  const auto histogram_stats = [&](std::string_view name, double& mean_out,
                                    double& p50, double& p90, double& p99) {
     mean_out = p50 = p90 = p99 = 0.0;
-    const Value* h = snap.get_path(std::string("histograms.") + name);
-    if (h == nullptr) return;
-    const Value* buckets = h->get("buckets");
-    const Value* lo = h->get("lo");
-    const Value* width = h->get("width");
-    const Value* total = h->get("total");
-    const Value* sum = h->get("sum");
-    if (buckets == nullptr || !buckets->is_array() || lo == nullptr ||
-        width == nullptr || total == nullptr || sum == nullptr) {
-      return;
-    }
-    const double n = total->as_double();
-    if (n <= 0.0) return;
-    mean_out = sum->as_double() / n;
-    const auto quantile = [&](double q) {
-      const double target = q * n;
-      double seen = 0.0;
-      for (std::size_t bin = 0; bin < buckets->as_array().size(); ++bin) {
-        seen += buckets->as_array()[bin].as_double();
-        if (seen >= target) {
-          return lo->as_double() +
-                 width->as_double() * static_cast<double>(bin + 1);
-        }
-      }
-      return lo->as_double() +
-             width->as_double() *
-                 static_cast<double>(buckets->as_array().size());
-    };
-    p50 = quantile(0.5);
-    p90 = quantile(0.9);
-    p99 = quantile(0.99);
+    const LatencyHistogram* histogram = registry.find_histogram(name);
+    if (histogram == nullptr || histogram->total() == 0) return;
+    mean_out = histogram->mean();
+    p50 = histogram->quantile(0.5);
+    p90 = histogram->quantile(0.9);
+    p99 = histogram->quantile(0.99);
   };
 
   const std::uint64_t groups = counter_of("upin_journal_groups_committed_total");

@@ -9,8 +9,8 @@
 // instrument their hot paths without a shared lock.
 //
 // Two export formats make every run self-describing:
-//   * to_prometheus() — the text exposition format, scraped by the CI
-//     telemetry smoke job and printed by `survey_runner --metrics`;
+//   * to_prometheus() — the text exposition format, checked by the
+//     TelemetrySmoke test and printed by `survey_runner --metrics`;
 //   * snapshot()      — a JSON value, stored in the `campaign_metrics`
 //     docdb collection at checkpoint/end the way the paper stores its
 //     per-(path, timestamp) documents.
@@ -160,10 +160,11 @@ class Registry {
   [[nodiscard]] Counter& counter(std::string_view name,
                                  std::string_view campaign);
   [[nodiscard]] Gauge& gauge(std::string_view name, std::string_view campaign);
-  [[nodiscard]] LatencyHistogram& histogram(std::string_view name,
-                                            std::string_view campaign,
-                                            double lo, double hi,
-                                            std::size_t bins);
+
+  /// Registered unlabeled metric by name, or nullptr; never registers.
+  [[nodiscard]] const Counter* find_counter(std::string_view name) const;
+  [[nodiscard]] const LatencyHistogram* find_histogram(
+      std::string_view name) const;
 
   /// Prometheus text exposition (sorted by metric name — stable output).
   [[nodiscard]] std::string to_prometheus() const;
@@ -192,7 +193,6 @@ class Registry {
   // family name -> campaign label -> instance.
   LabeledFamily<Counter> labeled_counters_;
   LabeledFamily<Gauge> labeled_gauges_;
-  LabeledFamily<LatencyHistogram> labeled_histograms_;
 };
 
 /// Human-readable table of the journal-pipeline metrics (flush-latency

@@ -51,6 +51,26 @@ class VirtualClock {
   SimTime now_ = SimTime::zero();
 };
 
+/// Wall-clock interval timer, started at construction.  Its readings
+/// are outside the virtual-time determinism contract: they differ from
+/// run to run, so nothing journaled, rendered or compared across runs
+/// may depend on them.  For bench timings and wall-time reports only.
+class Stopwatch {
+ public:
+  Stopwatch() noexcept : start_(std::chrono::steady_clock::now()) {}
+
+  [[nodiscard]] std::chrono::nanoseconds elapsed() const noexcept {
+    return std::chrono::duration_cast<std::chrono::nanoseconds>(
+        std::chrono::steady_clock::now() - start_);
+  }
+  [[nodiscard]] double seconds() const noexcept {
+    return std::chrono::duration<double>(elapsed()).count();
+  }
+
+ private:
+  std::chrono::steady_clock::time_point start_;
+};
+
 /// Render a virtual timestamp as a compact sortable token, used in
 /// paths_stats document ids (`<path_id>_<timestamp>` per paper Fig 3).
 [[nodiscard]] std::string timestamp_token(SimTime t);

@@ -8,6 +8,7 @@
 #include <fstream>
 
 #include "docdb/journal.hpp"
+#include "support/temp_path.hpp"
 
 #ifndef UPIN_CORPUS_DIR
 #error "UPIN_CORPUS_DIR must point at the checked-in corpus"
@@ -19,10 +20,7 @@ namespace {
 class CorpusTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    work_dir_ = (std::filesystem::temp_directory_path() /
-                 ("corpus_test_" +
-                  std::to_string(reinterpret_cast<std::uintptr_t>(this))))
-                    .string();
+    work_dir_ = test_support::temp_path("corpus_test");
     std::filesystem::create_directories(work_dir_);
   }
   void TearDown() override {

@@ -12,6 +12,7 @@
 
 #include "docdb/vfs.hpp"
 #include "obs/metrics.hpp"
+#include "support/temp_path.hpp"
 #include "util/crc32.hpp"
 #include "util/log.hpp"
 #include "util/strings.hpp"
@@ -51,11 +52,7 @@ TEST(Database, NamesAreSorted) {
 class DurableDatabaseTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    path_ = (std::filesystem::temp_directory_path() /
-             ("db_test_" +
-              std::to_string(reinterpret_cast<std::uintptr_t>(this)) +
-              ".jsonl"))
-                .string();
+    path_ = test_support::temp_path("db_test", ".jsonl");
     std::filesystem::remove(path_);
   }
   void TearDown() override { std::filesystem::remove(path_); }

@@ -11,6 +11,7 @@
 
 #include "docdb/collection.hpp"
 #include "docdb/database.hpp"
+#include "support/temp_path.hpp"
 #include "util/rng.hpp"
 
 namespace upin::docdb {
@@ -378,9 +379,8 @@ TEST(OrderedIndex, DistinctFirstFollowsUpdateRekeying) {
 }
 
 TEST(OrderedIndex, DistinctFirstSurvivesReopenAndCompact) {
-  const std::string path = (std::filesystem::temp_directory_path() /
-                            "index_test_distinct_first.jsonl")
-                               .string();
+  const std::string path =
+      test_support::temp_path("index_test_distinct_first", ".jsonl");
   std::filesystem::remove(path);
   double before = 0.0;
   {

@@ -8,6 +8,7 @@
 #include <fstream>
 #include <thread>
 
+#include "support/temp_path.hpp"
 #include "util/strings.hpp"
 
 namespace upin::docdb {
@@ -18,11 +19,7 @@ using util::Value;
 class JournalTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    path_ = (std::filesystem::temp_directory_path() /
-             ("journal_test_" +
-              std::to_string(reinterpret_cast<std::uintptr_t>(this)) +
-              ".jsonl"))
-                .string();
+    path_ = test_support::temp_path("journal_test", ".jsonl");
     std::filesystem::remove(path_);
   }
   void TearDown() override { std::filesystem::remove(path_); }

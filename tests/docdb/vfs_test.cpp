@@ -8,6 +8,8 @@
 #include <filesystem>
 #include <fstream>
 
+#include "support/temp_path.hpp"
+
 namespace upin::docdb {
 namespace {
 
@@ -20,10 +22,7 @@ std::string slurp(const std::string& path) {
 class VfsTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = (std::filesystem::temp_directory_path() /
-            ("vfs_test_" +
-             std::to_string(reinterpret_cast<std::uintptr_t>(this))))
-               .string();
+    dir_ = test_support::temp_path("vfs_test");
     std::filesystem::create_directories(dir_);
     path_ = dir_ + "/file.dat";
   }

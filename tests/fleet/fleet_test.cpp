@@ -13,6 +13,7 @@
 #include "measure/schema.hpp"
 #include "obs/metrics.hpp"
 #include "obs/span.hpp"
+#include "support/temp_path.hpp"
 
 namespace upin::fleet {
 namespace {
@@ -130,10 +131,7 @@ TEST_F(FleetTest, TenantShardMatchesPlainTestSuiteRun) {
   // of a plain TestSuite::run() on the same destination, given the
   // tenant's split seed and a private registry.  With
   // SoloRunMatchesInFleetRun this pins run() == solo == in-fleet.
-  const std::filesystem::path dir =
-      std::filesystem::temp_directory_path() /
-      ("fleet_oracle_" +
-       std::to_string(reinterpret_cast<std::uintptr_t>(this)));
+  const std::filesystem::path dir = test_support::temp_path("fleet_oracle");
   std::filesystem::remove_all(dir);
   FleetConfig config = base_config();
   config.suite.iterations = 3;

@@ -14,6 +14,7 @@
 #include "fleet/fleet.hpp"
 #include "measure/testsuite.hpp"
 #include "scion/scionlab.hpp"
+#include "support/temp_path.hpp"
 
 namespace upin::measure {
 namespace {
@@ -23,11 +24,7 @@ using util::Value;
 class FaultRecoveryTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    journal_path_ =
-        (std::filesystem::temp_directory_path() /
-         ("fault_recovery_" +
-          std::to_string(reinterpret_cast<std::uintptr_t>(this)) + ".jsonl"))
-            .string();
+    journal_path_ = test_support::temp_path("fault_recovery", ".jsonl");
     std::filesystem::remove(journal_path_);
   }
   void TearDown() override { std::filesystem::remove(journal_path_); }
@@ -237,10 +234,7 @@ TEST_F(FaultRecoveryTest, FleetKillThenResumeReproducesIdenticalDocuments) {
   // directory, and require every tenant's paths_stats document set to
   // match an uninterrupted reference fleet exactly.
   namespace fs = std::filesystem;
-  const std::string base =
-      (fs::temp_directory_path() /
-       ("fleet_resume_" + std::to_string(reinterpret_cast<std::uintptr_t>(this))))
-          .string();
+  const std::string base = test_support::temp_path("fleet_resume");
   fs::remove_all(base);
 
   fleet::FleetConfig config;

@@ -12,6 +12,7 @@
 
 #include "docdb/vfs.hpp"
 #include "fleet/fleet.hpp"
+#include "support/temp_path.hpp"
 
 namespace upin::fleet {
 namespace {
@@ -19,10 +20,7 @@ namespace {
 class FleetIsolationTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    base_ = (std::filesystem::temp_directory_path() /
-             ("fleet_iso_" +
-              std::to_string(reinterpret_cast<std::uintptr_t>(this))))
-                .string();
+    base_ = test_support::temp_path("fleet_iso");
     std::filesystem::remove_all(base_);
     std::filesystem::create_directories(base_);
   }

@@ -11,6 +11,7 @@
 #include "measure/testsuite.hpp"
 #include "scion/scionlab.hpp"
 #include "select/selector.hpp"
+#include "support/temp_path.hpp"
 
 namespace upin {
 namespace {
@@ -45,8 +46,7 @@ TEST(Integration, FullCampaignThenSelection) {
 
 TEST(Integration, DurableCampaignSurvivesReopen) {
   const std::string path =
-      (std::filesystem::temp_directory_path() / "upin_integration.jsonl")
-          .string();
+      test_support::temp_path("upin_integration", ".jsonl");
   std::filesystem::remove(path);
 
   const scion::ScionlabEnv env = scion::scionlab_topology();

@@ -1,19 +1,32 @@
-// Integration: the telemetry determinism contract.
+// Integration: the telemetry determinism contract and the telemetry
+// smoke.
 //
 // The acceptance invariant for the observability layer: a fixed-seed
 // fleet run yields a bit-identical virtual-clock span tree and identical
 // per-tenant progress counters on every run, however the workers were
 // scheduled.  Wall-clock metrics (journal flush latency, fleet
 // backpressure) are explicitly outside the contract and not compared.
+//
+// The smoke runs the campaign of `survey_runner 3 --servers 1,3 --db <j>
+// --metrics --trace-out <t>` and checks the three artifacts it leaves:
+// the Prometheus exposition, the span tree and the journal.
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <fstream>
+#include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
+#include "apps/host.hpp"
+#include "docdb/database.hpp"
 #include "fleet/fleet.hpp"
+#include "measure/testsuite.hpp"
 #include "obs/metrics.hpp"
 #include "obs/span.hpp"
 #include "scion/scionlab.hpp"
+#include "support/temp_path.hpp"
 
 namespace upin::fleet {
 namespace {
@@ -70,6 +83,91 @@ TEST(TelemetryDeterminism, FixedSeedRunsProduceIdenticalArtifacts) {
     EXPECT_GT(first.progress[i].stats_inserted, 0u) << "campaign " << i;
     EXPECT_TRUE(first.progress[i] == second.progress[i]) << "campaign " << i;
   }
+}
+
+class TelemetrySmoke : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    std::filesystem::remove(journal_);
+    // The campaign instruments the process-wide registry; start it from
+    // zero so counters bumped by earlier tests in this process cannot
+    // stand in for the campaign's own.
+    obs::Registry::global().reset_values();
+
+    const scion::ScionlabEnv env = scion::scionlab_topology();
+    apps::ScionHost host(env, 42, env.user_as, "10.0.8.1");
+    auto opened = docdb::Database::open(journal_);
+    ASSERT_TRUE(opened.ok());
+    measure::TestSuiteConfig config;
+    config.iterations = 3;
+    config.server_ids = {{1, 3}};
+    config.tracer = &tracer_;
+    measure::TestSuite suite(host, *opened.value(), config);
+    ASSERT_TRUE(suite.run().ok());
+    ASSERT_TRUE(opened.value()->compact().ok());
+    metrics_ = obs::Registry::global().to_prometheus();
+  }
+  void TearDown() override { std::filesystem::remove(journal_); }
+
+  const std::string journal_ = test_support::temp_path("telemetry", ".jsonl");
+  obs::SpanTracer tracer_{"campaign"};
+  std::string metrics_;
+};
+
+/// The sample value of the series `name` in a Prometheus exposition, or
+/// "" when no sample line carries it.
+std::string sample_value(const std::string& exposition,
+                         std::string_view name) {
+  std::istringstream lines(exposition);
+  std::string line;
+  while (std::getline(lines, line)) {
+    const std::size_t space = line.find(' ');
+    if (space != std::string::npos && line.compare(0, space, name) == 0) {
+      return line.substr(space + 1);
+    }
+  }
+  return "";
+}
+
+TEST_F(TelemetrySmoke, AllowListedMetricsArePresentAndNonZero) {
+  for (const char* name : {
+           "upin_journal_events_enqueued_total",
+           "upin_journal_groups_committed_total",
+           "upin_journal_bytes_written_total",
+           "upin_journal_flush_latency_us_count",
+           "upin_measure_pings_total",
+           "upin_measure_bwtests_total",
+           "upin_measure_path_tests_total",
+           "upin_measure_stats_inserted_total",
+           "upin_measure_batches_inserted_total",
+           "upin_measure_checkpoints_total",
+       }) {
+    const std::string value = sample_value(metrics_, name);
+    EXPECT_FALSE(value.empty()) << name << " missing";
+    EXPECT_NE(value, "0") << name << " is zero";
+  }
+}
+
+TEST_F(TelemetrySmoke, SpanTreeCoversTheCampaignHierarchy) {
+  const std::string render = "\n" + tracer_.render();
+  for (const char* prefix :
+       {"campaign [", "  unit s", "    path ", "      ping ["}) {
+    EXPECT_NE(render.find("\n" + std::string(prefix)), std::string::npos)
+        << "no line starts with '" << prefix << "'";
+  }
+}
+
+TEST_F(TelemetrySmoke, FinalCampaignMetricsAreJournaled) {
+  std::ifstream in(journal_);
+  std::string line;
+  bool final_stage = false;
+  while (std::getline(in, line)) {
+    final_stage =
+        final_stage ||
+        (line.find("\"campaign_metrics\"") != std::string::npos &&
+         line.find("\"stage\":\"final\"") != std::string::npos);
+  }
+  EXPECT_TRUE(final_stage) << "no campaign_metrics document with stage final";
 }
 
 }  // namespace

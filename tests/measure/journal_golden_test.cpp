@@ -18,13 +18,12 @@
 #include <sstream>
 #include <string>
 
-#include <unistd.h>
-
 #include "apps/host.hpp"
 #include "docdb/database.hpp"
 #include "measure/testsuite.hpp"
 #include "obs/metrics.hpp"
 #include "scion/scionlab.hpp"
+#include "support/temp_path.hpp"
 #include "util/sha256.hpp"
 
 namespace upin::measure {
@@ -36,13 +35,7 @@ class JournalGolden : public ::testing::Test {
  protected:
   JournalGolden()
       : env_(scion::scionlab_topology()),
-        journal_((std::filesystem::temp_directory_path() /
-                  ("journal_golden_" +
-                   std::string(::testing::UnitTest::GetInstance()
-                                   ->current_test_info()
-                                   ->name()) +
-                   "_" + std::to_string(::getpid()) + ".jsonl"))
-                     .string()) {
+        journal_(test_support::temp_path("journal_golden", ".jsonl")) {
     std::filesystem::remove(journal_);
   }
   ~JournalGolden() override { std::filesystem::remove(journal_); }

@@ -6,6 +6,7 @@
 #include <filesystem>
 
 #include "obs/metrics.hpp"
+#include "support/temp_path.hpp"
 
 namespace upin::measure {
 namespace {
@@ -44,11 +45,7 @@ TEST_F(TestSuiteTest, DurableUnitsWaitOnceForThePreviousUnitsWrites) {
   // unit makes one, for the previous unit's writes, and stores its own
   // without waiting; finish() waits for the last ones.  The journal then
   // holds every write.
-  const std::string path =
-      (std::filesystem::temp_directory_path() /
-       ("testsuite_sync_" +
-        std::to_string(reinterpret_cast<std::uintptr_t>(this)) + ".jsonl"))
-          .string();
+  const std::string path = test_support::temp_path("testsuite_sync", ".jsonl");
   std::filesystem::remove(path);
   obs::LatencyHistogram& sync_waits = obs::Registry::global().histogram(
       "upin_journal_sync_wait_us", 0.0, 5000.0, 50);

@@ -196,8 +196,6 @@ TEST(LabeledMetrics, SeriesAreSeparablePerCampaign) {
   registry.counter("upin_fleet_units_total", "0").add(3);
   registry.counter("upin_fleet_units_total", "1").add(7);
   registry.gauge("upin_fleet_campaign_state", "0").set(2);
-  registry.histogram("upin_fleet_unit_clock_s", "1", 0.0, 100.0, 10)
-      .observe(12.0);
 
   // Same (family, campaign) resolves to the same instance.
   EXPECT_EQ(registry.counter("upin_fleet_units_total", "0").value(), 3u);
@@ -213,8 +211,6 @@ TEST(LabeledMetrics, PrometheusExpositionCarriesTheCampaignLabel) {
   registry.counter("upin_fleet_units_total", "0").add(5);
   registry.counter("upin_fleet_units_total", "3").add(1);
   registry.gauge("upin_fleet_campaign_state", "3").set(1);
-  registry.histogram("upin_fleet_unit_clock_s", "3", 0.0, 10.0, 2)
-      .observe(4.0);
   const std::string text = registry.to_prometheus();
   EXPECT_NE(text.find("# TYPE upin_fleet_units_total counter"),
             std::string::npos);
@@ -223,11 +219,6 @@ TEST(LabeledMetrics, PrometheusExpositionCarriesTheCampaignLabel) {
   EXPECT_NE(text.find("upin_fleet_units_total{campaign=\"3\"} 1"),
             std::string::npos);
   EXPECT_NE(text.find("upin_fleet_campaign_state{campaign=\"3\"} 1"),
-            std::string::npos);
-  EXPECT_NE(
-      text.find("upin_fleet_unit_clock_s_bucket{campaign=\"3\",le=\"5\"} 1"),
-      std::string::npos);
-  EXPECT_NE(text.find("upin_fleet_unit_clock_s_count{campaign=\"3\"} 1"),
             std::string::npos);
   // One TYPE line per family, not one per labeled series.
   std::size_t type_lines = 0;

@@ -29,6 +29,7 @@
 #include "measure/testsuite.hpp"
 #include "scion/scionlab.hpp"
 #include "select/selector.hpp"
+#include "support/temp_path.hpp"
 #include "upin/controller.hpp"
 #include "util/json.hpp"
 #include "util/rng.hpp"
@@ -188,8 +189,7 @@ TEST(ControlPlaneChurn, KillThenResumeIsBitIdenticalUnderStorm) {
     ASSERT_FALSE(reference.empty());
   }
 
-  const std::string journal =
-      (std::filesystem::temp_directory_path() / "churn_resume.jsonl").string();
+  const std::string journal = test_support::temp_path("churn_resume", ".jsonl");
   std::filesystem::remove(journal);
 
   // Crashed run: killed after the third committed batch.

@@ -20,6 +20,7 @@
 
 #include "docdb/database.hpp"
 #include "docdb/vfs.hpp"
+#include "support/temp_path.hpp"
 
 namespace upin::docdb {
 namespace {
@@ -145,10 +146,7 @@ ModelState capture(Database& db) {
 class CrashMatrixTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = (std::filesystem::temp_directory_path() /
-            ("crash_matrix_" +
-             std::to_string(reinterpret_cast<std::uintptr_t>(this))))
-               .string();
+    dir_ = test_support::temp_path("crash_matrix");
     std::filesystem::create_directories(dir_);
   }
   void TearDown() override {

@@ -10,6 +10,7 @@
 #include "docdb/database.hpp"
 #include "measure/testsuite.hpp"
 #include "select/selector.hpp"
+#include "support/temp_path.hpp"
 #include "util/rng.hpp"
 #include "util/strings.hpp"
 
@@ -65,10 +66,7 @@ void random_operation(Rng& rng, Collection& coll, int& id_counter) {
 }
 
 TEST_P(JournalEquivalenceProperty, ReplayedStateMatchesInMemory) {
-  const std::string path =
-      (std::filesystem::temp_directory_path() /
-       ("journal_prop_" + std::to_string(GetParam()) + ".jsonl"))
-          .string();
+  const std::string path = test_support::temp_path("journal_prop", ".jsonl");
   std::filesystem::remove(path);
 
   Database memory;

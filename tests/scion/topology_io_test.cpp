@@ -7,6 +7,7 @@
 
 #include "scion/beacon.hpp"
 #include "scion/scionlab.hpp"
+#include "support/temp_path.hpp"
 
 namespace upin::scion {
 namespace {
@@ -71,8 +72,7 @@ TEST(TopologyIo, ReloadedTopologyProducesSamePaths) {
 }
 
 TEST(TopologyIo, FileRoundTrip) {
-  const std::string path =
-      (std::filesystem::temp_directory_path() / "upin_topo.json").string();
+  const std::string path = test_support::temp_path("upin_topo", ".json");
   const ScionlabEnv env = scionlab_topology();
   ASSERT_TRUE(save_topology(env.topology, path).ok());
   const auto loaded = load_topology(path);

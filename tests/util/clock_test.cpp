@@ -12,6 +12,15 @@ TEST(SimTimeConversions, RoundTrip) {
   EXPECT_DOUBLE_EQ(to_millis(sim_seconds(1.0)), 1000.0);
 }
 
+TEST(Stopwatch, ElapsedNeverRunsBackwards) {
+  const Stopwatch watch;
+  const std::chrono::nanoseconds first = watch.elapsed();
+  const std::chrono::nanoseconds second = watch.elapsed();
+  EXPECT_GE(first.count(), 0);
+  EXPECT_GE(second, first);
+  EXPECT_GE(watch.seconds(), std::chrono::duration<double>(second).count());
+}
+
 TEST(VirtualClock, StartsAtZero) {
   const VirtualClock clock;
   EXPECT_EQ(clock.now(), SimTime::zero());
