@@ -3,7 +3,8 @@
 // control-plane path combination, SCION address text (ISD-AS and
 // hop-sequence formatting and parsing, the per-unit control-plane
 // checkpoint and its restore), the selection read path (per-destination
-// paths_stats summaries), probe dispatch (host ping / bwtestclient next
+// paths_stats summaries, the per-document stats view and whole
+// select_with requests), probe dispatch (host ping / bwtestclient next
 // to the bare network call on the same route) and a full
 // single-destination campaign iteration.  Not a paper figure; a
 // regression harness for contributors.
@@ -12,6 +13,9 @@
 #include <array>
 #include <memory>
 #include <optional>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "apps/host.hpp"
 #include "docdb/filter.hpp"
@@ -21,6 +25,7 @@
 #include "scion/beacon.hpp"
 #include "scion/scionlab.hpp"
 #include "select/selector.hpp"
+#include "util/rng.hpp"
 
 namespace {
 
@@ -305,10 +310,16 @@ struct SelectPopulation {
   std::int64_t window_start_ms = 0;  ///< the last 10 % of the timeline
 };
 
+/// Built once, on first use, for every selection benchmark.
+const SelectPopulation& select_population() {
+  static const SelectPopulation population;
+  return population;
+}
+
 /// PathSelector::summarize for every destination: over the freshness
 /// window select-mix uses for 75 % of its requests, or the full history.
 void BM_SelectorSummarize(benchmark::State& state, bool windowed) {
-  static const SelectPopulation population;
+  const SelectPopulation& population = select_population();
   const select::PathSelector selector(population.db, population.env.topology);
   const std::optional<std::int64_t> since =
       windowed ? std::optional<std::int64_t>(population.window_start_ms)
@@ -332,6 +343,67 @@ void BM_SelectorSummarize(benchmark::State& state, bool windowed) {
       benchmark::Counter::kIsRate);
 }
 
+/// measure::view_stats_document over one path's paths_stats documents in
+/// collection order, one document per iteration.
+void BM_ViewStatsDocument(benchmark::State& state) {
+  const SelectPopulation& population = select_population();
+  const docdb::Collection* stats =
+      population.db.find_collection(measure::kPathsStats);
+  const auto by_path = docdb::Filter::compile(
+      util::Value::object({{"path_id", util::Value(measure::path_doc_id(3, 0))}}));
+  if (stats == nullptr || !by_path.ok()) std::abort();
+  const std::vector<docdb::Document> docs = stats->find(by_path.value());
+  if (docs.empty()) std::abort();
+  std::size_t next = 0;
+  for (auto _ : state) {
+    auto view = measure::view_stats_document(docs[next]);
+    benchmark::DoNotOptimize(view);
+    if (++next == docs.size()) next = 0;
+  }
+  state.counters["docs"] = static_cast<double>(docs.size());
+}
+
+/// PathSelector::select_with over a fixed-seed request mix, one request
+/// per iteration: the five strategies, all four objectives, 75 % inside
+/// the freshness window, 30 % with sovereignty exclusions or caps.
+void BM_SelectWith(benchmark::State& state) {
+  const SelectPopulation& population = select_population();
+  const select::PathSelector selector(population.db, population.env.topology);
+  const std::vector<std::string> strategies = {
+      std::string(select::kPaperObjective), std::string(select::kLatencyGreedy),
+      std::string(select::kLossAverse), std::string(select::kGeoConstrained),
+      std::string(select::kDisjointnessMax)};
+  const int servers = static_cast<int>(population.env.servers.size());
+  util::Rng rng(20);
+  std::vector<std::pair<std::string, select::UserRequest>> requests(256);
+  for (auto& [strategy, request] : requests) {
+    strategy = strategies[static_cast<std::size_t>(rng.uniform_int(
+        0, static_cast<std::int64_t>(strategies.size()) - 1))];
+    request.server_id = static_cast<int>(rng.uniform_int(1, servers));
+    request.objective = static_cast<select::Objective>(rng.uniform_int(0, 3));
+    if (rng.bernoulli(0.75)) {
+      request.since_timestamp_ms = population.window_start_ms;
+    }
+    if (rng.bernoulli(0.30)) {
+      if (rng.bernoulli(0.5)) {
+        request.exclude_isds = {
+            static_cast<std::uint16_t>(rng.uniform_int(16, 20))};
+      } else {
+        request.max_latency_ms = rng.uniform(50.0, 400.0);
+        request.max_loss_pct = rng.uniform(0.5, 5.0);
+      }
+    }
+  }
+  std::size_t next = 0;
+  for (auto _ : state) {
+    const auto& [strategy, request] = requests[next];
+    auto selection = selector.select_with(strategy, request);
+    if (!selection.ok()) std::abort();
+    benchmark::DoNotOptimize(selection);
+    if (++next == requests.size()) next = 0;
+  }
+}
+
 BENCHMARK(BM_JsonParse);
 BENCHMARK(BM_JsonDump);
 BENCHMARK(BM_FilterCompile);
@@ -351,6 +423,8 @@ BENCHMARK_CAPTURE(BM_HostBwtestclient, network, false);
 BENCHMARK(BM_CampaignIteration);
 BENCHMARK_CAPTURE(BM_SelectorSummarize, windowed, true);
 BENCHMARK_CAPTURE(BM_SelectorSummarize, full, false);
+BENCHMARK(BM_ViewStatsDocument);
+BENCHMARK(BM_SelectWith);
 
 }  // namespace
 

@@ -162,9 +162,48 @@ enum StatsField {
   kTargetMbps,
   kStatsFieldCount
 };
-constexpr std::string_view kStatsFieldNames[kStatsFieldCount] = {
-    "path_id",    "server_id", "timestamp_ms", "hop_count", "loss_pct",
-    "isds",       "latency_ms", "jitter_ms",   "bw",        "target_mbps"};
+
+/// The field `key` names, or kStatsFieldCount for a foreign key.  The
+/// length (and, among the three 9-character names, the first letter)
+/// leaves one candidate, so each key is compared with one name at most.
+StatsField stats_field(std::string_view key) noexcept {
+  const auto if_named = [key](std::string_view name, StatsField field) {
+    return key == name ? field : kStatsFieldCount;
+  };
+  switch (key.size()) {
+    case 2: return if_named("bw", kBw);
+    case 4: return if_named("isds", kIsds);
+    case 7: return if_named("path_id", kPathId);
+    case 8: return if_named("loss_pct", kLossPct);
+    case 9:
+      switch (key[0]) {
+        case 's': return if_named("server_id", kServerId);
+        case 'h': return if_named("hop_count", kHopCount);
+        case 'j': return if_named("jitter_ms", kJitterMs);
+        default: return kStatsFieldCount;
+      }
+    case 10: return if_named("latency_ms", kLatencyMs);
+    case 11: return if_named("target_mbps", kTargetMbps);
+    case 12: return if_named("timestamp_ms", kTimestampMs);
+    default: return kStatsFieldCount;
+  }
+}
+
+/// The `bw` columns, told apart by length alone.
+enum BwColumn { kUp64, kDown64, kUpMtu, kDownMtu, kBwColumnCount };
+
+BwColumn bw_column(std::string_view key) noexcept {
+  const auto if_named = [key](std::string_view name, BwColumn column) {
+    return key == name ? column : kBwColumnCount;
+  };
+  switch (key.size()) {
+    case 5: return if_named("up_64", kUp64);
+    case 6: return if_named("up_mtu", kUpMtu);
+    case 7: return if_named("down_64", kDown64);
+    case 8: return if_named("down_mtu", kDownMtu);
+    default: return kBwColumnCount;
+  }
+}
 
 std::optional<double> optional_double(const Value* value) {
   if (value == nullptr || !value->is_number()) return std::nullopt;
@@ -178,11 +217,9 @@ Result<StatsView> view_stats_document(const Document& doc) {
   std::array<const Value*, kStatsFieldCount> field{};
   if (doc.is_object()) {
     for (const auto& [key, value] : doc.as_object()) {
-      for (std::size_t i = 0; i < kStatsFieldCount; ++i) {
-        if (field[i] == nullptr && key == kStatsFieldNames[i]) {
-          field[i] = &value;
-          break;
-        }
+      const StatsField which = stats_field(key);
+      if (which != kStatsFieldCount && field[which] == nullptr) {
+        field[which] = &value;
       }
     }
   }
@@ -216,11 +253,18 @@ Result<StatsView> view_stats_document(const Document& doc) {
   view.loss_pct = loss->as_double();
   view.latency_ms = optional_double(field[kLatencyMs]);
   view.jitter_ms = optional_double(field[kJitterMs]);
-  if (const Value* bw = field[kBw]; bw != nullptr) {
-    view.bw_up_64 = optional_double(bw->get("up_64"));
-    view.bw_down_64 = optional_double(bw->get("down_64"));
-    view.bw_up_mtu = optional_double(bw->get("up_mtu"));
-    view.bw_down_mtu = optional_double(bw->get("down_mtu"));
+  if (const Value* bw = field[kBw]; bw != nullptr && bw->is_object()) {
+    std::array<const Value*, kBwColumnCount> column{};
+    for (const auto& [key, value] : bw->as_object()) {
+      const BwColumn which = bw_column(key);
+      if (which != kBwColumnCount && column[which] == nullptr) {
+        column[which] = &value;
+      }
+    }
+    view.bw_up_64 = optional_double(column[kUp64]);
+    view.bw_down_64 = optional_double(column[kDown64]);
+    view.bw_up_mtu = optional_double(column[kUpMtu]);
+    view.bw_down_mtu = optional_double(column[kDownMtu]);
   }
   view.target_mbps = optional_double(field[kTargetMbps]).value_or(0.0);
   return view;

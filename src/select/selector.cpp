@@ -1,6 +1,7 @@
 #include "select/selector.hpp"
 
 #include <algorithm>
+#include <array>
 
 #include "measure/schema.hpp"
 #include "scion/path.hpp"
@@ -20,31 +21,33 @@ PathSelector::PathSelector(const docdb::Database& db,
                            const scion::Topology& topology)
     : db_(db), topology_(topology) {}
 
-Result<PathSummary> PathSelector::summarize_path(
-    const Document& path_doc, std::optional<std::int64_t> since_ms) const {
-  Result<PathRecord> record = measure::parse_path_document(path_doc);
-  if (!record.ok()) return Result<PathSummary>(record.error());
+namespace {
 
+/// The seven sample columns a path's summary aggregates, reused across
+/// the paths of a summarize() call so their buffers are allocated once.
+using SampleColumns = std::array<std::vector<double>, 7>;
+
+/// `record`'s summary over the paths_stats documents `stats` holds for it
+/// (at or after `since_ms` when set).  Moves the record's strings out.
+Result<PathSummary> summarize_path(PathRecord&& record,
+                                   const docdb::Collection& stats,
+                                   std::optional<std::int64_t> since_ms,
+                                   SampleColumns& columns) {
   PathSummary summary;
-  summary.path_id = record.value().id;
-  summary.server_id = record.value().server_id;
-  summary.sequence = record.value().sequence;
-  summary.hop_count = record.value().hop_count;
-  summary.isds = record.value().isds;
-  summary.mtu = record.value().mtu;
+  summary.path_id = std::move(record.id);
+  summary.server_id = record.server_id;
+  summary.sequence = std::move(record.sequence);
+  summary.hop_count = record.hop_count;
+  summary.isds = std::move(record.isds);
+  summary.mtu = record.mtu;
 
-  Result<scion::Path> parsed =
-      scion::Path::parse_sequence(record.value().sequence);
+  Result<scion::Path> parsed = scion::Path::parse_sequence(summary.sequence);
   if (parsed.ok()) {
     for (const scion::PathHop& hop : parsed.value().hops()) {
       summary.hops.push_back(hop.ia);
     }
   }
 
-  const docdb::Collection* stats = db_.find_collection(measure::kPathsStats);
-  if (stats == nullptr) {
-    return util::Error{ErrorCode::kNotFound, "paths_stats does not exist"};
-  }
   util::JsonObject query;
   query.set("path_id", Value(summary.path_id));
   if (since_ms.has_value()) {
@@ -53,16 +56,15 @@ Result<PathSummary> PathSelector::summarize_path(
   Result<Filter> by_path = Filter::compile(Value(std::move(query)));
   if (!by_path.ok()) return Result<PathSummary>(by_path.error());
 
-  std::vector<double> latencies;
-  std::vector<double> losses;
-  std::vector<double> jitters;
-  std::vector<double> bw_down_mtu, bw_up_mtu, bw_down_64, bw_up_64;
+  for (std::vector<double>& column : columns) column.clear();
+  auto& [latencies, losses, jitters, bw_down_mtu, bw_up_mtu, bw_down_64,
+         bw_up_64] = columns;
   const auto add = [](std::vector<double>& to, std::optional<double> value) {
     if (value.has_value()) to.push_back(*value);
   };
   // Read each document in place, in find()'s order, so every mean sums
   // the same values in the same order as a copying read would.
-  stats->for_each_match(by_path.value(), {}, [&](const Document& doc) {
+  stats.for_each_match(by_path.value(), {}, [&](const Document& doc) {
     Result<StatsView> sample = measure::view_stats_document(doc);
     if (!sample.ok()) return true;  // tolerate foreign documents
     const StatsView& view = sample.value();
@@ -88,11 +90,11 @@ Result<PathSummary> PathSelector::summarize_path(
   return summary;
 }
 
-namespace {
+}  // namespace
 
-util::Result<std::vector<Document>> path_docs_for(const docdb::Database& db,
-                                                  int server_id) {
-  const docdb::Collection* paths = db.find_collection(measure::kPaths);
+Result<std::vector<PathSummary>> PathSelector::summarize(
+    int server_id, std::optional<std::int64_t> since_ms) const {
+  const docdb::Collection* paths = db_.find_collection(measure::kPaths);
   if (paths == nullptr) {
     return util::Error{ErrorCode::kNotFound, "paths collection does not exist"};
   }
@@ -100,23 +102,42 @@ util::Result<std::vector<Document>> path_docs_for(const docdb::Database& db,
   query.set("server_id", Value(server_id));
   Result<Filter> by_server = Filter::compile(Value(std::move(query)));
   if (!by_server.ok()) {
-    return util::Result<std::vector<Document>>(by_server.error());
+    return Result<std::vector<PathSummary>>(by_server.error());
   }
   docdb::FindOptions in_order;
   in_order.sort_by = "path_index";
-  return paths->find(by_server.value(), in_order);
-}
 
-}  // namespace
+  // Decode the path documents in place, stopping at the first malformed
+  // one.  The stats queries run after this returns, so no collection
+  // lock is held while another is taken.
+  std::vector<PathRecord> records;
+  std::optional<util::Error> malformed;
+  paths->for_each_match(by_server.value(), in_order, [&](const Document& doc) {
+    Result<PathRecord> record = measure::parse_path_document(doc);
+    if (!record.ok()) {
+      malformed = record.error();
+      return false;
+    }
+    records.push_back(std::move(record).value());
+    return true;
+  });
 
-Result<std::vector<PathSummary>> PathSelector::summarize(
-    int server_id, std::optional<std::int64_t> since_ms) const {
-  Result<std::vector<Document>> docs = path_docs_for(db_, server_id);
-  if (!docs.ok()) return Result<std::vector<PathSummary>>(docs.error());
+  // Errors surface in the order a path-by-path read meets them: the
+  // first path's own decoding, then the missing stats collection.
+  const docdb::Collection* stats = db_.find_collection(measure::kPathsStats);
+  if (stats == nullptr && !records.empty()) {
+    return util::Error{ErrorCode::kNotFound, "paths_stats does not exist"};
+  }
+  if (malformed.has_value()) {
+    return Result<std::vector<PathSummary>>(std::move(*malformed));
+  }
+
   std::vector<PathSummary> summaries;
-  summaries.reserve(docs.value().size());
-  for (const Document& doc : docs.value()) {
-    Result<PathSummary> summary = summarize_path(doc, since_ms);
+  summaries.reserve(records.size());
+  SampleColumns columns;
+  for (PathRecord& record : records) {
+    Result<PathSummary> summary =
+        summarize_path(std::move(record), *stats, since_ms, columns);
     if (!summary.ok()) return Result<std::vector<PathSummary>>(summary.error());
     summaries.push_back(std::move(summary).value());
   }

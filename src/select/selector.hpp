@@ -76,10 +76,6 @@ class PathSelector {
       const PathSummary& summary, const UserRequest& request) const;
 
  private:
-  [[nodiscard]] util::Result<PathSummary> summarize_path(
-      const docdb::Document& path_doc,
-      std::optional<std::int64_t> since_ms) const;
-
   const docdb::Database& db_;
   const scion::Topology& topology_;
   const scion::ControlPlane* control_plane_ = nullptr;

@@ -33,16 +33,22 @@ Selection admit(std::span<const PathSummary> paths, const UserRequest& request,
   out.strategy = std::string(strategy.key());
   out.request_description = request.describe();
   for (const PathSummary& summary : paths) {
-    AdmissionReport report = check_admission(summary, request, context, strategy);
-    if (report.rejection.has_value()) {
+    // Most paths pass: admit without verdict text, and evaluate a
+    // rejected path again, recording, for its reasons.
+    const std::optional<double> score =
+        admitted_score(summary, request, context, strategy);
+    if (!score.has_value()) {
+      AdmissionReport report =
+          check_admission(summary, request, context, strategy);
       out.rejected.emplace_back(summary.path_id, *report.rejection);
-      out.rejected_detail.push_back(RejectedPath{
-          summary.path_id, *report.rejection, std::move(report.verdicts)});
+      out.rejected_detail.push_back(RejectedPath{summary.path_id,
+                                                 std::move(*report.rejection),
+                                                 std::move(report.verdicts)});
       continue;
     }
     RankedPath ranked;
     ranked.summary = summary;
-    ranked.score = *strategy.score_path(summary, request, context);
+    ranked.score = *score;
     out.ranked.push_back(std::move(ranked));
   }
   return out;

@@ -1,6 +1,8 @@
 #include "select/strategy.hpp"
 
 #include <algorithm>
+#include <concepts>
+#include <string_view>
 
 #include "scion/control_plane.hpp"
 #include "scion/topology.hpp"
@@ -55,39 +57,62 @@ std::optional<double> paper_objective_score(const PathSummary& summary,
 
 namespace {
 
-/// Append a verdict and, on the first failure, latch the rejection.
-struct VerdictSink {
-  AdmissionReport* report;
+/// Where check_admission's constraint sequence reports its verdicts.
+/// Recording, it appends every verdict to a report and latches the first
+/// failure's detail as the rejection.  Not recording (null report), it
+/// only notes whether a constraint failed and builds no detail text, so
+/// a formatted detail is passed as a callable that only recording runs.
+class VerdictSink {
+ public:
+  explicit VerdictSink(AdmissionReport* report) noexcept : report_(report) {}
 
-  void pass(std::string constraint, std::string detail = {}) {
-    report->verdicts.push_back(
-        ConstraintVerdict{std::move(constraint), true, std::move(detail)});
+  [[nodiscard]] bool failed() const noexcept { return failed_; }
+
+  template <std::invocable Detail>
+  void pass(const char* constraint, const Detail& detail) {
+    if (report_ == nullptr) return;
+    report_->verdicts.push_back(ConstraintVerdict{constraint, true, detail()});
   }
-  void fail(std::string constraint, std::string detail) {
-    if (!report->rejection.has_value()) report->rejection = detail;
-    report->verdicts.push_back(
-        ConstraintVerdict{std::move(constraint), false, std::move(detail)});
+  void pass(const char* constraint) {
+    pass(constraint, [] { return std::string(); });
   }
+
+  template <std::invocable Detail>
+  void fail(const char* constraint, const Detail& detail) {
+    failed_ = true;
+    if (report_ == nullptr) return;
+    std::string text = detail();
+    if (!report_->rejection.has_value()) report_->rejection = text;
+    report_->verdicts.push_back(
+        ConstraintVerdict{constraint, false, std::move(text)});
+  }
+  void fail(const char* constraint, std::string_view detail) {
+    fail(constraint, [detail] { return std::string(detail); });
+  }
+
+ private:
+  AdmissionReport* report_;
+  bool failed_ = false;
 };
 
-}  // namespace
-
-AdmissionReport check_admission(const PathSummary& summary,
-                                const UserRequest& request,
-                                const SelectionContext& context,
-                                const PathSelectionStrategy& strategy) {
-  AdmissionReport report;
-  VerdictSink sink{&report};
-
+/// The request's hard constraints plus the strategy's data requirement,
+/// in order, reported to `sink`.  Returns the strategy's score for the
+/// path (nullopt when it has none, which is itself a failed constraint).
+std::optional<double> evaluate_admission(const PathSummary& summary,
+                                         const UserRequest& request,
+                                         const SelectionContext& context,
+                                         const PathSelectionStrategy& strategy,
+                                         VerdictSink& sink) {
   // Evaluation order matches the legacy rejection pipeline exactly so the
   // paper-objective strategy reproduces its rejection strings verbatim.
   if (summary.samples < request.min_samples) {
-    sink.fail("min-samples",
-              util::format("only %zu samples (need %zu)", summary.samples,
-                           request.min_samples));
+    sink.fail("min-samples", [&] {
+      return util::format("only %zu samples (need %zu)", summary.samples,
+                          request.min_samples);
+    });
   } else {
     sink.pass("min-samples",
-              util::format("%zu samples", summary.samples));
+              [&] { return util::format("%zu samples", summary.samples); });
   }
 
   // Control-plane liveness: a delivered, unexpired revocation disqualifies
@@ -175,13 +200,15 @@ AdmissionReport check_admission(const PathSummary& summary,
     if (!summary.latency_ms.has_value()) {
       sink.fail("max-latency", "no latency data");
     } else if (summary.latency_ms->median > *request.max_latency_ms) {
-      sink.fail("max-latency",
-                util::format("median latency %.1fms exceeds %.1fms",
-                             summary.latency_ms->median,
-                             *request.max_latency_ms));
+      sink.fail("max-latency", [&] {
+        return util::format("median latency %.1fms exceeds %.1fms",
+                            summary.latency_ms->median,
+                            *request.max_latency_ms);
+      });
     } else {
-      sink.pass("max-latency",
-                util::format("median %.1fms", summary.latency_ms->median));
+      sink.pass("max-latency", [&] {
+        return util::format("median %.1fms", summary.latency_ms->median);
+      });
     }
   }
   if (request.min_bandwidth_mbps.has_value()) {
@@ -189,42 +216,74 @@ AdmissionReport check_admission(const PathSummary& summary,
     if (!bw.has_value()) {
       sink.fail("min-bandwidth", "no bandwidth data");
     } else if (*bw < *request.min_bandwidth_mbps) {
-      sink.fail("min-bandwidth",
-                util::format("bandwidth %.1fMbps below %.1fMbps", *bw,
-                             *request.min_bandwidth_mbps));
+      sink.fail("min-bandwidth", [&] {
+        return util::format("bandwidth %.1fMbps below %.1fMbps", *bw,
+                            *request.min_bandwidth_mbps);
+      });
     } else {
-      sink.pass("min-bandwidth", util::format("%.1fMbps", *bw));
+      sink.pass("min-bandwidth",
+                [&] { return util::format("%.1fMbps", *bw); });
     }
   }
   if (request.max_loss_pct.has_value()) {
     if (summary.mean_loss_pct > *request.max_loss_pct) {
-      sink.fail("max-loss",
-                util::format("loss %.1f%% exceeds %.1f%%",
-                             summary.mean_loss_pct, *request.max_loss_pct));
+      sink.fail("max-loss", [&] {
+        return util::format("loss %.1f%% exceeds %.1f%%",
+                            summary.mean_loss_pct, *request.max_loss_pct);
+      });
     } else {
-      sink.pass("max-loss", util::format("%.1f%%", summary.mean_loss_pct));
+      sink.pass("max-loss",
+                [&] { return util::format("%.1f%%", summary.mean_loss_pct); });
     }
   }
   if (request.max_jitter_ms.has_value()) {
     if (!summary.mean_jitter_ms.has_value()) {
       sink.fail("max-jitter", "no jitter data");
     } else if (*summary.mean_jitter_ms > *request.max_jitter_ms) {
-      sink.fail("max-jitter",
-                util::format("jitter %.1fms exceeds %.1fms",
-                             *summary.mean_jitter_ms, *request.max_jitter_ms));
+      sink.fail("max-jitter", [&] {
+        return util::format("jitter %.1fms exceeds %.1fms",
+                            *summary.mean_jitter_ms, *request.max_jitter_ms);
+      });
     } else {
-      sink.pass("max-jitter",
-                util::format("%.1fms", *summary.mean_jitter_ms));
+      sink.pass("max-jitter", [&] {
+        return util::format("%.1fms", *summary.mean_jitter_ms);
+      });
     }
   }
 
   // The strategy's objective itself needs a usable metric.
-  if (!strategy.score_path(summary, request, context).has_value()) {
-    sink.fail("objective-data", strategy.missing_data_reason(request));
+  const std::optional<double> score =
+      strategy.score_path(summary, request, context);
+  if (!score.has_value()) {
+    sink.fail("objective-data",
+              [&] { return strategy.missing_data_reason(request); });
   } else {
     sink.pass("objective-data");
   }
+  return score;
+}
+
+}  // namespace
+
+AdmissionReport check_admission(const PathSummary& summary,
+                                const UserRequest& request,
+                                const SelectionContext& context,
+                                const PathSelectionStrategy& strategy) {
+  AdmissionReport report;
+  VerdictSink sink(&report);
+  (void)evaluate_admission(summary, request, context, strategy, sink);
   return report;
+}
+
+std::optional<double> admitted_score(const PathSummary& summary,
+                                     const UserRequest& request,
+                                     const SelectionContext& context,
+                                     const PathSelectionStrategy& strategy) {
+  VerdictSink sink(nullptr);
+  const std::optional<double> score =
+      evaluate_admission(summary, request, context, strategy, sink);
+  if (sink.failed()) return std::nullopt;
+  return score;
 }
 
 // ---- registry -----------------------------------------------------------

@@ -160,4 +160,13 @@ struct AdmissionReport {
     const PathSummary& summary, const UserRequest& request,
     const SelectionContext& context, const PathSelectionStrategy& strategy);
 
+/// The same constraint sequence as check_admission, recording nothing:
+/// the strategy's score when every constraint passes, nullopt when one
+/// fails.  It keeps no verdicts and formats no details, so admitting a
+/// path costs only the checks themselves; a caller that needs the
+/// reasons for a rejection asks check_admission for them.
+[[nodiscard]] std::optional<double> admitted_score(
+    const PathSummary& summary, const UserRequest& request,
+    const SelectionContext& context, const PathSelectionStrategy& strategy);
+
 }  // namespace upin::select

@@ -19,20 +19,6 @@ bool JsonObject::contains(std::string_view key) const noexcept {
   return find(key) != nullptr;
 }
 
-const Value* JsonObject::find(std::string_view key) const noexcept {
-  for (const auto& [name, value] : entries_) {
-    if (name == key) return &value;
-  }
-  return nullptr;
-}
-
-Value* JsonObject::find(std::string_view key) noexcept {
-  for (auto& [name, value] : entries_) {
-    if (name == key) return &value;
-  }
-  return nullptr;
-}
-
 void JsonObject::set(std::string key, Value value) {
   if (Value* existing = find(key)) {
     *existing = std::move(value);
@@ -63,10 +49,6 @@ bool JsonObject::operator==(const JsonObject& other) const {
 
 // --------------------------------------------------------------------- Value
 
-Value::Type Value::type() const noexcept {
-  return static_cast<Type>(data_.index());
-}
-
 const char* Value::type_name() const noexcept {
   switch (type()) {
     case Type::kNull: return "null";
@@ -78,76 +60,6 @@ const char* Value::type_name() const noexcept {
     case Type::kObject: return "object";
   }
   return "?";
-}
-
-bool Value::as_bool() const {
-  assert(is_bool());
-  return std::get<bool>(data_);
-}
-
-std::int64_t Value::as_int() const {
-  if (is_double()) {
-    return static_cast<std::int64_t>(std::get<double>(data_));
-  }
-  assert(is_int());
-  return std::get<std::int64_t>(data_);
-}
-
-double Value::as_double() const {
-  if (is_int()) return static_cast<double>(std::get<std::int64_t>(data_));
-  assert(is_double());
-  return std::get<double>(data_);
-}
-
-const std::string& Value::as_string() const {
-  assert(is_string());
-  return std::get<std::string>(data_);
-}
-
-const Value::Array& Value::as_array() const {
-  assert(is_array());
-  return std::get<Array>(data_);
-}
-
-Value::Array& Value::as_array() {
-  assert(is_array());
-  return std::get<Array>(data_);
-}
-
-const JsonObject& Value::as_object() const {
-  assert(is_object());
-  return std::get<JsonObject>(data_);
-}
-
-JsonObject& Value::as_object() {
-  assert(is_object());
-  return std::get<JsonObject>(data_);
-}
-
-std::optional<bool> Value::try_bool() const noexcept {
-  if (is_bool()) return std::get<bool>(data_);
-  return std::nullopt;
-}
-
-std::optional<std::int64_t> Value::try_int() const noexcept {
-  if (is_int()) return std::get<std::int64_t>(data_);
-  return std::nullopt;
-}
-
-std::optional<double> Value::try_double() const noexcept {
-  if (is_int()) return static_cast<double>(std::get<std::int64_t>(data_));
-  if (is_double()) return std::get<double>(data_);
-  return std::nullopt;
-}
-
-std::optional<std::string_view> Value::try_string() const noexcept {
-  if (is_string()) return std::string_view(std::get<std::string>(data_));
-  return std::nullopt;
-}
-
-const Value* Value::get(std::string_view key) const noexcept {
-  if (!is_object()) return nullptr;
-  return as_object().find(key);
 }
 
 const Value* Value::get_path(std::string_view dotted) const noexcept {

@@ -5,6 +5,7 @@
 // insertion order so serialized documents are stable and diffable.
 #pragma once
 
+#include <cassert>
 #include <cstdint>
 #include <initializer_list>
 #include <optional>
@@ -86,7 +87,12 @@ class Value {
     return Value(Array(elements));
   }
 
-  [[nodiscard]] Type type() const noexcept;
+  // The read accessors below are defined inline: docdb's planner and the
+  // schema readers call them once per field, and the build has no LTO to
+  // inline them across translation units.
+  [[nodiscard]] Type type() const noexcept {
+    return static_cast<Type>(data_.index());
+  }
   [[nodiscard]] const char* type_name() const noexcept;
 
   [[nodiscard]] bool is_null() const noexcept { return type() == Type::kNull; }
@@ -98,22 +104,63 @@ class Value {
   [[nodiscard]] bool is_array() const noexcept { return type() == Type::kArray; }
   [[nodiscard]] bool is_object() const noexcept { return type() == Type::kObject; }
 
-  // Checked accessors; asserting on type mismatch.
-  [[nodiscard]] bool as_bool() const;
-  [[nodiscard]] std::int64_t as_int() const;
+  // Checked accessors: a type mismatch asserts, and with assertions off
+  // std::get throws std::bad_variant_access.
+  [[nodiscard]] bool as_bool() const {
+    assert(is_bool());
+    return std::get<bool>(data_);
+  }
+  /// Integer read; a kDouble is truncated.
+  [[nodiscard]] std::int64_t as_int() const {
+    if (is_double()) return static_cast<std::int64_t>(std::get<double>(data_));
+    assert(is_int());
+    return std::get<std::int64_t>(data_);
+  }
   /// Numeric read: works for both kInt and kDouble.
-  [[nodiscard]] double as_double() const;
-  [[nodiscard]] const std::string& as_string() const;
-  [[nodiscard]] const Array& as_array() const;
-  [[nodiscard]] Array& as_array();
-  [[nodiscard]] const JsonObject& as_object() const;
-  [[nodiscard]] JsonObject& as_object();
+  [[nodiscard]] double as_double() const {
+    if (is_int()) return static_cast<double>(std::get<std::int64_t>(data_));
+    assert(is_double());
+    return std::get<double>(data_);
+  }
+  [[nodiscard]] const std::string& as_string() const {
+    assert(is_string());
+    return std::get<std::string>(data_);
+  }
+  [[nodiscard]] const Array& as_array() const {
+    assert(is_array());
+    return std::get<Array>(data_);
+  }
+  [[nodiscard]] Array& as_array() {
+    assert(is_array());
+    return std::get<Array>(data_);
+  }
+  [[nodiscard]] const JsonObject& as_object() const {
+    assert(is_object());
+    return std::get<JsonObject>(data_);
+  }
+  [[nodiscard]] JsonObject& as_object() {
+    assert(is_object());
+    return std::get<JsonObject>(data_);
+  }
 
   // Optional-style reads that never assert.
-  [[nodiscard]] std::optional<bool> try_bool() const noexcept;
-  [[nodiscard]] std::optional<std::int64_t> try_int() const noexcept;
-  [[nodiscard]] std::optional<double> try_double() const noexcept;
-  [[nodiscard]] std::optional<std::string_view> try_string() const noexcept;
+  [[nodiscard]] std::optional<bool> try_bool() const noexcept {
+    if (is_bool()) return std::get<bool>(data_);
+    return std::nullopt;
+  }
+  [[nodiscard]] std::optional<std::int64_t> try_int() const noexcept {
+    if (is_int()) return std::get<std::int64_t>(data_);
+    return std::nullopt;
+  }
+  [[nodiscard]] std::optional<double> try_double() const noexcept {
+    if (is_int()) return static_cast<double>(std::get<std::int64_t>(data_));
+    if (is_double()) return std::get<double>(data_);
+    return std::nullopt;
+  }
+  [[nodiscard]] std::optional<std::string_view> try_string() const noexcept {
+    if (is_string()) return std::string_view(std::get<std::string>(data_));
+    return std::nullopt;
+  }
 
   /// Object field lookup; nullptr when not an object or key missing.
   [[nodiscard]] const Value* get(std::string_view key) const noexcept;
@@ -138,5 +185,26 @@ class Value {
                JsonObject>
       data_;
 };
+
+// Defined here, where Value is complete, so callers inline them.
+
+inline const Value* JsonObject::find(std::string_view key) const noexcept {
+  for (const auto& [name, value] : entries_) {
+    if (name == key) return &value;
+  }
+  return nullptr;
+}
+
+inline Value* JsonObject::find(std::string_view key) noexcept {
+  for (auto& [name, value] : entries_) {
+    if (name == key) return &value;
+  }
+  return nullptr;
+}
+
+inline const Value* Value::get(std::string_view key) const noexcept {
+  const JsonObject* object = std::get_if<JsonObject>(&data_);
+  return object == nullptr ? nullptr : object->find(key);
+}
 
 }  // namespace upin::util

@@ -13,6 +13,7 @@
 #include "docdb/database.hpp"
 #include "support/temp_path.hpp"
 #include "util/rng.hpp"
+#include "util/strings.hpp"
 
 namespace upin::docdb {
 namespace {
@@ -309,7 +310,9 @@ TEST(OrderedIndex, DistinctFirstStaysExactUnderRandomChurn) {
       case 2: return Value(static_cast<double>(rng.uniform_int(0, 10)) / 2.0);
       case 3: return Value::array({Value(rng.uniform_int(0, 5)),
                                    Value(rng.uniform_int(0, 5))});
-      default: return Value("s" + std::to_string(rng.uniform_int(0, 3)));
+      default:
+        return Value(util::format(
+            "s%lld", static_cast<long long>(rng.uniform_int(0, 3))));
     }
   };
   for (const char* spec : {"a,b", "a,b,c"}) {

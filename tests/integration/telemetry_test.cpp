@@ -149,10 +149,17 @@ TEST_F(TelemetrySmoke, AllowListedMetricsArePresentAndNonZero) {
 }
 
 TEST_F(TelemetrySmoke, SpanTreeCoversTheCampaignHierarchy) {
-  const std::string render = "\n" + tracer_.render();
+  const std::string render = tracer_.render();
+  const auto starts_a_line = [&render](std::string_view prefix) {
+    for (std::size_t at = render.find(prefix); at != std::string::npos;
+         at = render.find(prefix, at + 1)) {
+      if (at == 0 || render[at - 1] == '\n') return true;
+    }
+    return false;
+  };
   for (const char* prefix :
        {"campaign [", "  unit s", "    path ", "      ping ["}) {
-    EXPECT_NE(render.find("\n" + std::string(prefix)), std::string::npos)
+    EXPECT_TRUE(starts_a_line(prefix))
         << "no line starts with '" << prefix << "'";
   }
 }

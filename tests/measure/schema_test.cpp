@@ -251,6 +251,24 @@ void expect_readers_agree(const docdb::Document& doc,
   EXPECT_TRUE(same_bits(got.target_mbps, want.target_mbps));
 }
 
+/// Give `fields` one more `key` entry ahead of (`first`) or behind its
+/// own, even where it has `key` already: JsonObject::set would overwrite,
+/// so a placeholder key is added and renamed in place.
+void add_entry(util::JsonObject& fields, const std::string& key,
+               util::Value value, bool first) {
+  const std::string placeholder = "\x01";
+  if (!first) {
+    fields.set(placeholder, std::move(value));
+    (fields.end() - 1)->first = key;
+    return;
+  }
+  util::JsonObject reordered;
+  reordered.set(placeholder, std::move(value));
+  for (const auto& [name, field] : fields) reordered.set(name, field);
+  reordered.begin()->first = key;
+  fields = std::move(reordered);
+}
+
 TEST(Schema, InPlaceReaderMatchesTheCopyingReference) {
   using util::Value;
   const docdb::Document full = stats_document(full_sample());
@@ -295,6 +313,55 @@ TEST(Schema, InPlaceReaderMatchesTheCopyingReference) {
          d.set("latency", Value(1.0));
        }},
   };
+  // The reader tells keys apart by length first: duplicates (the first
+  // entry wins), foreign keys as long as a known one, placed ahead of the
+  // real fields so a mismatch would be picked up, and the same for `bw`.
+  const auto bw = [](Fields& d) -> Fields& { return d.find("bw")->as_object(); };
+  const std::vector<std::pair<std::string, Edit>> dispatch_edits = {
+      {"duplicate loss_pct behind",
+       [](Fields& d) { add_entry(d, "loss_pct", Value("x"), false); }},
+      {"duplicate loss_pct ahead",
+       [](Fields& d) { add_entry(d, "loss_pct", Value("x"), true); }},
+      {"duplicate path_id ahead",
+       [](Fields& d) { add_entry(d, "path_id", Value("9_9"), true); }},
+      {"duplicate latency_ms ahead",
+       [](Fields& d) { add_entry(d, "latency_ms", Value(1.25), true); }},
+      {"duplicate server_id behind",
+       [](Fields& d) { add_entry(d, "server_id", Value(8), false); }},
+      {"duplicate bw ahead",
+       [](Fields& d) {
+         add_entry(d, "bw", Value::object({{"up_64", Value(1.0)}}), true);
+       }},
+      {"foreign 9-character keys",
+       [](Fields& d) {
+         for (const char* key :
+              {"server_ix", "sample_no", "hop_total", "hops_seen",
+               "jitter_us", "jitterms_", "xerver_id", "op_count_"}) {
+           add_entry(d, key, Value("x"), true);
+         }
+       }},
+      {"foreign keys as long as known ones",
+       [](Fields& d) {
+         for (const char* key :
+              {"ts", "isdz", "path_ix", "loss_pc_", "latency_us",
+               "target_gbps", "timestamp_us", "xw", "xsds", "xarget_mbps"}) {
+           add_entry(d, key, Value("x"), true);
+         }
+       }},
+      {"duplicate bw up_64 ahead",
+       [bw](Fields& d) { add_entry(bw(d), "up_64", Value("fast"), true); }},
+      {"duplicate bw down_mtu behind",
+       [bw](Fields& d) { add_entry(bw(d), "down_mtu", Value(1.0), false); }},
+      {"foreign bw columns as long as real ones",
+       [bw](Fields& d) {
+         for (const char* key : {"up_6x", "up_mtx", "down_mt", "down_mtx",
+                                 "xp_64", "xown_64", "up_64_", "down"}) {
+           add_entry(bw(d), key, Value(42.0), true);
+         }
+       }},
+      {"empty bw", [](Fields& d) { d.set("bw", Value(util::JsonObject{})); }},
+  };
+  edits.insert(edits.end(), dispatch_edits.begin(), dispatch_edits.end());
   for (const char* field :
        {"path_id", "server_id", "timestamp_ms", "hop_count", "loss_pct", "isds",
         "latency_ms", "jitter_ms", "bw", "target_mbps", "_id"}) {

@@ -2,6 +2,10 @@
 // across whole input families, not just hand-picked cases.
 #include <gtest/gtest.h>
 
+#include <cctype>
+#include <ostream>
+#include <string>
+
 #include "apps/bwspec.hpp"
 #include "apps/host.hpp"
 #include "docdb/filter.hpp"
@@ -199,6 +203,18 @@ TEST_P(BwSpecProperty, WildcardResolutionIsConsistent) {
       *s.target_mbps * 1e6 * *s.duration_s - *s.packet_count * *s.packet_bytes * 8.0;
   EXPECT_GE(bits_short, -1e-6);
   EXPECT_LT(bits_short, *s.packet_bytes * 8.0);
+}
+
+/// Prints {2.5, 750, 33.3} as "2_5s_750B_33_3Mbps".  ctest names each
+/// case after this text (gtest_discover_tests replaces the case index
+/// with the printed value), so it is kept to alphanumerics and '_'.
+void PrintTo(const BwCase& param, std::ostream* out) {
+  std::string name = util::format("%gs_%gB_%gMbps", param.duration,
+                                  param.size, param.mbps);
+  for (char& c : name) {
+    if (std::isalnum(static_cast<unsigned char>(c)) == 0) c = '_';
+  }
+  *out << name;
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -556,5 +556,67 @@ TEST(SelectorReadPath, SummariesEqualTheCopyingReferenceWithForeignDocuments) {
   EXPECT_EQ(full.value().front().samples, 5u + 2u);
 }
 
+TEST(SelectorReadPath, ErrorsSurfaceInPathOrder) {
+  using util::ErrorCode;
+  using util::Value;
+  const scion::Topology topology = scion::scionlab_topology().topology;
+  const auto path_doc = [](int index, bool well_formed) {
+    util::JsonObject doc;
+    doc.set("_id", Value(measure::path_doc_id(3, index)));
+    doc.set("server_id", Value(3));
+    doc.set("path_index", Value(index));
+    if (well_formed) doc.set("sequence", Value("not-a-hop-sequence"));
+    doc.set("isds", Value::array({Value(16), Value(17)}));
+    doc.set("hop_count", Value(2));
+    doc.set("mtu", Value(1452));
+    return Value(std::move(doc));
+  };
+  const auto summarize = [&](const docdb::Database& db) {
+    return PathSelector(db, topology).summarize(3);
+  };
+
+  docdb::Database empty;
+  EXPECT_EQ(summarize(empty).error().code, ErrorCode::kNotFound);
+
+  // Paths but no paths_stats: the first path's own decoding comes first.
+  docdb::Database first_malformed;
+  ASSERT_TRUE(first_malformed.collection(measure::kPaths)
+                  .insert_one(path_doc(1, true)).ok());
+  ASSERT_TRUE(first_malformed.collection(measure::kPaths)
+                  .insert_one(path_doc(0, false)).ok());
+  EXPECT_EQ(summarize(first_malformed).error().code, ErrorCode::kParseError);
+
+  docdb::Database second_malformed;
+  ASSERT_TRUE(second_malformed.collection(measure::kPaths)
+                  .insert_one(path_doc(1, false)).ok());
+  ASSERT_TRUE(second_malformed.collection(measure::kPaths)
+                  .insert_one(path_doc(0, true)).ok());
+  const auto no_stats = summarize(second_malformed);
+  ASSERT_FALSE(no_stats.ok());
+  EXPECT_EQ(no_stats.error().code, ErrorCode::kNotFound);
+  EXPECT_EQ(no_stats.error().message, "paths_stats does not exist");
+  (void)second_malformed.collection(measure::kPathsStats);
+  EXPECT_EQ(summarize(second_malformed).error().code, ErrorCode::kParseError);
+
+  // A destination without paths needs no paths_stats.
+  docdb::Database other_server;
+  (void)other_server.collection(measure::kPaths);
+  const auto none = summarize(other_server);
+  ASSERT_TRUE(none.ok());
+  EXPECT_TRUE(none.value().empty());
+
+  // Well-formed paths with an unparseable sequence summarize with no hops.
+  docdb::Database unparsed;
+  ASSERT_TRUE(unparsed.collection(measure::kPaths)
+                  .insert_one(path_doc(0, true)).ok());
+  (void)unparsed.collection(measure::kPathsStats);
+  const auto summaries = summarize(unparsed);
+  ASSERT_TRUE(summaries.ok());
+  ASSERT_EQ(summaries.value().size(), 1u);
+  EXPECT_EQ(summaries.value().front().path_id, "3_0");
+  EXPECT_TRUE(summaries.value().front().hops.empty());
+  EXPECT_EQ(summaries.value().front().samples, 0u);
+}
+
 }  // namespace
 }  // namespace upin::select

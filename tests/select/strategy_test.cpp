@@ -6,8 +6,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <functional>
+#include <map>
 
+#include "apps/host.hpp"
 #include "measure/testsuite.hpp"
 #include "select/selector.hpp"
 #include "util/strings.hpp"
@@ -493,6 +497,254 @@ TEST_F(StrategyTest, FacadeSelectEqualsSelectWithPaperObjective) {
               via_registry.value().ranked[i].score);
   }
   EXPECT_EQ(via_facade.value().rejected, via_registry.value().rejected);
+}
+
+// ------------------------------------------- two-pass admission oracle
+//
+// rank() admits a path through admitted_score() and asks check_admission()
+// only for a rejected path's verdicts.  The reference decides admission by
+// the full check_admission() on every path and lets the strategy rank
+// exactly the admitted ones: the two must agree field for field.
+
+/// What rank() must return when check_admission() alone decides.
+Selection reference_rank(const PathSelectionStrategy& strategy,
+                         const std::vector<PathSummary>& paths,
+                         const UserRequest& request,
+                         const SelectionContext& context) {
+  std::vector<PathSummary> admitted;
+  Selection want;
+  for (const PathSummary& summary : paths) {
+    AdmissionReport report =
+        check_admission(summary, request, context, strategy);
+    if (!report.rejection.has_value()) {
+      admitted.push_back(summary);
+      continue;
+    }
+    want.rejected.emplace_back(summary.path_id, *report.rejection);
+    want.rejected_detail.push_back(RejectedPath{
+        summary.path_id, *report.rejection, std::move(report.verdicts)});
+  }
+  Selection ranked = strategy.rank(admitted, request, context);
+  EXPECT_TRUE(ranked.rejected.empty()) << "an admissible path was rejected";
+  want.strategy = std::move(ranked.strategy);
+  want.request_description = std::move(ranked.request_description);
+  want.ranked = std::move(ranked.ranked);
+  return want;
+}
+
+void expect_same_selection(const Selection& got, const Selection& want) {
+  EXPECT_EQ(got.strategy, want.strategy);
+  EXPECT_EQ(got.request_description, want.request_description);
+  ASSERT_EQ(got.ranked.size(), want.ranked.size());
+  for (std::size_t i = 0; i < want.ranked.size(); ++i) {
+    const RankedPath& g = got.ranked[i];
+    const RankedPath& w = want.ranked[i];
+    EXPECT_EQ(g.summary.path_id, w.summary.path_id) << "rank " << i;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(g.score),
+              std::bit_cast<std::uint64_t>(w.score))
+        << "rank " << i;
+    EXPECT_EQ(g.rationale, w.rationale) << "rank " << i;
+    ASSERT_EQ(g.terms.size(), w.terms.size()) << "rank " << i;
+    for (std::size_t t = 0; t < w.terms.size(); ++t) {
+      EXPECT_EQ(g.terms[t].name, w.terms[t].name);
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(g.terms[t].value),
+                std::bit_cast<std::uint64_t>(w.terms[t].value));
+    }
+  }
+  EXPECT_EQ(got.rejected, want.rejected);
+  ASSERT_EQ(got.rejected_detail.size(), want.rejected_detail.size());
+  for (std::size_t i = 0; i < want.rejected_detail.size(); ++i) {
+    const RejectedPath& g = got.rejected_detail[i];
+    const RejectedPath& w = want.rejected_detail[i];
+    EXPECT_EQ(g.path_id, w.path_id);
+    EXPECT_EQ(g.reason, w.reason);
+    ASSERT_EQ(g.verdicts.size(), w.verdicts.size()) << w.path_id;
+    for (std::size_t v = 0; v < w.verdicts.size(); ++v) {
+      EXPECT_EQ(g.verdicts[v].constraint, w.verdicts[v].constraint);
+      EXPECT_EQ(g.verdicts[v].passed, w.verdicts[v].passed);
+      EXPECT_EQ(g.verdicts[v].detail, w.verdicts[v].detail);
+    }
+  }
+}
+
+/// The middle of a per-path figure, so a cap on it splits the paths.
+double median_of(const std::vector<PathSummary>& paths,
+                 const std::function<std::optional<double>(const PathSummary&)>&
+                     figure) {
+  std::vector<double> values;
+  for (const PathSummary& summary : paths) {
+    if (const std::optional<double> value = figure(summary)) {
+      values.push_back(*value);
+    }
+  }
+  if (values.empty()) return 0.0;
+  std::sort(values.begin(), values.end());
+  return values[values.size() / 2];
+}
+
+/// Requests over every constraint, each set to split the paths where the
+/// data allows: caps at the median, exclusions drawn from the paths' hops.
+std::vector<UserRequest> admission_request_matrix(
+    const scion::Topology& topology, const std::vector<PathSummary>& paths) {
+  const PathSummary& first = paths.front();
+  const PathSummary& last = paths.back();
+  const scion::IsdAsn interior = first.hops[first.hops.size() / 2];
+  const scion::AsInfo* info = topology.find_as(interior);
+  const std::string country = info != nullptr ? info->country : "CH";
+  const std::string op = info != nullptr ? info->operator_name : "SWITCH";
+  const scion::IsdAsn excluded_as = last.hops[last.hops.size() / 2];
+  const double latency = median_of(paths, [](const PathSummary& p) {
+    return p.latency_ms ? std::optional<double>(p.latency_ms->median)
+                        : std::nullopt;
+  });
+  const double bandwidth = median_of(paths, [](const PathSummary& p) {
+    return p.bandwidth(BwDirection::kDownstream);
+  });
+  const double loss = median_of(
+      paths, [](const PathSummary& p) { return p.mean_loss_pct; });
+  const double jitter = median_of(
+      paths, [](const PathSummary& p) { return p.mean_jitter_ms; });
+
+  std::vector<UserRequest> matrix;
+  for (const Objective objective :
+       {Objective::kLowestLatency, Objective::kHighestBandwidth,
+        Objective::kLowestLoss, Objective::kMostConsistent}) {
+    UserRequest base;
+    base.server_id = 3;
+    base.objective = objective;
+    const auto add = [&](const std::function<void(UserRequest&)>& edit) {
+      UserRequest request = base;
+      edit(request);
+      matrix.push_back(request);
+    };
+    add([](UserRequest&) {});
+    add([](UserRequest& r) { r.min_samples = 6; });
+    add([](UserRequest& r) { r.min_samples = 7; });
+    add([&](UserRequest& r) { r.exclude_countries = {country}; });
+    add([&](UserRequest& r) { r.exclude_operators = {op}; });
+    add([&](UserRequest& r) { r.exclude_ases = {excluded_as}; });
+    add([](UserRequest& r) { r.exclude_isds = {18}; });
+    add([](UserRequest& r) { r.allowed_isds = {16, 17}; });
+    add([](UserRequest& r) { r.allowed_isds = {17}; });
+    add([&](UserRequest& r) { r.max_latency_ms = latency; });
+    add([&](UserRequest& r) { r.min_bandwidth_mbps = bandwidth; });
+    add([&](UserRequest& r) {
+      r.min_bandwidth_mbps = bandwidth;
+      r.bw_probe_bytes = 64.0;
+      r.bw_direction = BwDirection::kUpstream;
+    });
+    add([&](UserRequest& r) { r.max_loss_pct = loss; });
+    add([&](UserRequest& r) { r.max_jitter_ms = jitter; });
+    add([&](UserRequest& r) {  // several failures on one path
+      r.exclude_countries = {country};
+      r.exclude_isds = {16};
+      r.max_latency_ms = latency;
+      r.max_loss_pct = loss;
+      r.max_jitter_ms = jitter;
+    });
+  }
+  return matrix;
+}
+
+TEST_F(StrategyTest, TwoPassAdmissionEqualsFullCheckAdmission) {
+  const PathSelector selector_ = selector();
+  const auto full = selector_.summarize(3);
+  ASSERT_TRUE(full.ok());
+  ASSERT_GE(full.value().size(), 2u);
+
+  // Every built-in, plus the knob settings that change admission.
+  std::vector<std::unique_ptr<PathSelectionStrategy>> strategies;
+  const auto create = [&](std::string_view key, util::JsonObject knobs) {
+    auto made = StrategyRegistry::global().create(key, knobs);
+    ASSERT_TRUE(made.ok()) << key;
+    strategies.push_back(std::move(made).value());
+  };
+  for (const std::string_view key : {kPaperObjective, kLatencyGreedy,
+                                     kLossAverse, kGeoConstrained,
+                                     kDisjointnessMax}) {
+    create(key, {});
+  }
+  create(kGeoConstrained, util::JsonObject{{"require_geo", Value(true)}});
+  create(kDisjointnessMax,
+         util::JsonObject{{"base", Value("loss")}, {"pool", Value(2)}});
+
+  // Liveness: a flap storm's control plane, at instants where it has
+  // revoked some of the destination's paths.
+  simnet::NetworkConfig storm;
+  storm.server_error_prob = 0.0;
+  storm.faults.link_flap_per_hour = 6.0;
+  apps::ScionHost host(*env_, 42, env_->user_as, "10.0.8.1", storm);
+  std::vector<util::SimTime> revoked_instants;
+  for (int step = 0; step < 24 * 12 && revoked_instants.size() < 3; ++step) {
+    host.clock().advance(util::sim_seconds(300.0));
+    const util::SimTime now = host.clock().now();
+    const auto revoked = std::count_if(
+        full.value().begin(), full.value().end(), [&](const PathSummary& p) {
+          return host.control_plane().hops_revoked(p.hops, now);
+        });
+    if (revoked > 0) revoked_instants.push_back(now);
+  }
+  ASSERT_FALSE(revoked_instants.empty())
+      << "the storm never revoked a path; liveness would go untested";
+
+  // Contexts: the selector's (topology, no liveness), none at all (the
+  // sovereignty check's topology-free branch), and liveness at each
+  // instant.
+  util::VirtualClock clock;
+  const SelectionContext live{&env_->topology, &host.control_plane(), &clock};
+  std::vector<std::pair<SelectionContext, util::SimTime>> contexts = {
+      {selector_.context(), util::SimTime{}},
+      {SelectionContext{}, util::SimTime{}}};
+  for (const util::SimTime instant : revoked_instants) {
+    contexts.emplace_back(live, instant);
+  }
+
+  // Full history and a freshness window over its later half.
+  std::vector<std::int64_t> timestamps;
+  db_->find_collection(measure::kPathsStats)
+      ->for_each([&](const docdb::Document& doc) {
+        timestamps.push_back(doc.get("timestamp_ms")->as_int());
+      });
+  std::sort(timestamps.begin(), timestamps.end());
+  const std::int64_t midpoint = timestamps[timestamps.size() / 2];
+
+  std::map<std::string, std::size_t> failed;  // constraint -> verdicts seen
+  std::size_t admitted = 0;
+  const std::vector<UserRequest> matrix =
+      admission_request_matrix(env_->topology, full.value());
+  for (const std::optional<std::int64_t> since :
+       {std::optional<std::int64_t>(), std::optional<std::int64_t>(midpoint)}) {
+    const auto paths = selector_.summarize(3, since);
+    ASSERT_TRUE(paths.ok());
+    for (std::size_t c = 0; c < contexts.size(); ++c) {
+      const auto& [context, instant] = contexts[c];
+      clock.reset();
+      clock.advance_to(instant);
+      for (const UserRequest& request : matrix) {
+        for (const auto& strategy : strategies) {
+          SCOPED_TRACE(std::string(strategy->key()) + " context " +
+                       std::to_string(c) + " " + request.describe());
+          const Selection got = strategy->rank(paths.value(), request, context);
+          const Selection want =
+              reference_rank(*strategy, paths.value(), request, context);
+          expect_same_selection(got, want);
+          admitted += got.ranked.size();
+          for (const RejectedPath& rejected : got.rejected_detail) {
+            for (const ConstraintVerdict& verdict : rejected.verdicts) {
+              if (!verdict.passed) ++failed[verdict.constraint];
+            }
+          }
+        }
+      }
+    }
+  }
+  // The matrix reached every constraint, failing and passing.
+  EXPECT_GT(admitted, 0u);
+  for (const char* constraint :
+       {"min-samples", "liveness", "sovereignty", "isd-policy", "max-latency",
+        "min-bandwidth", "max-loss", "max-jitter", "objective-data"}) {
+    EXPECT_GT(failed[constraint], 0u) << constraint << " never failed";
+  }
 }
 
 // ----------------------------------------------------- other strategies

@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <variant>
+
 namespace upin::util {
 namespace {
 
@@ -86,6 +88,27 @@ TEST(JsonValue, TryAccessorsReturnNulloptOnMismatch) {
   EXPECT_FALSE(v.try_double().has_value());
   ASSERT_TRUE(v.try_string().has_value());
   EXPECT_EQ(*v.try_string(), "text");
+}
+
+// The inline as_* accessors keep std::get's checked access: a mismatch
+// asserts, and where assertions are compiled out it still throws.
+TEST(JsonValue, CheckedAccessorsRejectTheWrongType) {
+  Value text("text");
+  const Value& read_only = text;
+#ifdef NDEBUG
+  EXPECT_THROW((void)read_only.as_bool(), std::bad_variant_access);
+  EXPECT_THROW((void)read_only.as_int(), std::bad_variant_access);
+  EXPECT_THROW((void)read_only.as_double(), std::bad_variant_access);
+  EXPECT_THROW((void)read_only.as_array(), std::bad_variant_access);
+  EXPECT_THROW((void)read_only.as_object(), std::bad_variant_access);
+  EXPECT_THROW((void)text.as_array(), std::bad_variant_access);
+  EXPECT_THROW((void)text.as_object(), std::bad_variant_access);
+  EXPECT_THROW((void)Value(1).as_string(), std::bad_variant_access);
+#else
+  EXPECT_DEATH((void)read_only.as_int(), "");
+  EXPECT_DEATH((void)read_only.as_object(), "");
+  EXPECT_DEATH((void)Value(1).as_string(), "");
+#endif
 }
 
 TEST(JsonValue, TryDoubleAcceptsInt) {
