@@ -143,6 +143,10 @@ Path Beaconing::materialize(const std::vector<IsdAsn>& ases) const {
 }
 
 std::vector<Path> Beaconing::paths(IsdAsn src, IsdAsn dst) const {
+  return combined_.get(AsPair{src, dst}, [&] { return combine(src, dst); });
+}
+
+std::vector<Path> Beaconing::combine(IsdAsn src, IsdAsn dst) const {
   std::vector<Path> result;
   if (src == dst) return result;
   if (topology_.find_as(src) == nullptr || topology_.find_as(dst) == nullptr) {

@@ -7,6 +7,9 @@
 // degenerate forms (shared core, common-AS shortcut).  This module
 // computes all segments for a Topology and combines them on demand —
 // which is exactly what `scion showpaths` surfaces to the user (§3.3).
+// Combination is a pure function of the topology, so each (src, dst)
+// pair is combined once and its answer kept; path-cache refreshes (the
+// model's re-beaconing) then cost a copy, not a recombination.
 #pragma once
 
 #include <unordered_map>
@@ -14,6 +17,7 @@
 
 #include "scion/path.hpp"
 #include "scion/topology.hpp"
+#include "util/memo.hpp"
 
 namespace upin::scion {
 
@@ -57,13 +61,18 @@ class Beaconing {
 
   /// All end-to-end paths src→dst from segment combination, deduplicated,
   /// loop-free, sorted by (hop count, static latency) and truncated to
-  /// `config.max_paths`.  Mirrors `scion showpaths` ranking.
+  /// `config.max_paths`.  Mirrors `scion showpaths` ranking.  The answer
+  /// is a pure function of the topology, so each pair is combined once,
+  /// on its first call, and kept; later calls copy the kept answer.  Safe
+  /// to call from several threads on one `const Beaconing`.
   [[nodiscard]] std::vector<Path> paths(IsdAsn src, IsdAsn dst) const;
 
  private:
   void compute_up_segments();
   void compute_core_paths();
   [[nodiscard]] Path materialize(const std::vector<IsdAsn>& ases) const;
+  /// Segment combination proper: what `paths` keeps per pair.
+  [[nodiscard]] std::vector<Path> combine(IsdAsn src, IsdAsn dst) const;
 
   const Topology& topology_;
   BeaconConfig config_;
@@ -71,6 +80,7 @@ class Beaconing {
   /// All simple core-graph paths up to the cap, keyed by endpoint pair.
   std::unordered_map<IsdAsn, std::vector<std::vector<IsdAsn>>> core_from_;
   std::vector<Segment> empty_;
+  util::Memo<AsPair, std::vector<Path>, AsPairHash> combined_;
 };
 
 }  // namespace upin::scion

@@ -12,6 +12,7 @@
 #include <functional>
 #include <string>
 #include <string_view>
+#include <utility>
 
 #include "util/result.hpp"
 
@@ -80,3 +81,18 @@ struct std::hash<upin::scion::IsdAsn> {
         (static_cast<std::uint64_t>(ia.isd()) << 48) ^ ia.asn());
   }
 };
+
+namespace upin::scion {
+
+/// A (src, dst) AS pair: the key of path-cache entries and lookup memos.
+using AsPair = std::pair<IsdAsn, IsdAsn>;
+
+struct AsPairHash {
+  std::size_t operator()(const AsPair& pair) const noexcept {
+    const std::size_t src = std::hash<IsdAsn>{}(pair.first);
+    return src ^ (std::hash<IsdAsn>{}(pair.second) + 0x9e3779b97f4a7c15ULL +
+                  (src << 6) + (src >> 2));
+  }
+};
+
+}  // namespace upin::scion

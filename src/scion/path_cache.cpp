@@ -58,7 +58,7 @@ void PathCache::visit(IsdAsn src, IsdAsn dst, SimTime now,
                       const Visitor& fn) {
   PathCacheServed served;
   if (!config_.enabled) {
-    // Bypass mode: every lookup is a direct recombination.
+    // Bypass mode: every lookup asks the resolver directly.
     served.refreshed = true;
     fn(resolve(src, dst), served);
     return;

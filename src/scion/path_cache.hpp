@@ -1,10 +1,12 @@
 // path_cache.hpp — a path-server-style lookup cache for combined paths.
 //
-// Segment combination (`Beaconing::paths`) enumerates every up × core ×
-// down candidate on each call; at SCIONLab scale that is already hundreds
-// of combinations per AS pair, and the ROADMAP's internet-scale topology
-// item makes it the dominant cost.  Real SCION deployments answer path
-// lookups from a path-server cache instead.  This cache mirrors that:
+// Segment combination enumerates every up × core × down candidate; at
+// SCIONLab scale that is already hundreds of combinations per AS pair.
+// Real SCION deployments answer path lookups from a path-server cache,
+// re-resolving an entry when it ages out or a revocation covers it.
+// This cache mirrors that protocol (`Beaconing::paths` keeps each pair's
+// combination, so in this model a re-resolve costs a copy; when one
+// happens is still this cache's decision):
 //
 //   * keyed by the (src, dst) IsdAsn pair itself (no text key is
 //     formatted per lookup), bounded size, LRU eviction;
@@ -46,17 +48,6 @@
 #include "util/result.hpp"
 
 namespace upin::scion {
-
-/// A (src, dst) AS pair: the key of cache entries and lookup memos.
-using AsPair = std::pair<IsdAsn, IsdAsn>;
-
-struct AsPairHash {
-  std::size_t operator()(const AsPair& pair) const noexcept {
-    const std::size_t src = std::hash<IsdAsn>{}(pair.first);
-    return src ^ (std::hash<IsdAsn>{}(pair.second) + 0x9e3779b97f4a7c15ULL +
-                  (src << 6) + (src >> 2));
-  }
-};
 
 struct PathCacheConfig {
   bool enabled = true;

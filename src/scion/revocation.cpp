@@ -41,7 +41,7 @@ RevocationLog::RevocationLog(
     const auto from_node = node_of.find(from);
     const auto to_node = node_of.find(to);
     if (from_node == node_of.end() || to_node == node_of.end()) return;
-    const std::vector<simnet::FaultWindow> windows =
+    const std::vector<simnet::FaultWindow>& windows =
         faults.link_flap_windows(from_node->second, to_node->second);
     const std::string stream =
         "link:" + from.to_string() + ">" + to.to_string();
@@ -65,7 +65,7 @@ RevocationLog::RevocationLog(
   for (const AsInfo& info : topology.ases()) {
     const auto node = node_of.find(info.ia);
     if (node == node_of.end()) continue;
-    const std::vector<simnet::FaultWindow> windows =
+    const std::vector<simnet::FaultWindow>& windows =
         faults.server_down_windows(node->second);
     const std::string stream = "as:" + info.ia.to_string();
     for (std::size_t i = 0; i < windows.size(); ++i) {

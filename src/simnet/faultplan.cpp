@@ -43,9 +43,9 @@ std::vector<FaultWindow> FaultPlan::schedule(const std::string& stream,
   std::vector<FaultWindow> windows;
   if (per_hour <= 0.0 || config_.horizon_s <= 0.0) return windows;
   // Poisson arrivals: exponential gaps with mean 3600/per_hour, each
-  // episode lasting uniform [min_s, max_s].  Regenerated per query from
-  // the stream label alone, so the schedule is independent of whatever
-  // else consumed randomness.
+  // episode lasting uniform [min_s, max_s].  Drawn from the stream label
+  // alone, so the schedule is independent of whatever else consumed
+  // randomness, and so it can be drawn once per entity and kept.
   Rng rng = master_.fork(stream);
   const double rate_per_s = per_hour / 3600.0;
   double t = 0.0;
@@ -70,24 +70,32 @@ bool FaultPlan::covers(const std::vector<FaultWindow>& windows,
   return false;
 }
 
-std::vector<FaultWindow> FaultPlan::server_down_windows(
+const std::vector<FaultWindow>& FaultPlan::server_down_windows(
     std::uint32_t node) const {
-  return schedule("fault:down:" + std::to_string(node),
-                  config_.server_down_per_hour, config_.server_down_min_s,
-                  config_.server_down_max_s);
+  return down_.get(node, [&] {
+    return schedule("fault:down:" + std::to_string(node),
+                    config_.server_down_per_hour, config_.server_down_min_s,
+                    config_.server_down_max_s);
+  });
 }
 
-std::vector<FaultWindow> FaultPlan::slow_windows(std::uint32_t node) const {
-  return schedule("fault:slow:" + std::to_string(node), config_.slow_per_hour,
-                  config_.slow_min_s, config_.slow_max_s);
+const std::vector<FaultWindow>& FaultPlan::slow_windows(
+    std::uint32_t node) const {
+  return slow_.get(node, [&] {
+    return schedule("fault:slow:" + std::to_string(node),
+                    config_.slow_per_hour, config_.slow_min_s,
+                    config_.slow_max_s);
+  });
 }
 
-std::vector<FaultWindow> FaultPlan::link_flap_windows(std::uint32_t from,
-                                                      std::uint32_t to) const {
-  return schedule(
-      "fault:flap:" + std::to_string(from) + ">" + std::to_string(to),
-      config_.link_flap_per_hour, config_.link_flap_min_s,
-      config_.link_flap_max_s);
+const std::vector<FaultWindow>& FaultPlan::link_flap_windows(
+    std::uint32_t from, std::uint32_t to) const {
+  return flap_.get((static_cast<std::uint64_t>(from) << 32) | to, [&] {
+    return schedule(
+        "fault:flap:" + std::to_string(from) + ">" + std::to_string(to),
+        config_.link_flap_per_hour, config_.link_flap_min_s,
+        config_.link_flap_max_s);
+  });
 }
 
 bool FaultPlan::server_down(std::uint32_t node, SimTime t) const {

@@ -27,6 +27,7 @@
 #include <vector>
 
 #include "util/clock.hpp"
+#include "util/memo.hpp"
 #include "util/rng.hpp"
 
 namespace upin::simnet {
@@ -66,7 +67,8 @@ struct FaultPlanConfig {
 
 /// A reproducible schedule of fault episodes, queried by the Network at
 /// measurement time.  Thread-safe: all queries are pure functions of
-/// (seed, config, arguments).
+/// (seed, config, arguments).  Each node's or link's episode list is
+/// drawn on its first query and kept.
 class FaultPlan {
  public:
   FaultPlan() = default;  ///< inert plan, injects nothing
@@ -91,13 +93,17 @@ class FaultPlan {
 
   /// The full episode schedule for an entity stream — exposed so tests
   /// and benches can reconcile observed failures against injected faults.
-  [[nodiscard]] std::vector<FaultWindow> server_down_windows(
+  /// The reference stays valid while the plan lives unassigned.
+  [[nodiscard]] const std::vector<FaultWindow>& server_down_windows(
       std::uint32_t node) const;
-  [[nodiscard]] std::vector<FaultWindow> slow_windows(std::uint32_t node) const;
-  [[nodiscard]] std::vector<FaultWindow> link_flap_windows(
+  [[nodiscard]] const std::vector<FaultWindow>& slow_windows(
+      std::uint32_t node) const;
+  [[nodiscard]] const std::vector<FaultWindow>& link_flap_windows(
       std::uint32_t from, std::uint32_t to) const;
 
  private:
+  using Schedules = util::Memo<std::uint64_t, std::vector<FaultWindow>>;
+
   [[nodiscard]] std::vector<FaultWindow> schedule(const std::string& stream,
                                                   double per_hour, double min_s,
                                                   double max_s) const;
@@ -106,6 +112,9 @@ class FaultPlan {
 
   FaultPlanConfig config_{};
   util::Rng master_{0};
+  Schedules down_;  ///< by node
+  Schedules slow_;  ///< by node
+  Schedules flap_;  ///< by (from << 32 | to)
 };
 
 }  // namespace upin::simnet

@@ -240,6 +240,7 @@ double Network::frame_loss(NodeId from, NodeId to, SimTime t) const {
 
 double Network::link_utilization(const Link& link, SimTime t,
                                  HopMemo& memo) const {
+  if (t.count() == memo.util_instant) return memo.util;
   const double seconds = util::to_seconds(t);
   const double wave =
       link.spec.util_amplitude *
@@ -252,13 +253,18 @@ double Network::link_utilization(const Link& link, SimTime t,
     memo.noise = noise_rng.normal(0.0, 0.05);
     memo.noise_bucket = bucket;
   }
-  return std::clamp(link.spec.util_base + wave + memo.noise, 0.0, 0.97);
+  memo.util = std::clamp(link.spec.util_base + wave + memo.noise, 0.0, 0.97);
+  memo.util_instant = t.count();
+  return memo.util;
 }
 
 double Network::link_frame_loss(const Link& link, SimTime t,
                                 HopMemo& memo) const {
   // An injected link flap drops every frame for the episode's duration.
-  if (faults_.link_flapped(link.spec.from, link.spec.to, t)) return 1.0;
+  if (faults_.config().link_flap_per_hour > 0.0 &&
+      faults_.link_flapped(link.spec.from, link.spec.to, t)) {
+    return 1.0;
+  }
   double loss = link.spec.base_loss;
 
   // Micro-congestion: some 10-second windows on some links lose a visible
@@ -343,7 +349,10 @@ double Network::one_way_ms(std::span<Hop> hops, SimTime t, Rng& rng) const {
 bool Network::frame_survives(std::span<Hop> hops, SimTime t, Rng& rng) const {
   for (Hop& hop : hops) {
     if (rng.bernoulli(link_frame_loss(*hop.link, t, hop.memo))) return false;
-    if (rng.bernoulli(outage_drop(hop.link->spec.to, t))) return false;
+    // Without outages the drop is 0, but the trial still consumes its draw.
+    const double drop =
+        outages_.empty() ? 0.0 : outage_drop(hop.link->spec.to, t);
+    if (rng.bernoulli(drop)) return false;
   }
   return true;
 }

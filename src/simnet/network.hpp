@@ -245,11 +245,14 @@ class Network {
     std::uint64_t cong_prefix = 0;
     double phase = 0.0;
   };
-  /// The bucketed draws of one link, kept for the last bucket seen.  A
-  /// measurement evaluates each hop at many instants that almost always
-  /// share one 10-s congestion bucket and one 60-s noise bucket, so it
-  /// draws each at most once per bucket.  Lives on the measuring call's
-  /// stack, never in the Network.
+  /// The bucketed draws of one link, kept for the last bucket seen, and
+  /// its utilisation at the last instant seen.  A measurement evaluates
+  /// each hop at many instants that almost always share one 10-s
+  /// congestion bucket and one 60-s noise bucket, so it draws each at
+  /// most once per bucket; and it reads a hop's utilisation twice per
+  /// instant (frame loss, then queueing delay), so the diurnal `sin` is
+  /// evaluated once per instant.  Lives on the measuring call's stack,
+  /// never in the Network.
   struct HopMemo {
     static constexpr std::int64_t kNoBucket =
         std::numeric_limits<std::int64_t>::min();
@@ -257,6 +260,8 @@ class Network {
     double noise = 0.0;
     std::int64_t cong_bucket = kNoBucket;
     double cong_loss = 0.0;
+    std::int64_t util_instant = kNoBucket;  ///< SimTime::count() of `util`
+    double util = 0.0;
   };
   /// One directed hop of a resolved route and its memo slot; null `link`
   /// only from `hops_of` (a missing link).

@@ -1,18 +1,9 @@
 #include "util/rng.hpp"
 
-#include <algorithm>
 #include <charconv>
 #include <cmath>
 
 namespace upin::util {
-
-namespace {
-
-constexpr std::uint64_t rotl(std::uint64_t x, int k) noexcept {
-  return (x << k) | (x >> (64 - k));
-}
-
-}  // namespace
 
 std::uint64_t splitmix64(std::uint64_t& state) noexcept {
   state += 0x9E3779B97F4A7C15ULL;
@@ -71,27 +62,6 @@ Rng Rng::fork_hashed(std::uint64_t label_hash) const noexcept {
   return Rng(splitmix64(mix));
 }
 
-std::uint64_t Rng::next() noexcept {
-  const std::uint64_t result = rotl(s_[1] * 5, 7) * 9;
-  const std::uint64_t t = s_[1] << 17;
-  s_[2] ^= s_[0];
-  s_[3] ^= s_[1];
-  s_[1] ^= s_[2];
-  s_[0] ^= s_[3];
-  s_[2] ^= t;
-  s_[3] = rotl(s_[3], 45);
-  return result;
-}
-
-double Rng::uniform() noexcept {
-  // 53 random mantissa bits -> [0, 1).
-  return static_cast<double>(next() >> 11) * 0x1.0p-53;
-}
-
-double Rng::uniform(double lo, double hi) noexcept {
-  return lo + (hi - lo) * uniform();
-}
-
 std::int64_t Rng::uniform_int(std::int64_t lo, std::int64_t hi) noexcept {
   if (lo >= hi) return lo;
   const auto range = static_cast<std::uint64_t>(hi - lo) + 1;
@@ -138,11 +108,6 @@ double Rng::pareto(double xm, double alpha) noexcept {
     u = uniform();
   } while (u <= 0.0);
   return xm / std::pow(u, 1.0 / alpha);
-}
-
-bool Rng::bernoulli(double p) noexcept {
-  const double clamped = std::clamp(p, 0.0, 1.0);
-  return uniform() < clamped;
 }
 
 double Rng::lognormal(double mu, double sigma) noexcept {

@@ -7,6 +7,7 @@
 // order in which other components consume randomness.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <string_view>
 #include <vector>
@@ -53,12 +54,29 @@ class Rng {
   static constexpr std::uint64_t min() noexcept { return 0; }
   static constexpr std::uint64_t max() noexcept { return ~0ULL; }
 
-  std::uint64_t next() noexcept;
+  // The per-draw calls are inline: simnet's echo loop makes several per
+  // hop per probe.
+  std::uint64_t next() noexcept {
+    const std::uint64_t result = rotl(s_[1] * 5, 7) * 9;
+    const std::uint64_t t = s_[1] << 17;
+    s_[2] ^= s_[0];
+    s_[3] ^= s_[1];
+    s_[1] ^= s_[2];
+    s_[0] ^= s_[3];
+    s_[2] ^= t;
+    s_[3] = rotl(s_[3], 45);
+    return result;
+  }
 
   /// Uniform double in [0, 1).
-  double uniform() noexcept;
+  double uniform() noexcept {
+    // 53 random mantissa bits -> [0, 1).
+    return static_cast<double>(next() >> 11) * 0x1.0p-53;
+  }
   /// Uniform double in [lo, hi).
-  double uniform(double lo, double hi) noexcept;
+  double uniform(double lo, double hi) noexcept {
+    return lo + (hi - lo) * uniform();
+  }
   /// Uniform integer in [lo, hi] (inclusive); requires lo <= hi.
   std::int64_t uniform_int(std::int64_t lo, std::int64_t hi) noexcept;
   /// Standard normal via Box–Muller (cached spare).
@@ -70,7 +88,11 @@ class Rng {
   /// Pareto with scale xm > 0 and shape alpha > 0 (heavy-tailed jitter).
   double pareto(double xm, double alpha) noexcept;
   /// Bernoulli trial with success probability p (clamped to [0,1]).
-  bool bernoulli(double p) noexcept;
+  /// Consumes one draw whatever p is; NaN never succeeds.
+  bool bernoulli(double p) noexcept {
+    const double clamped = std::clamp(p, 0.0, 1.0);
+    return uniform() < clamped;
+  }
   /// Log-normal: exp(Normal(mu, sigma)).
   double lognormal(double mu, double sigma) noexcept;
 
@@ -87,6 +109,10 @@ class Rng {
   }
 
  private:
+  static constexpr std::uint64_t rotl(std::uint64_t x, int k) noexcept {
+    return (x << k) | (x >> (64 - k));
+  }
+
   std::uint64_t s_[4];
   double spare_normal_ = 0.0;
   bool has_spare_ = false;

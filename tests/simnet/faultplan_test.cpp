@@ -5,6 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <thread>
+#include <vector>
+
 #include "simnet/network.hpp"
 
 namespace upin::simnet {
@@ -160,6 +165,71 @@ TEST(FaultPlan, GarbledExtremes) {
   never.slow_per_hour = 1.0;  // keep the plan active
   const FaultPlan plan_never(3, never);
   EXPECT_FALSE(plan_never.garbled("bw:x", sim_seconds(1)));
+}
+
+/// Schedules are drawn once per node or link and kept; four threads
+/// asking one plan at once (first queries racing) must get exactly what a
+/// plan that has answered nothing before answers, one query at a time.
+TEST(FaultPlan, ConcurrentQueriesMatchSequentialAnswers) {
+  FaultPlanConfig config;
+  config.server_down_per_hour = 8.0;
+  config.slow_per_hour = 8.0;
+  config.link_flap_per_hour = 6.0;
+  constexpr std::uint32_t kNodes = 12;
+  constexpr int kInstants = 400;
+  constexpr int kThreads = 4;
+
+  // One query row per (node, instant): down, slow, and flapped on the
+  // links to node+1 and node+2.
+  using Row = std::array<bool, 4>;
+  const auto instant = [](int i) { return sim_seconds(216.0 * i + 7.5); };
+  const auto fresh = [&] { return FaultPlan(77, config); };
+  std::vector<Row> want;
+  std::vector<std::size_t> want_windows;
+  for (std::uint32_t node = 0; node < kNodes; ++node) {
+    for (int i = 0; i < kInstants; ++i) {
+      want.push_back({fresh().server_down(node, instant(i)),
+                      fresh().slow_responder(node, instant(i)),
+                      fresh().link_flapped(node, node + 1, instant(i)),
+                      fresh().link_flapped(node, node + 2, instant(i))});
+    }
+    want_windows.push_back(fresh().server_down_windows(node).size() +
+                           fresh().slow_windows(node).size() +
+                           fresh().link_flap_windows(node, node + 1).size() +
+                           fresh().link_flap_windows(node, node + 2).size());
+  }
+  ASSERT_NE(std::count(want.begin(), want.end(), Row{}),
+            static_cast<std::ptrdiff_t>(want.size()))
+      << "the schedule must hit some queries";
+
+  const FaultPlan shared(77, config);
+  std::vector<std::vector<Row>> got(kThreads);
+  std::vector<std::vector<std::size_t>> got_windows(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      std::vector<Row>& rows = got[static_cast<std::size_t>(t)];
+      for (std::uint32_t node = 0; node < kNodes; ++node) {
+        for (int i = 0; i < kInstants; ++i) {
+          rows.push_back({shared.server_down(node, instant(i)),
+                          shared.slow_responder(node, instant(i)),
+                          shared.link_flapped(node, node + 1, instant(i)),
+                          shared.link_flapped(node, node + 2, instant(i))});
+        }
+        got_windows[static_cast<std::size_t>(t)].push_back(
+            shared.server_down_windows(node).size() +
+            shared.slow_windows(node).size() +
+            shared.link_flap_windows(node, node + 1).size() +
+            shared.link_flap_windows(node, node + 2).size());
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  for (int t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(got[static_cast<std::size_t>(t)], want) << "thread " << t;
+    EXPECT_EQ(got_windows[static_cast<std::size_t>(t)], want_windows)
+        << "thread " << t;
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -5,9 +5,11 @@
 
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <limits>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace upin::util {
@@ -147,6 +149,49 @@ TEST(Rng, BernoulliExtremes) {
     EXPECT_FALSE(rng.bernoulli(-2.0));  // clamped
     EXPECT_TRUE(rng.bernoulli(5.0));    // clamped
   }
+}
+
+/// The first draws of one fixed-seed stream, bit for bit, recorded from
+/// the out-of-line implementation: moving the hot draws inline (or any
+/// other rewrite) must leave every value, and how many words each call
+/// consumes, unchanged.  Every `bernoulli` consumes exactly one draw, also
+/// at p <= 0, p >= 1 and NaN (`std::clamp` passes NaN through, and no
+/// draw is below NaN).
+TEST(Rng, DrawsMatchRecordedStream) {
+  const auto bits = [](double value) {
+    std::uint64_t out = 0;
+    std::memcpy(&out, &value, sizeof out);
+    return out;
+  };
+  Rng rng(0x5C10'2023);
+  for (const std::uint64_t expected :
+       {0x3fdc89c4c9a3d678ULL, 0x3fb0a9e518643778ULL, 0x3fea4614a7987f30ULL,
+        0x3fe499047aca2175ULL}) {
+    EXPECT_EQ(bits(rng.uniform()), expected);
+  }
+  for (const std::uint64_t expected :
+       {0xbffe93c4a4a75b39ULL, 0xc00162deec4e2439ULL, 0x401b1e117f16cd08ULL}) {
+    EXPECT_EQ(bits(rng.uniform(-2.5, 7.25)), expected);
+  }
+  // Two Box–Muller pairs: cosine half, then the cached sine half.
+  for (const std::uint64_t expected :
+       {0xbfedb3a9dc3bb263ULL, 0xbfe889ec99e55c75ULL, 0x3fefcfff3b0a2895ULL,
+        0x3fc63f0eea17f9edULL}) {
+    EXPECT_EQ(bits(rng.normal()), expected);
+  }
+  for (const std::uint64_t expected :
+       {0x3fe2cb01614cbe03ULL, 0x400f8db8c6a4700cULL, 0x400289a77561e297ULL}) {
+    EXPECT_EQ(bits(rng.lognormal(0.3, 0.8)), expected);
+  }
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const std::vector<std::pair<double, bool>> trials{
+      {0.5, false}, {0.5, false}, {0.5, false}, {0.5, true},  {0.25, false},
+      {0.75, true}, {0.9, false}, {0.1, false}, {-0.5, false}, {1.5, true},
+      {nan, false}, {0.0, false}, {1.0, true}};
+  for (const auto& [p, expected] : trials) {
+    EXPECT_EQ(rng.bernoulli(p), expected) << "p=" << p;
+  }
+  EXPECT_EQ(rng.next(), 0x2dabd08ad07b390fULL);
 }
 
 TEST(Rng, LognormalIsPositive) {
