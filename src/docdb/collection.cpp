@@ -9,7 +9,6 @@
 #include <utility>
 
 #include "docdb/database.hpp"
-#include "docdb/update.hpp"
 #include "obs/metrics.hpp"
 #include "util/log.hpp"
 
@@ -682,18 +681,6 @@ std::vector<Document> Collection::find(const Filter& filter,
   return out;
 }
 
-Result<Document> Collection::find_one(const Filter& filter) const {
-  std::optional<Document> first;
-  for_each_match(filter, {}, [&first](const Document& doc) {
-    first = doc;
-    return false;
-  });
-  if (!first.has_value()) {
-    return util::Error{ErrorCode::kNotFound, "no matching document"};
-  }
-  return std::move(*first);
-}
-
 std::size_t Collection::count(const Filter& filter) const {
   const std::shared_lock lock(mutex_);
   const QueryPlan plan = plan_locked(filter, nullptr);
@@ -750,80 +737,6 @@ util::Value Collection::explain(const Filter& filter,
   doc.set("collection_size",
           Value(static_cast<std::int64_t>(id_to_slot_.size())));
   return Value(std::move(doc));
-}
-
-Result<std::size_t> Collection::update_many(const Filter& filter,
-                                            const Value& update) {
-  const bool journaling = journaled();
-  std::uint64_t last_seq = 0;
-  std::size_t modified = 0;
-  {
-    const std::shared_lock gate = gate_lock();
-    if (const Status open = check_journal_open(); !open.ok()) {
-      return Result<std::size_t>(open.error());
-    }
-    const std::unique_lock lock(mutex_);
-    const QueryPlan plan = plan_locked(filter, nullptr);
-    for (const std::size_t position : plan_candidates_locked(plan)) {
-      Slot& slot = slots_[position];
-      if (!slot.alive || !filter.matches(slot.doc)) continue;
-
-      Document updated = slot.doc;
-      const Status status = apply_update(updated, update);
-      if (!status.ok()) return Result<std::size_t>(status.error());
-      if (updated == slot.doc) continue;
-
-      for (const auto& index : indexes_) {
-        index_remove_locked(*index, slot.doc, position);
-      }
-      slot.doc = std::move(updated);
-      for (const auto& index : indexes_) {
-        index_add_locked(*index, slot.doc, position);
-      }
-      ++modified;
-
-      if (journaling) {
-        const std::string id(document_id(slot.doc).value_or(""));
-        enqueue_locked(Journal::encode_update(name_, id, slot.doc), last_seq);
-      }
-    }
-  }
-  const Status durable = sync_journal(last_seq);
-  if (!durable.ok()) return Result<std::size_t>(durable.error());
-  return modified;
-}
-
-Result<std::size_t> Collection::delete_many(const Filter& filter) {
-  const bool journaling = journaled();
-  std::uint64_t last_seq = 0;
-  std::size_t removed = 0;
-  {
-    const std::shared_lock gate = gate_lock();
-    if (const Status open = check_journal_open(); !open.ok()) {
-      return Result<std::size_t>(open.error());
-    }
-    const std::unique_lock lock(mutex_);
-    const QueryPlan plan = plan_locked(filter, nullptr);
-    for (const std::size_t position : plan_candidates_locked(plan)) {
-      Slot& slot = slots_[position];
-      if (!slot.alive || !filter.matches(slot.doc)) continue;
-      // Copy the id before clearing the slot: document_id() views into doc.
-      const std::string id(document_id(slot.doc).value_or(""));
-      for (const auto& index : indexes_) {
-        index_remove_locked(*index, slot.doc, position);
-      }
-      id_to_slot_.erase(id);
-      slot.alive = false;
-      slot.doc = Document();
-      ++removed;
-      if (journaling) {
-        enqueue_locked(Journal::encode_delete(name_, id), last_seq);
-      }
-    }
-  }
-  const Status durable = sync_journal(last_seq);
-  if (!durable.ok()) return Result<std::size_t>(durable.error());
-  return removed;
 }
 
 bool Collection::delete_by_id(std::string_view id) {
@@ -897,62 +810,6 @@ std::vector<std::string> Collection::indexed_fields() const {
   specs.reserve(indexes_.size());
   for (const auto& index : indexes_) specs.push_back(index->spec());
   return specs;
-}
-
-std::vector<Value> Collection::distinct(std::string_view field,
-                                        const Filter& filter) const {
-  const std::shared_lock lock(mutex_);
-  const OrderedIndex* field_index = nullptr;
-  for (const auto& index : indexes_) {
-    if (index->single_field() && index->fields().front() == field) {
-      field_index = index.get();
-      break;
-    }
-  }
-  // Fully covered: no filter at all — the index's key set IS the answer
-  // (multikey included: the full range holds every element).
-  if (field_index != nullptr && filter.is_match_all()) {
-    return field_index->distinct_values(OrderedIndex::Range{});
-  }
-  const QueryPlan plan = plan_locked(filter, nullptr);
-  if (field_index != nullptr && plan.index == field_index && !plan.residual &&
-      !field_index->multikey()) {
-    // Residual-free plan over the same single-field index: the in-range
-    // keys are exactly the matched documents' values.  Ranges ascend and
-    // are disjoint, so concatenation stays sorted and unique.
-    std::vector<Value> values;
-    for (const OrderedIndex::Range& range : plan.ranges) {
-      std::vector<Value> part = field_index->distinct_values(range);
-      values.insert(values.end(), std::make_move_iterator(part.begin()),
-                    std::make_move_iterator(part.end()));
-    }
-    return values;
-  }
-  // Scan path (planner candidates still prune), then sort and dedup
-  // under compare_values so both paths return the same ascending order.
-  std::vector<Value> values;
-  for (const std::size_t position : plan_candidates_locked(plan)) {
-    const Slot& slot = slots_[position];
-    if (!slot.alive || !filter.matches(slot.doc)) continue;
-    const Value* field_value = slot.doc.get_path(field);
-    if (field_value == nullptr) continue;
-    if (field_value->is_array()) {
-      for (const Value& element : field_value->as_array()) {
-        values.push_back(element);
-      }
-    } else {
-      values.push_back(*field_value);
-    }
-  }
-  std::sort(values.begin(), values.end(), [](const Value& a, const Value& b) {
-    return compare_values(a, b) < 0;
-  });
-  values.erase(std::unique(values.begin(), values.end(),
-                           [](const Value& a, const Value& b) {
-                             return compare_values(a, b) == 0;
-                           }),
-               values.end());
-  return values;
 }
 
 void Collection::for_each(

@@ -18,10 +18,12 @@
 // a DeferredSync (database.hpp) calls leave the wait to Database::sync().  A
 // collection without a journal (in-memory) never encodes a payload.
 //
-// Queries that return documents have one path too: for_each_match()
-// plans the query and hands each match to a callback in place, under the
-// shared lock; find() and find_one() copy what it visits.  count() and
-// distinct() may answer from index postings without touching documents.
+// The API is what the measurement pipeline needs: insert_one/insert_many,
+// find_by_id, planned queries, count() and delete_by_id().  Queries that
+// return documents have one path: for_each_match() plans the query and
+// hands each match to a callback in place, under the shared lock; find()
+// copies what it visits.  count() may answer from index postings without
+// touching documents.
 #pragma once
 
 #include <atomic>
@@ -126,13 +128,9 @@ class Collection {
   [[nodiscard]] std::vector<Document> find(const Filter& filter,
                                            const FindOptions& options = {}) const;
 
-  /// First match in insertion order, or kNotFound.
-  [[nodiscard]] util::Result<Document> find_one(const Filter& filter) const;
-
   /// Matching-document count.  Residual-free index plans are *covered*:
   /// answered from posting sizes without touching documents.
   [[nodiscard]] std::size_t count(const Filter& filter) const;
-  [[nodiscard]] std::size_t count_all() const { return size(); }
 
   /// The plan the planner would choose for this query, as a JSON debug
   /// document: {"plan", "index", "ranges", "residual", "covers_sort",
@@ -141,14 +139,6 @@ class Collection {
   [[nodiscard]] util::Value explain(const Filter& filter,
                                     const FindOptions& options = {}) const;
 
-  /// Apply a Mongo-style update document to every match; returns the
-  /// number of documents modified.
-  util::Result<std::size_t> update_many(const Filter& filter,
-                                        const util::Value& update);
-
-  /// Delete every match; returns how many were removed.  Durability-sync
-  /// failures surface as kDataLoss, as for insert_one.
-  util::Result<std::size_t> delete_many(const Filter& filter);
   /// Delete one document by id; false when there is none, or when the
   /// journal has closed (logged; nothing is deleted).
   bool delete_by_id(std::string_view id);
@@ -164,12 +154,6 @@ class Collection {
   /// Declarations of every index, in creation order (compound specs are
   /// comma-joined) — the form journal snapshots persist.
   [[nodiscard]] std::vector<std::string> indexed_fields() const;
-
-  /// Distinct values of `field` among documents matching `filter`, in
-  /// ascending `compare_values` order.  Covered by a single-field index
-  /// on `field` when one exists and the plan is residual-free.
-  [[nodiscard]] std::vector<util::Value> distinct(std::string_view field,
-                                                  const Filter& filter) const;
 
   /// Visit every live document (read lock held during the walk).
   void for_each(const std::function<void(const Document&)>& fn) const;

@@ -41,7 +41,7 @@ Result<std::unique_ptr<Database>> Database::open(const std::string& path,
       return Status::success();
     }
     if (record.op == "update") {
-      // Post-image replay: delete + reinsert.
+      // Replay-only (nothing writes it now): post-image, delete + reinsert.
       coll.delete_by_id(record.id);
       Result<std::string> inserted = coll.insert_one(record.document);
       if (!inserted.ok()) return Status(inserted.error());

@@ -494,8 +494,6 @@ std::size_t Filter::clause_count() const {
   return count;
 }
 
-bool Filter::is_match_all() const { return clause_count() == 0; }
-
 const Value* Filter::equality_on(std::string_view field) const {
   const Node* node = root_.get();
   const auto check = [&](const Node& candidate) -> const Value* {

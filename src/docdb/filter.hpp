@@ -69,9 +69,6 @@ class Filter {
   /// the residual predicate still needs to run.
   [[nodiscard]] std::size_t clause_count() const;
 
-  /// True when this filter matches every document (match_all()).
-  [[nodiscard]] bool is_match_all() const;
-
   class Node;  // implementation detail, exposed for the planner
 
  private:

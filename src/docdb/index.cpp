@@ -118,7 +118,7 @@ void OrderedIndex::expand_keys(const Document& doc, Expansion& out) const {
       // Missing fields and *empty arrays* fold to null — every live doc
       // stays present in every index (the planner's no-false-negative
       // invariant), and `missing_docs_` keeps the fold out of covered
-      // point/distinct plans.
+      // point plans.
       const Value folded =
           (value == nullptr || empty_array) ? Value() : *value;
       for (IndexKey& partial : out.element_keys) partial.push_back(folded);
@@ -306,23 +306,6 @@ void OrderedIndex::scan(
     }
     if (!visit(key, it->second)) return;
   }
-}
-
-std::vector<Value> OrderedIndex::distinct_values(const Range& range) const {
-  std::vector<Value> values;
-  scan_map(entries_, range, fields_.size(),
-           [&](const IndexKey& key, const std::vector<std::size_t>& positions) {
-             if (key.empty()) return true;
-             // The null key mixes stored nulls with missing-field folds;
-             // distinct() skips absent fields, so it only counts when
-             // some posting must be a stored null.
-             if (key.front().is_null() && positions.size() <= missing_docs_) {
-               return true;
-             }
-             values.push_back(key.front());
-             return true;
-           });
-  return values;
 }
 
 std::size_t OrderedIndex::count_in_range(const Range& range) const {

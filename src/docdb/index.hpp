@@ -117,12 +117,6 @@ class OrderedIndex {
                                      const std::vector<std::size_t>& positions)>&
                 visit) const;
 
-  /// Distinct first-column values in `range`, ascending.  The null key
-  /// is included only when some posting is a stored null rather than a
-  /// missing-field fold (distinct() skips absent fields).
-  [[nodiscard]] std::vector<util::Value> distinct_values(
-      const Range& range) const;
-
   /// Number of positions (deduplicated) in `range` — covered count.
   [[nodiscard]] std::size_t count_in_range(const Range& range) const;
 

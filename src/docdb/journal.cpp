@@ -216,12 +216,6 @@ std::string Journal::encode_insert(const std::string& collection,
   return encode_parts("insert", collection, id, {}, &document);
 }
 
-std::string Journal::encode_update(const std::string& collection,
-                                   const std::string& id,
-                                   const Document& document) {
-  return encode_parts("update", collection, id, {}, &document);
-}
-
 std::string Journal::encode_delete(const std::string& collection,
                                    const std::string& id) {
   return encode_parts("delete", collection, id, {}, nullptr);

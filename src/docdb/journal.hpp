@@ -41,13 +41,15 @@
 
 namespace upin::docdb {
 
-/// One replayed journal record.
+/// One replayed journal record.  The program writes create_collection,
+/// create_index, insert and delete frames; "update" frames (a document's
+/// post-image) are replay-only, so journals that hold them still open.
 struct JournalRecord {
-  std::string op;          ///< "create_collection" | "create_index" | "insert" | "update" | "delete"
+  std::string op;          ///< "create_collection" | "create_index" | "insert" | "delete" | "update" (replay-only)
   std::string collection;
-  std::string id;          ///< document id (insert/update/delete)
+  std::string id;          ///< document id (insert/delete/update)
   std::string field;       ///< index field (create_index)
-  Document document;       ///< post-image (insert/update)
+  Document document;       ///< the document (insert) or post-image (update)
 };
 
 /// What replay() found, beyond success/failure.
@@ -133,9 +135,6 @@ class Journal {
   // and never deep-copied into an intermediate record.
 
   [[nodiscard]] static std::string encode_insert(const std::string& collection,
-                                                 const std::string& id,
-                                                 const Document& document);
-  [[nodiscard]] static std::string encode_update(const std::string& collection,
                                                  const std::string& id,
                                                  const Document& document);
   [[nodiscard]] static std::string encode_delete(const std::string& collection,

@@ -178,17 +178,6 @@ TEST(Collection, SkipBeyondEnd) {
   EXPECT_TRUE(coll.find(Filter::match_all(), options).empty());
 }
 
-TEST(Collection, FindOneFirstMatch) {
-  Collection coll("c");
-  ASSERT_TRUE(coll.insert_one(doc(R"({"_id": "a", "v": 1})")).ok());
-  ASSERT_TRUE(coll.insert_one(doc(R"({"_id": "b", "v": 1})")).ok());
-  const auto one = coll.find_one(filter(R"({"v": 1})"));
-  ASSERT_TRUE(one.ok());
-  EXPECT_EQ(*document_id(one.value()), "a");
-  EXPECT_EQ(coll.find_one(filter(R"({"v": 9})")).error().code,
-            ErrorCode::kNotFound);
-}
-
 TEST(Collection, Count) {
   Collection coll("c");
   for (int i = 0; i < 6; ++i) {
@@ -196,49 +185,17 @@ TEST(Collection, Count) {
         {{"_id", std::to_string(i)}, {"even", i % 2 == 0}}).dump().c_str())).ok());
   }
   EXPECT_EQ(coll.count(filter(R"({"even": true})")), 3u);
-  EXPECT_EQ(coll.count_all(), 6u);
-}
-
-TEST(Collection, UpdateManySetsFields) {
-  Collection coll("c");
-  ASSERT_TRUE(coll.insert_one(doc(R"({"_id": "a", "status": "alive"})")).ok());
-  ASSERT_TRUE(coll.insert_one(doc(R"({"_id": "b", "status": "alive"})")).ok());
-  const auto modified = coll.update_many(
-      Filter::match_all(), Value::parse(R"({"$set": {"status": "dead"}})").value());
-  ASSERT_TRUE(modified.ok());
-  EXPECT_EQ(modified.value(), 2u);
-  EXPECT_EQ(coll.count(filter(R"({"status": "dead"})")), 2u);
-}
-
-TEST(Collection, UpdateManySkipsNoopChanges) {
-  Collection coll("c");
-  ASSERT_TRUE(coll.insert_one(doc(R"({"_id": "a", "v": 1})")).ok());
-  const auto modified = coll.update_many(
-      Filter::match_all(), Value::parse(R"({"$set": {"v": 1}})").value());
-  ASSERT_TRUE(modified.ok());
-  EXPECT_EQ(modified.value(), 0u);
+  EXPECT_EQ(coll.size(), 6u);
 }
 
 TEST(Collection, UpdateKeepsIndexConsistent) {
   Collection coll("c");
   coll.create_index("v");
   ASSERT_TRUE(coll.insert_one(doc(R"({"_id": "a", "v": 1})")).ok());
-  ASSERT_TRUE(coll.update_many(filter(R"({"_id": "a"})"),
-                               Value::parse(R"({"$set": {"v": 2}})").value())
-                  .ok());
+  ASSERT_TRUE(coll.delete_by_id("a"));
+  ASSERT_TRUE(coll.insert_one(doc(R"({"_id": "a", "v": 2})")).ok());
   EXPECT_EQ(coll.count(filter(R"({"v": 2})")), 1u);
   EXPECT_EQ(coll.count(filter(R"({"v": 1})")), 0u);
-}
-
-TEST(Collection, DeleteMany) {
-  Collection coll("c");
-  for (int i = 0; i < 5; ++i) {
-    ASSERT_TRUE(coll.insert_one(doc(util::Value::object(
-        {{"_id", std::to_string(i)}, {"v", i}}).dump().c_str())).ok());
-  }
-  EXPECT_EQ(coll.delete_many(filter(R"({"v": {"$lt": 3}})")).value(), 3u);
-  EXPECT_EQ(coll.size(), 2u);
-  EXPECT_FALSE(coll.find_by_id("0").ok());
 }
 
 TEST(Collection, DeleteByIdThenReinsert) {
@@ -282,23 +239,6 @@ TEST(Collection, CreateIndexIsIdempotent) {
   coll.create_index("k");
   coll.create_index("k");
   EXPECT_EQ(coll.indexed_fields().size(), 1u);
-}
-
-TEST(Collection, DistinctScalarsAndArrays) {
-  Collection coll("c");
-  ASSERT_TRUE(coll.insert_one(doc(R"({"_id": "a", "isds": [16, 17]})")).ok());
-  ASSERT_TRUE(coll.insert_one(doc(R"({"_id": "b", "isds": [17, 19]})")).ok());
-  const auto values = coll.distinct("isds", Filter::match_all());
-  EXPECT_EQ(values.size(), 3u);  // 16, 17, 19
-}
-
-TEST(Collection, DistinctHonorsFilter) {
-  Collection coll("c");
-  ASSERT_TRUE(coll.insert_one(doc(R"({"_id": "a", "v": 1, "g": "x"})")).ok());
-  ASSERT_TRUE(coll.insert_one(doc(R"({"_id": "b", "v": 2, "g": "y"})")).ok());
-  const auto values = coll.distinct("v", filter(R"({"g": "x"})"));
-  ASSERT_EQ(values.size(), 1u);
-  EXPECT_EQ(values[0].as_int(), 1);
 }
 
 TEST(Collection, ForEachVisitsOnlyLiveDocuments) {
@@ -595,31 +535,6 @@ TEST(QueryPlanner, CountMatchesScanWithResidual) {
   // path_id consumed by the index, loss stays residual.
   EXPECT_EQ(coll.count(filter(R"({"path_id": 1, "loss": 0})")), 0u);
   EXPECT_EQ(coll.count(filter(R"({"path_id": 1, "loss": 1})")), 5u);
-}
-
-TEST(QueryPlanner, DistinctIsCoveredAndSorted) {
-  Collection coll("stats");
-  coll.create_index("server_id");
-  for (const int v : {3, 1, 2, 1, 3}) {
-    ASSERT_TRUE(coll.insert_one(Value::object({{"server_id", v}})).ok());
-  }
-  const auto values = coll.distinct("server_id", Filter::match_all());
-  ASSERT_EQ(values.size(), 3u);
-  EXPECT_EQ(values[0], Value(1));
-  EXPECT_EQ(values[1], Value(2));
-  EXPECT_EQ(values[2], Value(3));
-  // Filtered distinct off the same index (residual-free range plan).
-  const auto high = coll.distinct("server_id",
-                                  filter(R"({"server_id": {"$gte": 2}})"));
-  ASSERT_EQ(high.size(), 2u);
-  EXPECT_EQ(high[0], Value(2));
-  EXPECT_EQ(high[1], Value(3));
-  // Unindexed distinct returns the same ascending order.
-  Collection plain("plain");
-  for (const int v : {3, 1, 2, 1, 3}) {
-    ASSERT_TRUE(plain.insert_one(Value::object({{"server_id", v}})).ok());
-  }
-  EXPECT_EQ(plain.distinct("server_id", Filter::match_all()), values);
 }
 
 TEST(QueryPlanner, SortStreamsOffIndexOrder) {

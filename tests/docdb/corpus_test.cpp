@@ -7,6 +7,7 @@
 #include <filesystem>
 #include <fstream>
 
+#include "docdb/database.hpp"
 #include "docdb/journal.hpp"
 #include "support/temp_path.hpp"
 
@@ -124,6 +125,26 @@ TEST_F(CorpusTest, EmptyJournalReplaysNothing) {
   EXPECT_TRUE(ids.empty());
   EXPECT_FALSE(report.torn_tail);
   EXPECT_EQ(report.records_applied, 0u);
+}
+
+TEST_F(CorpusTest, UpdateFrameReplaysToThePostImage) {
+  // Recorded on a durable database by a build whose Collection still
+  // had an update operation: create_collection, inserts of "a" and "b",
+  // an update of "a" ($set v and tag, $inc n) and a delete of "b".
+  // Nothing writes update frames now; replay must still apply the
+  // post-image.
+  const std::string path = stage("update_frame.jsonl");
+  auto db = Database::open(path);
+  ASSERT_TRUE(db.ok()) << db.error().message;
+  EXPECT_EQ(db.value()->collection_names(),
+            std::vector<std::string>{"paths"});
+  std::vector<Document> docs;
+  db.value()->collection("paths").for_each(
+      [&docs](const Document& doc) { docs.push_back(doc); });
+  const Document post_image =
+      util::Value::parse(R"({"_id": "a", "v": 42, "tag": "new", "n": 1})")
+          .value();
+  EXPECT_EQ(docs, std::vector<Document>{post_image});
 }
 
 }  // namespace

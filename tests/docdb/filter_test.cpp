@@ -342,10 +342,9 @@ TEST(FilterBounds, UnextractableOperatorsCountAsClauses) {
 }
 
 TEST(FilterBounds, MatchAllHasNoClauses) {
-  EXPECT_TRUE(Filter::match_all().is_match_all());
   EXPECT_EQ(Filter::match_all().clause_count(), 0u);
-  EXPECT_TRUE(compile("{}").is_match_all());
-  EXPECT_FALSE(compile(R"({"a": 1})").is_match_all());
+  EXPECT_EQ(compile("{}").clause_count(), 0u);
+  EXPECT_EQ(compile(R"({"a": 1})").clause_count(), 1u);
 }
 
 }  // namespace

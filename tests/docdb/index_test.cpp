@@ -11,6 +11,7 @@
 
 #include "docdb/collection.hpp"
 #include "docdb/database.hpp"
+#include "support/rewrite_matches.hpp"
 #include "support/temp_path.hpp"
 #include "util/rng.hpp"
 #include "util/strings.hpp"
@@ -220,20 +221,6 @@ TEST(OrderedIndex, BoolAndNullKeys) {
   EXPECT_TRUE(lookup(index, Value(false)).empty());
 }
 
-TEST(OrderedIndex, DistinctValuesSkipsMissingFolds) {
-  OrderedIndex index("v");
-  index.add(doc(R"({"v": 2})"), 0);
-  index.add(doc(R"({"other": 1})"), 1);  // folded null, not a stored null
-  std::vector<Value> values = index.distinct_values(OrderedIndex::Range{});
-  ASSERT_EQ(values.size(), 1u);
-  EXPECT_EQ(values[0], Value(2));
-
-  index.add(doc(R"({"v": null})"), 2);  // a *stored* null counts
-  values = index.distinct_values(OrderedIndex::Range{});
-  ASSERT_EQ(values.size(), 2u);
-  EXPECT_TRUE(values[0].is_null());
-}
-
 TEST(OrderedIndex, CountInRangeDedupsMultikey) {
   OrderedIndex index("isds");
   index.add(doc(R"({"isds": [16, 17]})"), 0);
@@ -368,16 +355,21 @@ TEST(OrderedIndex, DistinctFirstFollowsUpdateRekeying) {
     ASSERT_TRUE(coll.insert_one(Value::object({{"a", i % 6}, {"b", i}})).ok());
   }
   expect_distinct_first_exact(coll);  // 24 / 6
-  const auto merged = coll.update_many(
-      Filter::compile(Value::parse(R"({"a": {"$gte": 3}})").value()).value(),
-      Value::parse(R"({"$set": {"a": 0}})").value());
-  ASSERT_TRUE(merged.ok());
-  EXPECT_EQ(merged.value(), 12u);
+  EXPECT_EQ(test_support::rewrite_matches(
+                coll, Filter::compile(Value::parse(R"({"a": {"$gte": 3}})")
+                                          .value())
+                          .value(),
+                [](Document& d) { d["a"] = Value(0); }),
+            12u);
   expect_distinct_first_exact(coll);  // 24 / 3
-  const auto split = coll.update_many(
-      Filter::compile(Value::parse(R"({"b": {"$lt": 4}})").value()).value(),
-      Value::parse(R"({"$inc": {"a": 100}})").value());
-  ASSERT_TRUE(split.ok());
+  EXPECT_EQ(test_support::rewrite_matches(
+                coll, Filter::compile(Value::parse(R"({"b": {"$lt": 4}})")
+                                          .value())
+                          .value(),
+                [](Document& d) {
+                  d["a"] = Value(d.get("a")->as_int() + 100);
+                }),
+            4u);
   expect_distinct_first_exact(coll);
 }
 
@@ -395,10 +387,10 @@ TEST(OrderedIndex, DistinctFirstSurvivesReopenAndCompact) {
       ASSERT_TRUE(
           coll.insert_one(Value::object({{"a", i % 7}, {"b", i}})).ok());
     }
-    ASSERT_TRUE(coll.delete_many(Filter::compile(
-                                     Value::parse(R"({"a": 6})").value())
-                                     .value())
-                    .ok());
+    EXPECT_EQ(test_support::delete_matches(
+                  coll,
+                  Filter::compile(Value::parse(R"({"a": 6})").value()).value()),
+              4u);
     expect_distinct_first_exact(coll);  // 26 / 6
     before = planned_candidates_for_a(coll);
     ASSERT_TRUE(db.value()->compact().ok());

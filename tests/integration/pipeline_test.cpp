@@ -4,10 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
-#include <map>
 
 #include "apps/host.hpp"
-#include "docdb/aggregate.hpp"
 #include "measure/testsuite.hpp"
 #include "scion/scionlab.hpp"
 #include "select/selector.hpp"
@@ -248,43 +246,6 @@ TEST_F(FigureShapes, Fig8InversionAt150Mbps) {
         << "inversion upstream (paper Fig 8)";
     EXPECT_GT(*s.mean_bw_down_64, *s.mean_bw_down_mtu)
         << "inversion downstream (paper Fig 8)";
-  }
-}
-
-TEST_F(FigureShapes, AggregationPipelineAgreesWithSelector) {
-  // The Fig 6 grouping expressed as a docdb aggregation must agree with
-  // the C++-side aggregation the selector performs.
-  const auto pipeline = util::Value::parse(R"([
-    {"$match": {"server_id": 3}},
-    {"$group": {"_id": "$hop_count",
-                "avg_latency": {"$avg": "$latency_ms"},
-                "n": {"$count": {}}}},
-    {"$sort": {"_id": 1}}
-  ])");
-  ASSERT_TRUE(pipeline.ok());
-  const auto groups = docdb::aggregate(
-      db_->collection(measure::kPathsStats), pipeline.value());
-  ASSERT_TRUE(groups.ok());
-  ASSERT_FALSE(groups.value().empty());
-
-  // Manual reference from the selector's summaries (weighted by sample
-  // counts per path).
-  std::map<std::int64_t, std::pair<double, std::size_t>> reference;
-  db_->collection(measure::kPathsStats)
-      .for_each([&](const docdb::Document& doc) {
-        if (doc.get("server_id")->as_int() != 3) return;
-        const util::Value* latency = doc.get("latency_ms");
-        if (latency == nullptr) return;
-        auto& slot = reference[doc.get("hop_count")->as_int()];
-        slot.first += latency->as_double();
-        ++slot.second;
-      });
-  for (const docdb::Document& group : groups.value()) {
-    const std::int64_t hops = group.get("_id")->as_int();
-    ASSERT_TRUE(reference.contains(hops));
-    const auto& [sum, count] = reference.at(hops);
-    EXPECT_NEAR(group.get("avg_latency")->as_double(),
-                sum / static_cast<double>(count), 1e-9);
   }
 }
 

@@ -8,8 +8,9 @@
 //   * Database::open always succeeds on a crash image (a kernel leaves
 //     torn tails, never mid-file corruption).
 //
-// The workload covers every mutation kind plus a compact() — so the
-// matrix sweeps the temp-write / fsync / rename / dir-sync window where
+// The workload writes every frame kind the program writes
+// (create_collection, create_index, insert, delete) plus a compact() —
+// so the matrix sweeps the temp-write / fsync / rename / dir-sync window where
 // an unflushed rename must roll back to the old journal.
 #include <gtest/gtest.h>
 
@@ -32,7 +33,8 @@ struct ModelRecord {
   std::string op;
   std::string coll;
   std::string id;
-  std::string doc_dump;  ///< post-image dump (insert/update)
+  std::string doc_dump;  ///< document dump (insert)
+  std::string field;     ///< index declaration (create_index)
 };
 
 /// The workload's account of itself: the full record sequence and how
@@ -43,9 +45,17 @@ struct WorkloadTrace {
   std::size_t committed = 0;
 };
 
-/// collection -> id -> document dump.  Collections created but empty
-/// still appear (create_collection replays as an empty collection).
-using ModelState = std::map<std::string, std::map<std::string, std::string>>;
+/// One collection's recoverable state: id -> document dump, and the
+/// index declarations in creation order.
+struct ModelCollection {
+  std::map<std::string, std::string> docs;
+  std::vector<std::string> indexes;
+  bool operator==(const ModelCollection&) const = default;
+};
+
+/// collection -> its state.  Collections created but empty still appear
+/// (create_collection replays as an empty collection).
+using ModelState = std::map<std::string, ModelCollection>;
 
 ModelState apply_prefix(const std::vector<ModelRecord>& model, std::size_t k) {
   ModelState state;
@@ -53,10 +63,12 @@ ModelState apply_prefix(const std::vector<ModelRecord>& model, std::size_t k) {
     const ModelRecord& record = model[i];
     if (record.op == "create_collection") {
       state[record.coll];
-    } else if (record.op == "insert" || record.op == "update") {
-      state[record.coll][record.id] = record.doc_dump;
+    } else if (record.op == "create_index") {
+      state[record.coll].indexes.push_back(record.field);
+    } else if (record.op == "insert") {
+      state[record.coll].docs[record.id] = record.doc_dump;
     } else if (record.op == "delete") {
-      state[record.coll].erase(record.id);
+      state[record.coll].docs.erase(record.id);
     }
   }
   return state;
@@ -65,8 +77,8 @@ ModelState apply_prefix(const std::vector<ModelRecord>& model, std::size_t k) {
 /// Scripted single-threaded workload.  Mirrors the exact journal-record
 /// enqueue order into the trace and stops at the first failed call (the
 /// crash).  Calls whose API propagates sync failures advance the
-/// committed marker; delete_by_id (bool return) does not — its record
-/// becomes guaranteed only once a later sync covers it.
+/// committed marker; create_index (void) and delete_by_id (bool) do not —
+/// their records become guaranteed only once a later sync covers them.
 void run_workload(Database& db, WorkloadTrace* trace) {
   auto insert = [&](const std::string& coll, const std::string& id,
                     int v, bool first_use_of_coll) {
@@ -95,18 +107,9 @@ void run_workload(Database& db, WorkloadTrace* trace) {
   if (!insert("stats", "s1", 10, /*first_use_of_coll=*/true)) return;
   trace->committed = trace->model.size();
 
-  {
-    const auto filter =
-        Filter::compile(Value::parse(R"({"_id": "p2"})").value()).value();
-    const Document post = Value::object({{"_id", "p2"}, {"v", 42}});
-    trace->model.push_back({"update", "paths", "p2", post.dump()});
-    if (!db.collection("paths")
-             .update_many(filter, Value::parse(R"({"$set": {"v": 42}})").value())
-             .ok()) {
-      return;
-    }
-    trace->committed = trace->model.size();
-  }
+  trace->model.push_back({"create_index", "paths", {}, {}, "v"});
+  db.collection("paths").create_index("v");
+  // No committed advance: create_index cannot report a sync failure.
 
   trace->model.push_back({"delete", "paths", "p1", {}});
   if (!db.collection("paths").delete_by_id("p1")) return;
@@ -135,10 +138,12 @@ void run_workload(Database& db, WorkloadTrace* trace) {
 ModelState capture(Database& db) {
   ModelState state;
   for (const std::string& name : db.collection_names()) {
-    auto& docs = state[name];
-    db.find_collection(name)->for_each([&](const Document& doc) {
-      docs[std::string(document_id(doc).value_or(""))] = doc.dump();
+    ModelCollection& coll = state[name];
+    const Collection& live = *db.find_collection(name);
+    live.for_each([&](const Document& doc) {
+      coll.docs[std::string(document_id(doc).value_or(""))] = doc.dump();
     });
+    coll.indexes = live.indexed_fields();
   }
   return state;
 }

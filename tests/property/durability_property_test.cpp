@@ -2,14 +2,13 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
-
-#include <map>
+#include <set>
 
 #include "apps/host.hpp"
-#include "docdb/aggregate.hpp"
 #include "docdb/database.hpp"
 #include "measure/testsuite.hpp"
 #include "select/selector.hpp"
+#include "support/rewrite_matches.hpp"
 #include "support/temp_path.hpp"
 #include "util/rng.hpp"
 #include "util/strings.hpp"
@@ -53,15 +52,12 @@ void random_operation(Rng& rng, Collection& coll, int& id_counter) {
       batch.push_back(Value(std::move(doc)));
     }
     (void)coll.insert_many(std::move(batch));
-  } else {  // update a slice
+  } else {  // update a slice: delete each match, insert its post-image
     util::JsonObject query;
     query.set("v", Value(rng.uniform_int(0, 20)));
     const auto filter = docdb::Filter::compile(Value(std::move(query)));
-    util::JsonObject set;
-    util::JsonObject fields;
-    fields.set("touched", Value(true));
-    set.set("$set", Value(std::move(fields)));
-    (void)coll.update_many(filter.value(), Value(std::move(set)));
+    test_support::rewrite_matches(
+        coll, filter.value(), [](Document& doc) { doc["touched"] = Value(true); });
   }
 }
 
@@ -102,52 +98,6 @@ TEST_P(JournalEquivalenceProperty, ReplayedStateMatchesInMemory) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, JournalEquivalenceProperty,
                          ::testing::Values(3, 17, 58, 101, 999));
-
-// ----------------------------------------- aggregation-vs-manual property
-
-/// $group with $avg/$sum/$count must agree with a hand-rolled group-by
-/// over randomly generated documents.
-class AggregationProperty : public ::testing::TestWithParam<std::uint64_t> {};
-
-TEST_P(AggregationProperty, GroupMatchesManualComputation) {
-  Rng rng(GetParam());
-  Collection coll("c");
-  std::map<std::int64_t, std::pair<double, std::size_t>> manual;  // key -> (sum, n)
-  const auto docs = rng.uniform_int(1, 200);
-  for (std::int64_t i = 0; i < docs; ++i) {
-    const std::int64_t key = rng.uniform_int(0, 6);
-    const double value = rng.uniform(-50.0, 50.0);
-    util::JsonObject doc;
-    doc.set("_id", Value(util::format("d%lld", static_cast<long long>(i))));
-    doc.set("k", Value(key));
-    doc.set("v", Value(value));
-    ASSERT_TRUE(coll.insert_one(Value(std::move(doc))).ok());
-    manual[key].first += value;
-    ++manual[key].second;
-  }
-
-  const auto result = docdb::aggregate(
-      coll, Value::parse(R"([
-        {"$group": {"_id": "$k", "avg": {"$avg": "$v"},
-                    "sum": {"$sum": "$v"}, "n": {"$count": {}}}},
-        {"$sort": {"_id": 1}}
-      ])").value());
-  ASSERT_TRUE(result.ok());
-  ASSERT_EQ(result.value().size(), manual.size());
-  std::size_t index = 0;
-  for (const auto& [key, sums] : manual) {
-    const Document& group = result.value()[index++];
-    EXPECT_EQ(group.get("_id")->as_int(), key);
-    EXPECT_EQ(group.get("n")->as_int(),
-              static_cast<std::int64_t>(sums.second));
-    EXPECT_NEAR(group.get("sum")->as_double(), sums.first, 1e-9);
-    EXPECT_NEAR(group.get("avg")->as_double(),
-                sums.first / static_cast<double>(sums.second), 1e-9);
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, AggregationProperty,
-                         ::testing::Values(5, 25, 125, 625));
 
 // -------------------------------------------- selection monotonicity laws
 

