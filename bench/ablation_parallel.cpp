@@ -5,15 +5,32 @@
 // one per destination, with increasing worker counts, reporting wall
 // time and speedup.  Each tenant draws its own split seed, so the sample
 // count is a pure function of the fleet seed: it must not change with
-// the worker count.
+// the worker count, and the bench exits 1 when it does (ctest
+// ablation_parallel_smoke).
+//
+// Usage:
+//   ablation_parallel             text table (--csv: CSV)
+//   ablation_parallel --out FILE  also write the JSON report to FILE
+//                                 ({"bench","gate","runs":[{threads,
+//                                 wall_s,speedup,samples}]}; "gate" is
+//                                 true when every worker count stored
+//                                 the same samples)
+#include <cstring>
+#include <fstream>
+#include <string>
 #include <thread>
 
 #include "common.hpp"
 #include "fleet/fleet.hpp"
+#include "util/json.hpp"
 
 int main(int argc, char** argv) {
   using namespace upin;
   const bool csv = bench::want_csv(argc, argv);
+  std::string out_path;
+  for (int i = 1; i + 1 < argc; ++i) {
+    if (std::strcmp(argv[i], "--out") == 0) out_path = argv[i + 1];
+  }
 
   if (csv) {
     std::printf("threads,wall_s,speedup,samples\n");
@@ -37,6 +54,9 @@ int main(int argc, char** argv) {
   }
 
   double baseline = 0.0;
+  std::size_t baseline_samples = 0;
+  bool samples_agree = true;
+  util::Value::Array runs;
   for (const std::size_t threads : {std::size_t{1}, std::size_t{2},
                                     std::size_t{4}, std::size_t{8}}) {
     fleet::FleetConfig config;
@@ -55,7 +75,11 @@ int main(int argc, char** argv) {
       samples += campaign.progress.stats_inserted;
     }
     const double wall = result.value().wall_seconds;
-    if (threads == 1) baseline = wall;
+    if (threads == 1) {
+      baseline = wall;
+      baseline_samples = samples;
+    }
+    samples_agree = samples_agree && samples == baseline_samples;
     const double speedup = baseline / wall;
     if (csv) {
       std::printf("%zu,%.3f,%.2f,%zu\n", threads, wall, speedup, samples);
@@ -63,6 +87,28 @@ int main(int argc, char** argv) {
       std::printf("%-9zu %-10.3f %-9.2f %zu\n", threads, wall, speedup,
                   samples);
     }
+    runs.push_back(util::Value::object({
+        {"threads", threads},
+        {"wall_s", wall},
+        {"speedup", speedup},
+        {"samples", samples},
+    }));
+  }
+
+  if (!out_path.empty()) {
+    const util::Value report = util::Value::object({
+        {"bench", "ablation_parallel"},
+        {"gate", samples_agree},
+        {"runs", util::Value(std::move(runs))},
+    });
+    std::ofstream(out_path) << report.dump(2) << "\n";
+    std::fprintf(stderr, "[ablation_parallel] wrote %s\n", out_path.c_str());
+  }
+  if (!samples_agree) {
+    std::fprintf(stderr,
+                 "[ablation_parallel] GATE FAILED: the sample count changed "
+                 "with the worker count\n");
+    return 1;
   }
   return 0;
 }

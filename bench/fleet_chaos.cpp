@@ -156,15 +156,14 @@ int main(int argc, char** argv) {
 
   std::printf("fleet_chaos: %zu campaigns, chaos on campaign 0, seed %llu\n",
               campaigns, static_cast<unsigned long long>(seed));
-  std::printf("%-4s %-12s %6s %6s %6s %6s %9s %9s  %s\n", "id", "state",
-              "units", "score", "shed", "wdog", "backpr", "resumed",
-              "isolation");
+  std::printf("%-4s %-12s %6s %6s %6s %6s %9s  %s\n", "id", "state",
+              "units", "score", "shed", "wdog", "resumed", "isolation");
   for (std::size_t i = 0; i < campaigns; ++i) {
     const fleet::CampaignStatus& s = result.value().campaigns[i];
-    std::printf("%-4d %-12s %6zu %6zu %6zu %6zu %9zu %9zu  %s\n",
+    std::printf("%-4d %-12s %6zu %6zu %6zu %6zu %9zu  %s\n",
                 s.campaign_id, std::string(fleet::to_string(s.state)).c_str(),
                 s.units_run, s.error_score, s.progress.probes_shed,
-                s.watchdog_trips, s.backpressure_rejections, s.units_resumed,
+                s.watchdog_trips, s.units_resumed,
                 i == 0 ? (chaos_contained ? "contained" : "ESCAPED")
                        : (tenant_ok[i] ? "bit-exact" : "DIVERGED"));
   }

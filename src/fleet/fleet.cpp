@@ -1,8 +1,6 @@
 #include "fleet/fleet.hpp"
 
 #include <algorithm>
-#include <atomic>
-#include <chrono>
 #include <condition_variable>
 #include <filesystem>
 #include <mutex>
@@ -12,7 +10,6 @@
 #include "apps/host.hpp"
 #include "obs/metrics.hpp"
 #include "obs/span.hpp"
-#include "util/bounded_queue.hpp"
 #include "util/clock.hpp"
 #include "util/log.hpp"
 #include "util/rng.hpp"
@@ -27,6 +24,9 @@ namespace {
 
 constexpr std::uint64_t kGolden = 0x9E3779B97F4A7C15ULL;
 
+/// Units a worker runs per claim before it gives the tenant back.
+constexpr std::size_t kUnitsPerClaim = 4;
+
 [[nodiscard]] obs::Registry& fleet_registry(const FleetConfig& config) {
   return config.metrics != nullptr ? *config.metrics : obs::Registry::global();
 }
@@ -38,12 +38,12 @@ constexpr std::uint64_t kGolden = 0x9E3779B97F4A7C15ULL;
   return std::max<std::size_t>(1, config.error_budget / divisor);
 }
 
-/// One tenant's full machinery.  Everything below `lane` is owned by
-/// whichever worker holds `in_flight` (the scheduler hands a tenant to
-/// at most one worker at a time); `finished` is the cross-thread flag.
+/// One tenant's full machinery.  While the fleet runs, `in_flight` and
+/// `finished` are read and written only under the scheduler mutex; the
+/// rest is owned by whichever worker holds `in_flight` (at most one at a
+/// time), and `units_run` is read by a claiming worker only while no
+/// worker holds the tenant.
 struct Tenant {
-  explicit Tenant(std::size_t lane_depth) : lane(lane_depth) {}
-
   CampaignSpec spec;
   std::uint64_t seed = 0;
   std::string shard_path;
@@ -53,11 +53,8 @@ struct Tenant {
   std::unique_ptr<obs::SpanTracer> tracer;
   std::unique_ptr<TestSuite> suite;
 
-  /// Unit credit lane: the feeder's only channel into the tenant.
-  util::BoundedQueue<std::uint64_t> lane;
-  std::atomic<bool> lane_closed{false};
-  std::atomic<bool> in_flight{false};
-  std::atomic<bool> finished{false};
+  bool in_flight = false;
+  bool finished = false;
 
   // Health ladder (worker-owned while in flight).
   TenantState state = TenantState::kHealthy;
@@ -69,11 +66,6 @@ struct Tenant {
   std::size_t last_breaker_trips = 0;
   std::size_t last_probes_shed = 0;
 
-  // Feeder-owned accounting.
-  std::size_t planned = 0;
-  std::size_t credits_granted = 0;
-  std::size_t backpressure_rejections = 0;
-
   // Labeled fleet metrics (fleet registry, NOT the tenant registry — the
   // tenant registry must stay a pure function of the tenant alone).
   obs::Counter* m_units = nullptr;
@@ -81,13 +73,8 @@ struct Tenant {
   obs::Counter* m_shed = nullptr;
   obs::Counter* m_watchdog = nullptr;
   obs::Counter* m_quarantines = nullptr;
-  obs::Counter* m_backpressure = nullptr;
   obs::Gauge* m_state = nullptr;
 };
-
-void close_lane(Tenant& tenant) {
-  if (!tenant.lane_closed.exchange(true)) tenant.lane.close();
-}
 
 void set_state(Tenant& tenant, TenantState state) {
   tenant.state = state;
@@ -101,8 +88,7 @@ void set_state(Tenant& tenant, TenantState state) {
 [[nodiscard]] std::unique_ptr<Tenant> build_tenant(
     const scion::ScionlabEnv& env, const FleetConfig& config,
     const CampaignSpec& spec, const std::string& shard_path) {
-  auto tenant = std::make_unique<Tenant>(std::max<std::size_t>(
-      1, config.lane_depth));
+  auto tenant = std::make_unique<Tenant>();
   tenant->spec = spec;
   tenant->seed = campaign_seed(config.seed, spec.campaign_id);
   tenant->shard_path = shard_path;
@@ -118,8 +104,6 @@ void set_state(Tenant& tenant, TenantState state) {
       &fleet_reg.counter("upin_fleet_watchdog_trips_total", label);
   tenant->m_quarantines =
       &fleet_reg.counter("upin_fleet_quarantines_total", label);
-  tenant->m_backpressure =
-      &fleet_reg.counter("upin_fleet_backpressure_total", label);
   tenant->m_state = &fleet_reg.gauge("upin_fleet_state", label);
   tenant->m_state->set(0);
 
@@ -130,7 +114,7 @@ void set_state(Tenant& tenant, TenantState state) {
     if (!opened.ok()) {
       set_state(*tenant, TenantState::kFailed);
       tenant->failure = Status(opened.error());
-      tenant->finished.store(true);
+      tenant->finished = true;
       return tenant;
     }
     tenant->db = std::move(opened).value();
@@ -165,24 +149,22 @@ void set_state(Tenant& tenant, TenantState state) {
 /// begin() the tenant's campaign (initialize + collect + plan).  Errors
 /// are contained: the tenant fails, the fleet does not.
 void begin_tenant(Tenant& tenant) {
-  if (tenant.finished.load()) return;
+  if (tenant.finished) return;
   const Status begun = tenant.suite->begin();
   if (!begun.ok()) {
     set_state(tenant, TenantState::kFailed);
     tenant.failure = begun;
-    tenant.finished.store(true);
-    return;
+    tenant.finished = true;
   }
-  tenant.planned = tenant.suite->planned_units();
 }
 
 /// Execute one scheduling step of the tenant and apply the health
-/// ladder.  Returns true while the tenant should keep receiving
-/// credits; false once it reached a terminal state (done, quarantined,
-/// or failed).  Every input to the ladder — fault deltas, breaker
-/// trips, the virtual-time watchdog — is a deterministic function of
-/// the tenant's own virtual timeline, so the tenant's terminal state is
-/// identical across runs, thread counts, and co-tenants.
+/// ladder.  Returns true while the tenant has units left; false once
+/// it reached a terminal state (done, quarantined, or failed).  Every
+/// input to the ladder — fault deltas, breaker trips, the virtual-time
+/// watchdog — is a deterministic function of the tenant's own virtual
+/// timeline, so the tenant's terminal state is identical across runs,
+/// thread counts, and co-tenants.
 [[nodiscard]] bool step_tenant(const FleetConfig& config, Tenant& tenant) {
   const bool shed =
       config.shed_enabled && tenant.state == TenantState::kDegraded;
@@ -265,8 +247,6 @@ void begin_tenant(Tenant& tenant) {
   status.units_run = tenant.units_run;
   status.error_score = tenant.error_score;
   status.watchdog_trips = tenant.watchdog_trips;
-  status.credits_granted = tenant.credits_granted;
-  status.backpressure_rejections = tenant.backpressure_rejections;
   if (tenant.suite != nullptr) {
     status.progress = tenant.suite->progress();
     status.units_resumed = status.progress.units_skipped;
@@ -358,121 +338,57 @@ Result<FleetResult> FleetScheduler::run(
     begin_tenant(*tenants.back());
   }
 
-  struct Shared {
-    std::mutex mutex;
-    std::condition_variable cv;
-    std::size_t rr_cursor = 0;
-    std::size_t finished = 0;
-  };
-  Shared shared;
+  // Workers claim the unfinished, unclaimed tenant with the fewest units
+  // run (ties go to spec order), run up to kUnitsPerClaim units of it on
+  // its own virtual timeline, and give it back.  A tenant is held by at
+  // most one worker at a time, so campaigns stay sequential internally
+  // while the fleet interleaves across tenants.  All claim state lives
+  // under `mutex`; every release wakes the waiting workers.
   const std::size_t n = tenants.size();
+  std::mutex mutex;
+  std::condition_variable released;
+  std::size_t finished = 0;
   for (const auto& tenant : tenants) {
-    if (tenant->finished.load()) {
-      close_lane(*tenant);
-      ++shared.finished;
-    }
+    if (tenant->finished) ++finished;
   }
-
-  auto mark_finished = [&](Tenant& tenant) {
-    close_lane(tenant);
-    if (!tenant.finished.exchange(true)) {
-      const std::lock_guard<std::mutex> lock(shared.mutex);
-      ++shared.finished;
-    }
-    shared.cv.notify_all();
-  };
-
-  // Workers: claim the next round-robin tenant with queued credits (or a
-  // drained, closed lane), run its credits sequentially on its own
-  // virtual timeline, release.  A tenant is held by at most one worker
-  // at a time, so campaigns stay sequential internally while the fleet
-  // interleaves across tenants.  next_claimable() (under shared.mutex)
-  // finds that tenant's index, or n when no tenant is claimable.
-  auto next_claimable = [&]() -> std::size_t {
-    for (std::size_t k = 0; k < n; ++k) {
-      const std::size_t index = (shared.rr_cursor + k) % n;
-      const Tenant& t = *tenants[index];
-      if (!t.finished.load() && !t.in_flight.load() &&
-          (t.lane.size() > 0 || t.lane_closed.load())) {
-        return index;
-      }
-    }
-    return n;
-  };
-  const std::size_t worker_count = resolve_workers(config_.threads, n);
-  std::vector<std::thread> workers;
-  workers.reserve(worker_count);
-  for (std::size_t w = 0; w < worker_count; ++w) {
-    workers.emplace_back([&] {
-      for (;;) {
-        Tenant* claimed = nullptr;
-        {
-          std::unique_lock<std::mutex> lock(shared.mutex);
-          // wait_for is a lost-wakeup safety net: the predicate reads
-          // lane sizes that change outside this mutex.
-          shared.cv.wait_for(lock, std::chrono::milliseconds(10), [&] {
-            return shared.finished >= n || next_claimable() < n;
-          });
-          if (shared.finished >= n) return;
-          if (const std::size_t index = next_claimable(); index < n) {
-            claimed = tenants[index].get();
-            claimed->in_flight.store(true);
-            shared.rr_cursor = index + 1;
-          }
-        }
-        if (claimed == nullptr) continue;
-
-        std::vector<std::uint64_t> credits;
-        if (claimed->lane.pop_all(credits)) {
-          bool alive = true;
-          for (std::size_t i = 0; i < credits.size() && alive; ++i) {
-            alive = step_tenant(config_, *claimed);
-          }
-          if (!alive) mark_finished(*claimed);
-        } else {
-          // Lane closed and drained: run the remainder to completion so
-          // credit accounting can never strand a tenant.
-          while (step_tenant(config_, *claimed)) {
-          }
-          mark_finished(*claimed);
-        }
-        claimed->in_flight.store(false);
-        shared.cv.notify_all();
-      }
-    });
-  }
-
-  // Feeder (this thread): round-robin one unit credit per tenant per
-  // pass.  try_push never blocks — a full lane is a backpressure count,
-  // not a stall, so one slow tenant cannot delay anybody's grants.
-  for (;;) {
-    bool all_granted = true;
-    bool any_granted = false;
+  auto least_advanced = [&]() -> Tenant* {
+    Tenant* best = nullptr;
     for (const auto& tenant : tenants) {
-      Tenant& t = *tenant;
-      // planned + 1: the final credit drives the kDone step that writes
-      // the campaign's "final" metrics snapshot.
-      if (t.finished.load() || t.credits_granted >= t.planned + 1) {
-        close_lane(t);
-        continue;
-      }
-      all_granted = false;
-      bool was_full = false;
-      if (t.lane.try_push(1, &was_full) != 0) {
-        ++t.credits_granted;
-        any_granted = true;
-      } else if (was_full) {
-        ++t.backpressure_rejections;
-        t.m_backpressure->add();
+      if (tenant->finished || tenant->in_flight) continue;
+      if (best == nullptr || tenant->units_run < best->units_run) {
+        best = tenant.get();
       }
     }
-    if (any_granted) shared.cv.notify_all();
-    if (all_granted) break;
-    if (!any_granted) {
-      std::this_thread::sleep_for(std::chrono::microseconds(200));
+    return best;
+  };
+  auto work = [&] {
+    for (;;) {
+      Tenant* claimed = nullptr;
+      {
+        std::unique_lock<std::mutex> lock(mutex);
+        released.wait(lock, [&] {
+          return finished == n || (claimed = least_advanced()) != nullptr;
+        });
+        if (claimed == nullptr) return;
+        claimed->in_flight = true;
+      }
+      bool alive = true;
+      for (std::size_t i = 0; i < kUnitsPerClaim && alive; ++i) {
+        alive = step_tenant(config_, *claimed);
+      }
+      {
+        const std::lock_guard<std::mutex> lock(mutex);
+        claimed->in_flight = false;
+        if (!alive) {
+          claimed->finished = true;
+          ++finished;
+        }
+      }
+      released.notify_all();
     }
-  }
-  for (const auto& tenant : tenants) close_lane(*tenant);
+  };
+  std::vector<std::thread> workers(resolve_workers(config_.threads, n));
+  for (std::thread& worker : workers) worker = std::thread(work);
   for (std::thread& worker : workers) worker.join();
 
   // Deterministic tracer merge: campaign order, not completion order.
@@ -505,10 +421,8 @@ Result<CampaignStatus> run_campaign_solo(const scion::ScionlabEnv& env,
                                          const std::string& shard_path) {
   const std::unique_ptr<Tenant> tenant =
       build_tenant(env, config, spec, shard_path);
-  if (!tenant->finished.load()) {
-    begin_tenant(*tenant);
-  }
-  if (!tenant->finished.load()) {
+  begin_tenant(*tenant);
+  if (!tenant->finished) {
     // The identical per-unit loop the fleet workers run — including the
     // degradation ladder — minus the scheduler.  Blast-radius-zero is
     // defined against exactly this execution.

@@ -20,9 +20,9 @@
 // The invariant the chaos harness enforces: a campaign's shard bytes in
 // a fleet run under somebody else's faults equal its solo-run bytes.
 //
-// Fairness and degradation are the scheduler's own machinery: per-tenant
-// bounded credit lanes (backpressure accounted, never blocking the
-// feeder), a virtual-time watchdog per unit, an error budget driving a
+// Fairness and degradation are the scheduler's own machinery: a free
+// worker claims the least-advanced unclaimed tenant for a few units at a
+// time, a virtual-time watchdog per unit, an error budget driving a
 // Healthy -> Degraded (bandwidth probes shed) -> Quarantined ladder, and
 // per-tenant failure containment (a kDataLoss crash marks the tenant
 // Failed; the fleet completes).
@@ -40,16 +40,17 @@
 
 namespace upin::fleet {
 
-/// One tenant campaign: what the user asked to measure, and how loudly
-/// their traffic may compete with other tenants.
+/// One tenant campaign: what the user asked to measure, and how early
+/// the degradation ladder sheds it.
 struct CampaignSpec {
   int campaign_id = 0;
   /// Destination servers (empty = the fleet suite config's selection).
   std::vector<int> server_ids;
   /// Target samples per path (0 = the fleet suite config's iterations).
   int iterations = 0;
-  /// Scheduling priority.  Priority 0 tenants are shed earliest (their
-  /// degrade threshold is budget/4 instead of budget/2).
+  /// Shedding priority; it only sets the degrade threshold, not the
+  /// claim order.  Priority 0 tenants are shed earliest (their degrade
+  /// threshold is budget/4 instead of budget/2).
   int priority = 1;
   /// Per-tenant network override (fault plans, error probabilities).
   /// Unset = the fleet-wide network config.  Each campaign compiles its
@@ -69,10 +70,6 @@ struct FleetConfig {
   std::uint64_t seed = 42;  ///< fleet seed; tenants get split substreams
   /// Worker threads multiplexing the tenants (0 = hardware concurrency).
   std::size_t threads = 0;
-  /// Per-tenant credit lane depth.  The feeder round-robins one unit
-  /// credit per tenant per pass and never blocks: a full lane counts a
-  /// backpressure rejection instead of stalling other tenants.
-  std::size_t lane_depth = 4;
   /// Error budget per tenant: quarantine when the accumulated error
   /// score (post-retry failures + breaker trips + watchdog trips)
   /// reaches this.  0 disables the ladder entirely.
@@ -109,7 +106,7 @@ struct FleetConfig {
 enum class TenantState {
   kHealthy,      ///< full units (ping + both bandwidth probes)
   kDegraded,     ///< ping-only units (bandwidth probes shed)
-  kQuarantined,  ///< error budget exhausted: stopped, lane closed
+  kQuarantined,  ///< error budget exhausted: stopped, never claimed again
   kFailed,       ///< hard campaign error (e.g. kDataLoss) — contained
 };
 
@@ -125,10 +122,8 @@ struct CampaignStatus {
   std::size_t units_resumed = 0; ///< checkpoint fast-forwards
   std::size_t error_score = 0;   ///< failures + breaker trips + watchdog
   std::size_t watchdog_trips = 0;
-  std::size_t credits_granted = 0;
-  /// Feeder try_push rejections on a full lane — how often this tenant
-  /// ran slower than the feeder.  Wall-schedule dependent: reported for
-  /// operators, never part of the determinism contract.
+  /// Always 0: the scheduler has no lanes to reject on.  Kept only
+  /// because bench/e2e/fleet_mixed.cpp reads it.
   std::size_t backpressure_rejections = 0;
   measure::TestSuiteProgress progress;
   util::Status failure = util::Status::success();  ///< set when kFailed

@@ -6,7 +6,8 @@
 // one call so a whole group shares one write + one flush.  push() hands
 // back a monotone sequence number assigned in queue order; a consumer
 // that counts drained items can therefore tell waiters exactly which
-// prefix of the stream has been committed.
+// prefix of the stream has been committed.  Its one user is the docdb
+// journal writer (docdb/journal.cpp).
 #pragma once
 
 #include <condition_variable>
@@ -44,25 +45,6 @@ class BoundedQueue {
     not_full_.wait(lock,
                    [&] { return closed_ || items_.size() < capacity_; });
     if (closed_) return 0;
-    items_.push_back(std::move(item));
-    const std::uint64_t seq = ++pushed_;
-    lock.unlock();
-    not_empty_.notify_one();
-    return seq;
-  }
-
-  /// Non-blocking push: enqueue `item` if there is room, else return 0
-  /// immediately — never waits.  The multi-tenant scheduler uses this to
-  /// *count* a full tenant lane as backpressure and move on to the next
-  /// tenant instead of stalling on the slow one.  When `was_full` is
-  /// non-null it distinguishes the two 0 cases: true = queue full (item
-  /// may be retried later), false = queue closed (item can never land).
-  std::uint64_t try_push(T item, bool* was_full = nullptr) {
-    std::unique_lock<std::mutex> lock(mutex_);
-    if (was_full != nullptr) {
-      *was_full = !closed_ && items_.size() >= capacity_;
-    }
-    if (closed_ || items_.size() >= capacity_) return 0;
     items_.push_back(std::move(item));
     const std::uint64_t seq = ++pushed_;
     lock.unlock();

@@ -1,6 +1,7 @@
-// Tests for the multi-tenant fleet scheduler: seed splitting, fairness
-// lanes, the Healthy -> Degraded -> Quarantined ladder, watchdog trips,
-// per-tenant failure containment, and the plain run == solo == in-fleet
+// Tests for the multi-tenant fleet scheduler: seed splitting, worker
+// claims (any worker count, tenants finished before any claim), the
+// Healthy -> Degraded -> Quarantined ladder, watchdog trips, per-tenant
+// failure containment, and the plain run == solo == in-fleet
 // determinism contract the isolation gate builds on.
 #include "fleet/fleet.hpp"
 
@@ -8,6 +9,7 @@
 
 #include <filesystem>
 #include <set>
+#include <string>
 
 #include "apps/host.hpp"
 #include "measure/schema.hpp"
@@ -103,7 +105,6 @@ TEST_F(FleetTest, RunsIndependentTenantsToCompletion) {
     EXPECT_EQ(status.units_run, 2u) << "iterations x one destination";
     EXPECT_GT(status.progress.stats_inserted, 0u);
     EXPECT_EQ(status.progress.checkpoints_recorded, 2u);
-    EXPECT_GE(status.credits_granted, status.units_run);
     EXPECT_TRUE(status.failure.ok());
   }
 }
@@ -174,23 +175,62 @@ TEST_F(FleetTest, TenantShardMatchesPlainTestSuiteRun) {
 }
 
 TEST_F(FleetTest, FleetOutcomesAreDeterministicAcrossRuns) {
+  // Scheduling differs with the worker count and from run to run;
+  // outcomes must not.  threads = 4 is capped at the three tenants.
   const std::vector<CampaignSpec> specs = {spec_for(0, 3), spec_for(1, 5),
                                            spec_for(2, 7)};
   FleetConfig config = base_config();
-  config.threads = 4;  // scheduling may differ; outcomes must not
-  const auto first = FleetScheduler(env_, config).run(specs);
-  const auto second = FleetScheduler(env_, config).run(specs);
-  ASSERT_TRUE(first.ok());
-  ASSERT_TRUE(second.ok());
-  for (std::size_t i = 0; i < specs.size(); ++i) {
-    EXPECT_EQ(first.value().campaigns[i].state,
-              second.value().campaigns[i].state);
-    EXPECT_EQ(first.value().campaigns[i].units_run,
-              second.value().campaigns[i].units_run);
-    EXPECT_EQ(first.value().campaigns[i].error_score,
-              second.value().campaigns[i].error_score);
-    expect_progress_equal(first.value().campaigns[i].progress,
-                          second.value().campaigns[i].progress);
+  config.threads = 1;
+  const auto reference = FleetScheduler(env_, config).run(specs);
+  ASSERT_TRUE(reference.ok());
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{2},
+                                    std::size_t{3}, std::size_t{4}}) {
+    config.threads = threads;
+    const auto run = FleetScheduler(env_, config).run(specs);
+    ASSERT_TRUE(run.ok()) << "threads " << threads;
+    for (std::size_t i = 0; i < specs.size(); ++i) {
+      SCOPED_TRACE("threads " + std::to_string(threads) + ", campaign " +
+                   std::to_string(i));
+      const CampaignStatus& want = reference.value().campaigns[i];
+      const CampaignStatus& got = run.value().campaigns[i];
+      EXPECT_EQ(got.state, want.state);
+      EXPECT_EQ(got.units_run, want.units_run);
+      EXPECT_EQ(got.error_score, want.error_score);
+      expect_progress_equal(got.progress, want.progress);
+    }
+  }
+}
+
+TEST_F(FleetTest, TenantFinishedBeforeAnyClaimLeavesTheFleetRunning) {
+  // A directory where campaign 0's shard should be: the open fails, so
+  // the tenant is Failed before any worker could claim it.  The finished
+  // count starts at one; the fleet must still return, at every worker
+  // count, with the other tenant run in full.
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{2}}) {
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    const std::filesystem::path dir =
+        test_support::temp_path("fleet_unopenable");
+    std::filesystem::remove_all(dir);
+    std::filesystem::create_directories(dir / shard_filename(0));
+    FleetConfig config = base_config();
+    config.threads = threads;
+    config.data_dir = dir.string();
+    const auto result =
+        FleetScheduler(env_, config).run({spec_for(0, 3), spec_for(1, 5)});
+    ASSERT_TRUE(result.ok()) << result.error().message;
+    const CampaignStatus& broken = result.value().campaigns[0];
+    EXPECT_EQ(broken.state, TenantState::kFailed);
+    EXPECT_EQ(broken.units_run, 0u);
+    EXPECT_FALSE(broken.failure.ok());
+    EXPECT_EQ(result.value().failed, 1u);
+
+    const CampaignStatus& healthy = result.value().campaigns[1];
+    EXPECT_EQ(healthy.state, TenantState::kHealthy);
+    EXPECT_EQ(healthy.units_run, 2u);
+    const auto solo = run_campaign_solo(env_, base_config(), spec_for(1, 5));
+    ASSERT_TRUE(solo.ok());
+    expect_progress_equal(healthy.progress, solo.value().progress);
+    std::filesystem::remove_all(dir);
   }
 }
 

@@ -4,8 +4,8 @@
 // The acceptance invariant for the observability layer: a fixed-seed
 // fleet run yields a bit-identical virtual-clock span tree and identical
 // per-tenant progress counters on every run, however the workers were
-// scheduled.  Wall-clock metrics (journal flush latency, fleet
-// backpressure) are explicitly outside the contract and not compared.
+// scheduled.  Wall-clock metrics (journal flush latency and sync wait)
+// are explicitly outside the contract and not compared.
 //
 // The smoke runs the campaign of `survey_runner 3 --servers 1,3 --db <j>
 // --metrics --trace-out <t>` and checks the three artifacts it leaves:

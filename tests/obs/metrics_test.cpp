@@ -233,20 +233,20 @@ TEST(LabeledMetrics, PrometheusExpositionCarriesTheCampaignLabel) {
 TEST(LabeledMetrics, SnapshotAndResetCoverLabeledSeries) {
   Registry registry;
   registry.counter("upin_fleet_errors_total", "2").add(4);
-  registry.gauge("upin_fleet_lane_depth", "2").set(3);
+  registry.gauge("upin_fleet_state", "2").set(3);
   const util::Value snap = registry.snapshot();
   const util::Value* counter =
       snap.get_path("counters.upin_fleet_errors_total{campaign=\"2\"}");
   ASSERT_NE(counter, nullptr);
   EXPECT_EQ(counter->try_int().value_or(-1), 4);
   const util::Value* gauge =
-      snap.get_path("gauges.upin_fleet_lane_depth{campaign=\"2\"}");
+      snap.get_path("gauges.upin_fleet_state{campaign=\"2\"}");
   ASSERT_NE(gauge, nullptr);
   EXPECT_EQ(gauge->try_int().value_or(-1), 3);
 
   registry.reset_values();
   EXPECT_EQ(registry.counter("upin_fleet_errors_total", "2").value(), 0u);
-  EXPECT_EQ(registry.gauge("upin_fleet_lane_depth", "2").value(), 0);
+  EXPECT_EQ(registry.gauge("upin_fleet_state", "2").value(), 0);
 }
 
 TEST(PipelineSummary, EmptyRegistryIsAllZeros) {

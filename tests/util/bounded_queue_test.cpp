@@ -81,27 +81,6 @@ TEST(BoundedQueue, CloseWakesBlockedProducer) {
   producer.join();
 }
 
-TEST(BoundedQueue, TryPushNeverBlocksAndDistinguishesFullFromClosed) {
-  BoundedQueue<int> queue(2);
-  bool was_full = true;
-  EXPECT_EQ(queue.try_push(1, &was_full), 1u);
-  EXPECT_FALSE(was_full);
-  EXPECT_EQ(queue.try_push(2, &was_full), 2u);
-  EXPECT_FALSE(was_full);
-  EXPECT_EQ(queue.try_push(3, &was_full), 0u) << "full lane rejects";
-  EXPECT_TRUE(was_full) << "rejection reason: full, retryable";
-
-  std::vector<int> group;
-  ASSERT_TRUE(queue.pop_all(group));
-  EXPECT_EQ(queue.try_push(4, &was_full), 3u) << "room again after drain";
-
-  queue.close();
-  EXPECT_EQ(queue.try_push(5, &was_full), 0u);
-  EXPECT_FALSE(was_full) << "rejection reason: closed, not retryable";
-  ASSERT_TRUE(queue.pop_all(group));
-  EXPECT_EQ(group, std::vector<int>{4});
-}
-
 // Shutdown contract under contention: every item is either acknowledged
 // with a nonzero sequence number and drained exactly once, or rejected
 // with 0 and never seen by the consumer.  A close racing a full queue
@@ -155,43 +134,6 @@ TEST(BoundedQueue, CloseWhileFullStressLosesNoAckedItemNoDuplicates) {
         << "round " << round
         << ": consumer must see exactly the acknowledged items";
     EXPECT_EQ(queue.pushed(), acked_all.size());
-  }
-}
-
-// Concurrent close + try_push + pop_all: the non-blocking producer path
-// must obey the same accounting contract as the blocking one.
-TEST(BoundedQueue, ConcurrentCloseTryPushPopStress) {
-  constexpr int kRounds = 20;
-  for (int round = 0; round < kRounds; ++round) {
-    BoundedQueue<int> queue(4);
-    std::atomic<std::size_t> acked{0};
-    std::atomic<std::size_t> rejected_closed{0};
-
-    std::vector<std::thread> producers;
-    for (int p = 0; p < 3; ++p) {
-      producers.emplace_back([&] {
-        for (int i = 0; i < 200; ++i) {
-          bool was_full = false;
-          if (queue.try_push(i, &was_full) > 0) {
-            acked.fetch_add(1);
-          } else if (!was_full) {
-            rejected_closed.fetch_add(1);
-            return;
-          }
-        }
-      });
-    }
-    std::atomic<std::size_t> drained{0};
-    std::thread consumer([&] {
-      std::vector<int> group;
-      while (queue.pop_all(group)) drained.fetch_add(group.size());
-    });
-    std::this_thread::sleep_for(std::chrono::microseconds(20 * round));
-    queue.close();
-    for (auto& t : producers) t.join();
-    consumer.join();
-    EXPECT_EQ(drained.load(), acked.load())
-        << "round " << round << ": acked items drain exactly once";
   }
 }
 
