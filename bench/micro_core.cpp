@@ -116,9 +116,8 @@ std::vector<scion::Path> featured_paths(const scion::ScionlabEnv& env) {
   std::vector<scion::Path> paths;
   for (std::size_t id = 1; id <= 5; ++id) {
     const scion::IsdAsn server = env.servers[id - 1].ia;
-    for (scion::Path& path : beacons.paths(env.user_as, server)) {
-      paths.push_back(std::move(path));
-    }
+    const std::vector<scion::Path>& kept = beacons.paths(env.user_as, server);
+    paths.insert(paths.end(), kept.begin(), kept.end());
   }
   return paths;
 }
@@ -214,7 +213,7 @@ struct ProbeTarget {
       : env(scion::scionlab_topology()),
         host(env, 42, env.user_as, "10.0.8.1", calm()),
         server{scion::scionlab::kIreland, "172.31.43.7"} {
-    const std::vector<scion::Path> paths =
+    const std::vector<scion::Path>& paths =
         host.beaconing().paths(env.user_as, server.ia);
     const scion::Path& path = paths[paths.size() / 2];
     sequence = path.sequence();

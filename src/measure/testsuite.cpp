@@ -231,9 +231,8 @@ std::size_t TestSuite::completed_iterations(int server_id) const {
   return any ? minimum : 0;
 }
 
-void TestSuite::note_failure(int server_id, const util::Error& error) {
+void TestSuite::note_failure(const util::Error& error) {
   progress_.errors.record(classify_fault(error.code));
-  (void)server_id;
 }
 
 CircuitBreaker& TestSuite::breaker_for(int server_id) {
@@ -323,7 +322,7 @@ Status TestSuite::run_unit(const Destination& destination, int iteration,
     if (!ping.ok()) {
       ++progress_.ping_failures;
       metrics_.ping_failures->add();
-      note_failure(destination.server_id, ping.error());
+      note_failure(ping.error());
       // Control-plane deaths (revoked/expired) are authoritative facts
       // about the path, not evidence the destination is failing: they
       // must not burn breaker budget.
@@ -373,7 +372,7 @@ Status TestSuite::run_unit(const Destination& destination, int iteration,
       } else {
         ++progress_.bwtest_failures;
         metrics_.bwtest_failures->add();
-        note_failure(destination.server_id, small.error());
+        note_failure(small.error());
         operation_failed = true;
         data_plane_failed |= small.error().code != ErrorCode::kRevoked &&
                              small.error().code != ErrorCode::kExpired;
@@ -384,7 +383,7 @@ Status TestSuite::run_unit(const Destination& destination, int iteration,
       } else {
         ++progress_.bwtest_failures;
         metrics_.bwtest_failures->add();
-        note_failure(destination.server_id, mtu.error());
+        note_failure(mtu.error());
         operation_failed = true;
         data_plane_failed |= mtu.error().code != ErrorCode::kRevoked &&
                              mtu.error().code != ErrorCode::kExpired;

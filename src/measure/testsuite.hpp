@@ -164,10 +164,6 @@ class TestSuite {
   /// share one durability wait and are on disk when it returns.
   [[nodiscard]] util::Status begin();
 
-  /// Units in the plan: destinations x iterations (including units that
-  /// resume will fast-forward).  Valid after begin().
-  [[nodiscard]] std::size_t planned_units() const;
-
   /// Execute (or fast-forward) the next planned unit.  Durability is
   /// pipelined one unit deep: a unit first waits for the previous unit's
   /// writes, then stores its batch, checkpoint and metrics snapshot
@@ -228,6 +224,9 @@ class TestSuite {
   /// Resume planning for step(): destination list, per-destination
   /// remaining-iteration counts, checkpoint availability.  Idempotent.
   [[nodiscard]] util::Status prepare_plan();
+  /// Units in the plan: destinations x iterations (including units that
+  /// resume will fast-forward).  Valid after prepare_plan().
+  [[nodiscard]] std::size_t planned_units() const;
 
   /// Run every path test of one (destination, iteration) unit, applying
   /// retry / breaker policy, and commit the batch plus its checkpoint.
@@ -237,8 +236,8 @@ class TestSuite {
   /// Store a registry snapshot under `id` in campaign_metrics.
   void record_metrics_snapshot(const std::string& id,
                                const std::string& stage);
-  /// Record a post-retry operation failure for `destination`.
-  void note_failure(int server_id, const util::Error& error);
+  /// Record a post-retry operation failure.
+  void note_failure(const util::Error& error);
   [[nodiscard]] CircuitBreaker& breaker_for(int server_id);
 
   apps::ScionHost& host_;

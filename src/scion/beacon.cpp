@@ -142,7 +142,7 @@ Path Beaconing::materialize(const std::vector<IsdAsn>& ases) const {
   return path;
 }
 
-std::vector<Path> Beaconing::paths(IsdAsn src, IsdAsn dst) const {
+const std::vector<Path>& Beaconing::paths(IsdAsn src, IsdAsn dst) const {
   return combined_.get(AsPair{src, dst}, [&] { return combine(src, dst); });
 }
 

@@ -8,8 +8,9 @@
 // computes all segments for a Topology and combines them on demand —
 // which is exactly what `scion showpaths` surfaces to the user (§3.3).
 // Combination is a pure function of the topology, so each (src, dst)
-// pair is combined once and its answer kept; path-cache refreshes (the
-// model's re-beaconing) then cost a copy, not a recombination.
+// pair is combined once and its answer kept.  The kept answer is the one
+// copy of a pair's paths: the path cache reads it by reference and keeps
+// only entry lifetimes of its own.
 #pragma once
 
 #include <unordered_map>
@@ -63,9 +64,12 @@ class Beaconing {
   /// loop-free, sorted by (hop count, static latency) and truncated to
   /// `config.max_paths`.  Mirrors `scion showpaths` ranking.  The answer
   /// is a pure function of the topology, so each pair is combined once,
-  /// on its first call, and kept; later calls copy the kept answer.  Safe
-  /// to call from several threads on one `const Beaconing`.
-  [[nodiscard]] std::vector<Path> paths(IsdAsn src, IsdAsn dst) const;
+  /// on its first call, and kept; every call returns the kept answer
+  /// itself, at the same address, valid for the lifetime of this
+  /// `Beaconing` (kept answers are never erased, and a `Beaconing` cannot
+  /// be assigned).  Safe to call from several threads on one
+  /// `const Beaconing`.
+  [[nodiscard]] const std::vector<Path>& paths(IsdAsn src, IsdAsn dst) const;
 
  private:
   void compute_up_segments();

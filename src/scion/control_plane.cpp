@@ -1,6 +1,7 @@
 #include "scion/control_plane.hpp"
 
 #include <algorithm>
+#include <span>
 #include <utility>
 
 namespace upin::scion {
@@ -12,11 +13,12 @@ ControlPlane::ControlPlane(
     const Beaconing& beaconing,
     const std::unordered_map<IsdAsn, simnet::NodeId>& node_of,
     const simnet::FaultPlan& faults, IsdAsn local_as)
-    : resolve_([&beaconing](IsdAsn src, IsdAsn dst) {
-        return beaconing.paths(src, dst);
-      }),
-      revocations_(seed, config.revocation, topology, node_of, faults),
-      cache_(config.cache) {
+    : revocations_(seed, config.revocation, topology, node_of, faults),
+      cache_(
+          [&beaconing](IsdAsn src, IsdAsn dst) -> const std::vector<Path>& {
+            return beaconing.paths(src, dst);
+          },
+          config.cache) {
   const auto local = node_of.find(local_as);
   if (local != node_of.end() && faults.active()) {
     local_down_windows_ = faults.server_down_windows(local->second);
@@ -49,17 +51,15 @@ void ControlPlane::sync(SimTime now) {
   });
 }
 
-std::vector<Path> ControlPlane::resolve_raw(IsdAsn src, IsdAsn dst,
-                                            SimTime now) {
-  PathCacheLookup looked_up =
-      cache_.lookup(src, dst, now, resolve_, beaconing_available(now));
+Path ControlPlane::served_path(const Path& path, bool served_stale,
+                               SimTime now) const {
+  Path served = path;
   // Expired-but-unrevoked paths stay usable, flagged stale: losing every
   // path to a lifetime boundary while beaconing is down would be a
   // self-inflicted outage the paper's testbed never had.
-  for (Path& path : looked_up.paths) {
-    if (path.expired(now)) path.set_status("stale");
-  }
-  return std::move(looked_up.paths);
+  if (served_stale || path.expired(now)) served.set_status("stale");
+  if (revocations_.path_revoked(path, now)) served.set_status("revoked");
+  return served;
 }
 
 std::vector<Path> ControlPlane::live_paths(IsdAsn src, IsdAsn dst,
@@ -70,12 +70,13 @@ std::vector<Path> ControlPlane::live_paths(IsdAsn src, IsdAsn dst,
     return memo->second.paths;
   }
 
-  std::vector<Path> paths = resolve_raw(src, dst, now);
+  const PathCacheServed served =
+      cache_.serve(src, dst, now, beaconing_available(now));
   std::vector<Path> live;
-  live.reserve(paths.size());
-  for (Path& path : paths) {
-    if (revocations_.path_revoked(path, now)) continue;
-    live.push_back(std::move(path));
+  live.reserve(served.paths.size());
+  for (const Path& path : served.paths) {
+    Path annotated = served_path(path, served.stale, now);
+    if (annotated.status() != "revoked") live.push_back(std::move(annotated));
   }
 
   // The memo never outlives a delivery (sync clears it), so its only
@@ -90,54 +91,52 @@ std::vector<Path> ControlPlane::live_paths(IsdAsn src, IsdAsn dst,
 
 std::vector<Path> ControlPlane::annotated_paths(IsdAsn src, IsdAsn dst,
                                                 SimTime now) {
-  std::vector<Path> paths = resolve_raw(src, dst, now);
-  for (Path& path : paths) {
-    if (revocations_.path_revoked(path, now)) path.set_status("revoked");
+  const PathCacheServed served =
+      cache_.serve(src, dst, now, beaconing_available(now));
+  std::vector<Path> paths;
+  paths.reserve(served.paths.size());
+  for (const Path& path : served.paths) {
+    paths.push_back(served_path(path, served.stale, now));
   }
   return paths;
 }
 
 PathPick ControlPlane::pick(IsdAsn src, IsdAsn dst,
                             const std::vector<IsdAsn>& ases, SimTime now) {
-  const auto same_chain = [&ases](const Path& path) {
-    return std::equal(path.hops().begin(), path.hops().end(), ases.begin(),
-                      ases.end(), [](const PathHop& hop, IsdAsn ia) {
-                        return hop.ia == ia;
-                      });
-  };
+  const PathCacheServed served =
+      cache_.serve(src, dst, now, beaconing_available(now));
+  const std::span<const Path> paths = served.paths;
+  const Path* chosen = nullptr;
+  if (ases.empty()) {
+    const auto live =
+        std::find_if(paths.begin(), paths.end(), [&](const Path& path) {
+          return !revocations_.path_revoked(path, now);
+        });
+    if (live != paths.end()) {
+      chosen = &*live;
+    } else if (!paths.empty()) {
+      chosen = &paths.front();
+    }
+  } else {
+    const auto match =
+        std::find_if(paths.begin(), paths.end(), [&ases](const Path& path) {
+          return std::equal(path.hops().begin(), path.hops().end(),
+                            ases.begin(), ases.end(),
+                            [](const PathHop& hop, IsdAsn ia) {
+                              return hop.ia == ia;
+                            });
+        });
+    if (match != paths.end()) chosen = &*match;
+  }
   PathPick pick;
-  cache_.visit(
-      src, dst, now, resolve_, beaconing_available(now),
-      [&](const std::vector<Path>& paths, const PathCacheServed& served) {
-        pick.any = !paths.empty();
-        const Path* chosen = nullptr;
-        if (ases.empty()) {
-          const auto live = std::find_if(
-              paths.begin(), paths.end(), [&](const Path& path) {
-                return !revocations_.path_revoked(path, now);
-              });
-          if (live != paths.end()) {
-            chosen = &*live;
-          } else if (!paths.empty()) {
-            chosen = &paths.front();
-          }
-        } else {
-          const auto match =
-              std::find_if(paths.begin(), paths.end(), same_chain);
-          if (match != paths.end()) chosen = &*match;
-        }
-        if (chosen == nullptr) return;
-        // The statuses `resolve_raw` and `annotated_paths` apply, in order.
-        Path& path = pick.path.emplace(*chosen);
-        if (served.stale || path.expired(now)) path.set_status("stale");
-        if (revocations_.path_revoked(path, now)) path.set_status("revoked");
-      });
+  pick.any = !paths.empty();
+  if (chosen != nullptr) pick.path = served_path(*chosen, served.stale, now);
   return pick;
 }
 
 util::Status ControlPlane::restore(const util::Value& snapshot,
                                    SimTime as_of) {
-  const util::Status status = cache_.restore(snapshot, resolve_);
+  const util::Status status = cache_.restore(snapshot);
   if (!status.ok()) return status;
   live_replies_.clear();
   revocations_.advance_cursor_to(as_of);

@@ -7,13 +7,17 @@
 //   * a RevocationLog turning FaultPlan windows into delivered SCMP
 //     revocations (bounded, seeded propagation delay);
 //   * a PathCache answering (src, dst) lookups path-server-style with
-//     TTL, stale-while-revalidate and LRU bounds.
+//     TTL, stale-while-revalidate and LRU bounds, over the paths
+//     `Beaconing::paths` keeps.
 //
 // `sync(now)` delivers pending revocations and dirty-marks the cache
-// entries they cover; `live_paths()` then serves only paths with no
-// delivered, unexpired revocation — which is the "no probe on a revoked
-// path" invariant the churn property test pins.  When the local AS's
-// path server is itself inside a server-down window, beaconing is
+// entries they cover.  Every reply (`live_paths`, `annotated_paths`,
+// `pick`) gives a served path its statuses by one rule: "stale" when the
+// cache served it stale or its lifetime has passed, then "revoked" when a
+// delivered revocation covers it.  `live_paths()` serves only paths with
+// no delivered, unexpired revocation — which is the "no probe on a
+// revoked path" invariant the churn property test pins.  When the local
+// AS's path server is itself inside a server-down window, beaconing is
 // unavailable and the cache degrades to serving stale entries instead of
 // failing lookups.
 #pragma once
@@ -112,11 +116,10 @@ class ControlPlane {
 
   /// Checkpoint support: the cache's entry metadata is the only state that
   /// needs saving (the revocation log is a pure function of the seed and
-  /// fault plan, and cached paths of beaconing over the topology).
-  /// `restore` replaces the cache content, re-resolving pairs the cache
-  /// does not hold, and fast-forwards the delivery cursor to `as_of`
-  /// without re-invalidating — the snapshot already reflects those
-  /// deliveries.
+  /// fault plan, and the paths of beaconing over the topology).
+  /// `restore` replaces the cache content and fast-forwards the delivery
+  /// cursor to `as_of` without re-invalidating — the snapshot already
+  /// reflects those deliveries.
   [[nodiscard]] util::Value checkpoint() const { return cache_.snapshot(); }
   [[nodiscard]] util::Status restore(const util::Value& snapshot,
                                      util::SimTime as_of);
@@ -129,12 +132,13 @@ class ControlPlane {
     std::vector<Path> paths;
   };
 
-  [[nodiscard]] std::vector<Path> resolve_raw(IsdAsn src, IsdAsn dst,
-                                              util::SimTime now);
+  /// A copy of `path`, served by the cache (`served_stale` when the entry
+  /// was served stale), with the statuses every reply gives it: "stale"
+  /// when served stale or expired, then "revoked" when a delivered
+  /// revocation covers it.
+  [[nodiscard]] Path served_path(const Path& path, bool served_stale,
+                                 util::SimTime now) const;
 
-  /// Beaconing::paths: what lookups refresh from and restore re-resolves
-  /// through.
-  PathCache::Resolver resolve_;
   RevocationLog revocations_;
   PathCache cache_;
   /// Server-down windows of the local AS node (metric-free query path).

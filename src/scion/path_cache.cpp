@@ -31,7 +31,8 @@ struct CacheMetrics {
 
 }  // namespace
 
-PathCache::PathCache(PathCacheConfig config) : config_(config) {}
+PathCache::PathCache(Resolver resolve, PathCacheConfig config)
+    : resolve_(std::move(resolve)), config_(config) {}
 
 void PathCache::touch(EntryList::iterator it) {
   entries_.splice(entries_.begin(), entries_, it);
@@ -46,32 +47,32 @@ void PathCache::evict_to_capacity() {
   }
 }
 
-void PathCache::refresh(Entry& entry, SimTime now, const Resolver& resolve) {
-  entry.paths = resolve(entry.src, entry.dst);
+const std::vector<Path>& PathCache::refresh(Entry& entry, SimTime now) {
+  const std::vector<Path>& paths = resolve_(entry.src, entry.dst);
   entry.resolved_at = now;
-  entry.negative = entry.paths.empty();
+  entry.negative = paths.empty();
   entry.dirty = false;
+  return paths;
 }
 
-void PathCache::visit(IsdAsn src, IsdAsn dst, SimTime now,
-                      const Resolver& resolve, bool resolver_available,
-                      const Visitor& fn) {
+PathCacheServed PathCache::serve(IsdAsn src, IsdAsn dst, SimTime now,
+                                 bool resolver_available) {
   PathCacheServed served;
   if (!config_.enabled) {
     // Bypass mode: every lookup asks the resolver directly.
     served.refreshed = true;
-    fn(resolve(src, dst), served);
-    return;
+    served.paths = resolve_(src, dst);
+    return served;
   }
   CacheMetrics& metrics = CacheMetrics::get();
   // A miss that re-resolves `entry` and serves the fresh answer.
   const auto serve_refreshed = [&](Entry& entry) {
     ++stats_.misses;
     metrics.misses.add();
-    refresh(entry, now, resolve);
+    served.paths = refresh(entry, now);
     served.negative = entry.negative;
     served.refreshed = true;
-    fn(entry.paths, served);
+    return served;
   };
   const AsPair key{src, dst};
   const auto found = index_.find(key);
@@ -82,15 +83,14 @@ void PathCache::visit(IsdAsn src, IsdAsn dst, SimTime now,
       ++stats_.misses;
       metrics.misses.add();
       served.negative = true;
-      fn({}, served);
-      return;
+      return served;
     }
-    entries_.push_front(Entry{src, dst, {}, now});
+    entries_.push_front(Entry{src, dst, now});
     index_[key] = entries_.begin();
     serve_refreshed(entries_.front());
-    // Evict only after serving: at capacity 0 the new entry goes too.
+    // Evict only after resolving: at capacity 0 the new entry goes too.
     evict_to_capacity();
-    return;
+    return served;
   }
 
   touch(found->second);
@@ -104,67 +104,41 @@ void PathCache::visit(IsdAsn src, IsdAsn dst, SimTime now,
       metrics.hits.add();
       served.hit = true;
       served.negative = true;
-      fn(entry.paths, served);
-      return;
+      return served;
     }
-    serve_refreshed(entry);
-    return;
+    return serve_refreshed(entry);
   }
 
-  if (entry.dirty) {
-    if (resolver_available) {
-      // A revocation touched this entry; re-resolve before serving.
-      serve_refreshed(entry);
-      return;
-    }
-    ++stats_.stale_served;
-    metrics.stale_served.add();
-    served.hit = true;
-    served.stale = true;
-    fn(entry.paths, served);
-    return;
+  if (entry.dirty && resolver_available) {
+    // A revocation touched this entry; re-resolve before serving.
+    return serve_refreshed(entry);
   }
 
-  if (age_s < config_.ttl_s) {
+  if (!entry.dirty && age_s < config_.ttl_s) {
     ++stats_.hits;
     metrics.hits.add();
     served.hit = true;
-    fn(entry.paths, served);
-    return;
+    served.paths = resolve_(src, dst);
+    return served;
   }
 
-  if (age_s < config_.ttl_s + config_.stale_serve_s || !resolver_available) {
-    // Stale-while-revalidate: answer with the old paths now, refresh the
-    // entry so the next caller gets a fresh one.  With the resolver down
-    // the grace window is unbounded — stale beats unreachable.
+  if (entry.dirty || age_s < config_.ttl_s + config_.stale_serve_s ||
+      !resolver_available) {
+    // Stale-while-revalidate: answer with the entry's paths now, flagged
+    // stale, and refresh it so the next caller gets a fresh one.  With the
+    // resolver down the grace window is unbounded, and a dirty entry is
+    // served stale too — stale beats unreachable.
     ++stats_.stale_served;
     metrics.stale_served.add();
     served.hit = true;
     served.stale = true;
     served.refreshed = resolver_available;
-    fn(entry.paths, served);
-    if (resolver_available) refresh(entry, now, resolve);
-    return;
+    served.paths = resolver_available ? refresh(entry, now) : resolve_(src, dst);
+    return served;
   }
 
   // Too stale even for the grace window: a plain refresh.
-  serve_refreshed(entry);
-}
-
-PathCacheLookup PathCache::lookup(IsdAsn src, IsdAsn dst, SimTime now,
-                                  const Resolver& resolve,
-                                  bool resolver_available) {
-  PathCacheLookup result;
-  visit(src, dst, now, resolve, resolver_available,
-        [&result](const std::vector<Path>& paths,
-                  const PathCacheServed& served) {
-          static_cast<PathCacheServed&>(result) = served;
-          result.paths = paths;
-        });
-  if (result.stale) {
-    for (Path& path : result.paths) path.set_status("stale");
-  }
-  return result;
+  return serve_refreshed(entry);
 }
 
 std::size_t PathCache::invalidate_if(
@@ -172,7 +146,7 @@ std::size_t PathCache::invalidate_if(
   std::size_t marked = 0;
   for (Entry& entry : entries_) {
     if (entry.dirty || entry.negative) continue;
-    for (const Path& path : entry.paths) {
+    for (const Path& path : resolve_(entry.src, entry.dst)) {
       if (covered(path)) {
         entry.dirty = true;
         ++marked;
@@ -204,7 +178,7 @@ Value PathCache::snapshot() const {
   return Value::object({{"entries", Value(std::move(entries))}});
 }
 
-util::Status PathCache::restore(const Value& value, const Resolver& resolve) {
+util::Status PathCache::restore(const Value& value) {
   const auto malformed = [](const std::string& what) {
     return util::Status(util::ErrorCode::kParseError,
                         "path cache snapshot: " + what);
@@ -242,20 +216,15 @@ util::Status PathCache::restore(const Value& value, const Resolver& resolve) {
     const AsPair key{src.value(), dst.value()};
     if (index.contains(key)) return malformed("duplicate entry " + pair_text);
 
-    // A pair this cache already holds keeps its paths: they are the
-    // resolver's answer, so resuming through many units combines it once.
-    const auto held = index_.find(key);
-    Entry entry{key.first, key.second,
-                held != index_.end() ? held->second->paths
-                                     : resolve(key.first, key.second),
-                SimTime(util::SimDuration(resolved_at->as_int())),
-                negative != nullptr && negative->as_bool(),
-                dirty != nullptr && dirty->as_bool()};
-    if (entry.negative != entry.paths.empty()) {
+    const Entry entry{key.first, key.second,
+                      SimTime(util::SimDuration(resolved_at->as_int())),
+                      negative != nullptr && negative->as_bool(),
+                      dirty != nullptr && dirty->as_bool()};
+    if (entry.negative != resolve_(key.first, key.second).empty()) {
       return malformed("negative flag of " + pair_text +
                        " disagrees with the resolver");
     }
-    restored.push_front(std::move(entry));
+    restored.push_front(entry);
     index.emplace(key, restored.begin());
   }
   entries_.swap(restored);

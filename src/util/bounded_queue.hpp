@@ -81,11 +81,6 @@ class BoundedQueue {
     not_full_.notify_all();
   }
 
-  [[nodiscard]] bool closed() const {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    return closed_;
-  }
-
   /// Total number of items ever accepted (= the sequence number of the
   /// most recently pushed item).
   [[nodiscard]] std::uint64_t pushed() const {
@@ -97,8 +92,6 @@ class BoundedQueue {
     const std::lock_guard<std::mutex> lock(mutex_);
     return items_.size();
   }
-
-  [[nodiscard]] std::size_t capacity() const noexcept { return capacity_; }
 
  private:
   const std::size_t capacity_;

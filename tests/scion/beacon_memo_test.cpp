@@ -4,7 +4,9 @@
 // call for that pair — the same paths in the same order, each with its
 // hops and interfaces, MTU, static latency and lifetime.  A memo keyed on
 // less than the whole pair, or one that hands out an answer it later
-// changes, fails here.
+// changes, fails here.  Every call for a pair must also return the same
+// kept answer, at the same address: the path cache serves it by
+// reference.
 #include <gtest/gtest.h>
 
 #include <cstddef>
@@ -104,6 +106,9 @@ TEST(BeaconingMemo, ThreadsRacingOnFirstCallsSeeFreshAnswers) {
 
     const Beaconing shared(topology);
     std::vector<std::vector<std::string>> failures(kThreads);
+    // Where each thread found each pair's answer.
+    std::vector<std::vector<const std::vector<Path>*>> addresses(
+        kThreads, std::vector<const std::vector<Path>*>(pairs.size()));
     std::vector<std::thread> threads;
     for (int t = 0; t < kThreads; ++t) {
       threads.emplace_back([&, t] {
@@ -114,8 +119,10 @@ TEST(BeaconingMemo, ThreadsRacingOnFirstCallsSeeFreshAnswers) {
         for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
         order_rng.shuffle(order);
         for (const std::size_t i : order) {
-          const std::string diff =
-              difference(shared.paths(pairs[i].first, pairs[i].second), want[i]);
+          const std::vector<Path>& answer =
+              shared.paths(pairs[i].first, pairs[i].second);
+          addresses[static_cast<std::size_t>(t)][i] = &answer;
+          const std::string diff = difference(answer, want[i]);
           if (!diff.empty()) failures[static_cast<std::size_t>(t)].push_back(diff);
         }
       });
@@ -125,6 +132,17 @@ TEST(BeaconingMemo, ThreadsRacingOnFirstCallsSeeFreshAnswers) {
       EXPECT_TRUE(failures[static_cast<std::size_t>(t)].empty())
           << "seed " << seed << " thread " << t << ": "
           << failures[static_cast<std::size_t>(t)].front();
+    }
+    // The threads, and a call after them, all got the one kept answer.
+    for (std::size_t i = 0; i < pairs.size(); ++i) {
+      const std::vector<Path>* kept =
+          &shared.paths(pairs[i].first, pairs[i].second);
+      for (int t = 0; t < kThreads; ++t) {
+        ASSERT_EQ(addresses[static_cast<std::size_t>(t)][i], kept)
+            << "seed " << seed << " thread " << t << " pair "
+            << pairs[i].first.to_string() << " -> "
+            << pairs[i].second.to_string();
+      }
     }
   }
 }
