@@ -149,6 +149,21 @@ util::Error ScionHost::classify_dead_path(const Path& path,
   return original;
 }
 
+double ScionHost::occupied_s(const util::Error* failure,
+                             double schedule_s) const {
+  // Failed commands still burn wall clock: a timed-out or garbled run
+  // occupied its full schedule before the client gave up, while the SCMP
+  // error for an unreachable destination returns fast.
+  if (failure == nullptr || failure->code == ErrorCode::kTimeout ||
+      failure->code == ErrorCode::kBadResponse) {
+    return schedule_s;
+  }
+  if (failure->code == ErrorCode::kUnreachable) {
+    return config_.scmp_error_fail_fast_s;
+  }
+  return 0.0;
+}
+
 Result<std::vector<simnet::NodeId>> ScionHost::route_of(
     const Path& path) const {
   std::vector<simnet::NodeId> route;
@@ -174,54 +189,15 @@ std::string PingReport::summary() const {
 
 Result<PingReport> ScionHost::ping(const SnetAddress& dst,
                                    const PingOptions& options) {
-  Result<Path> path = pick_path(dst.ia, options.sequence);
-  if (!path.ok()) return Result<PingReport>(path.error());
-  Result<std::vector<simnet::NodeId>> route = route_of(path.value());
-  if (!route.ok()) return Result<PingReport>(route.error());
-
-  simnet::PingOptions ping_options;
-  ping_options.count = options.count;
-  ping_options.interval = util::sim_seconds(options.interval_s);
-  ping_options.payload_bytes = options.payload_bytes;
-
-  Result<simnet::PingStats> stats =
-      compiled_.network.ping(route.value(), ping_options, clock_.now());
-  if (!stats.ok()) {
-    // Failed commands still burn wall clock: a timed-out or garbled run
-    // occupied its full schedule before the client gave up, while an
-    // unreachable destination fails fast (the SCMP error returns after
-    // config().scmp_error_fail_fast_s).
-    if (stats.error().code == ErrorCode::kTimeout ||
-        stats.error().code == ErrorCode::kBadResponse) {
-      clock_.advance(util::sim_seconds(static_cast<double>(options.count) *
-                                       options.interval_s));
-    } else if (stats.error().code == ErrorCode::kUnreachable) {
-      clock_.advance(util::sim_seconds(config_.scmp_error_fail_fast_s));
-    }
-    control_plane_.sync(clock_.now());
-    return Result<PingReport>(
-        classify_dead_path(path.value(), stats.error()));
-  }
-
-  // The command occupies the timeline for count * interval.
-  clock_.advance(util::sim_seconds(static_cast<double>(options.count) *
-                                   options.interval_s));
-
-  if (stats.value().sent() > 0 && stats.value().lost() == stats.value().sent()) {
-    // Every probe died on the wire — a flapped link, not a dark server.
-    // If the control plane delivered a covering revocation by the end of
-    // the run, report that instead of silent 100 % loss.
-    control_plane_.sync(clock_.now());
-    if (control_plane_.path_revoked(path.value(), clock_.now())) {
-      return Result<PingReport>(util::Error{
-          ErrorCode::kRevoked,
-          "path revoked mid-probe: " + path.value().to_string()});
-    }
-  }
-
+  // `scion ping` is the one-subflow case of the weighted multipath probe.
+  Result<MultipathPingReport> run = multipath_ping(
+      dst, {SubflowSpec{options.sequence, 1.0}},
+      {options.count, options.interval_s, options.payload_bytes});
+  if (!run.ok()) return Result<PingReport>(run.error());
+  MultipathPingReport::Subflow& subflow = run.value().subflows.front();
   PingReport report;
-  report.path = std::move(path).value();
-  report.stats = std::move(stats).value();
+  report.path = std::move(subflow.path);
+  report.stats = std::move(subflow.stats);
   return report;
 }
 
@@ -272,15 +248,8 @@ Result<BwtestReport> ScionHost::bwtestclient(const SnetAddress& server,
     bw_options.target_mbps = *spec.target_mbps;
     Result<simnet::BwtestResult> result =
         compiled_.network.bwtest(direction_route, bw_options, clock_.now());
-    // The test occupies the timeline whether it succeeded, the server
-    // errored mid-run, or the transfer timed out; an unreachable server
-    // fails fast and only argument errors cost nothing.
-    if (result.ok() || result.error().code == util::ErrorCode::kBadResponse ||
-        result.error().code == util::ErrorCode::kTimeout) {
-      clock_.advance(util::sim_seconds(*spec.duration_s));
-    } else if (result.error().code == util::ErrorCode::kUnreachable) {
-      clock_.advance(util::sim_seconds(config_.scmp_error_fail_fast_s));
-    }
+    clock_.advance(util::sim_seconds(occupied_s(
+        result.ok() ? nullptr : &result.error(), *spec.duration_s)));
     if (!result.ok()) {
       control_plane_.sync(clock_.now());
       return Result<simnet::BwtestResult>(
@@ -368,31 +337,28 @@ Result<MultipathPingReport> ScionHost::multipath_ping(
       split_by_weight(options.count, weights.value());
 
   // Every subflow launches at the same instant; the clock advances once
-  // below, by the longest subflow schedule.
+  // below, by the longest time a subflow occupies.
   const SimTime start = clock_.now();
   MultipathPingReport report;
-  report.subflows.reserve(subflows.size());
+  report.subflows.resize(subflows.size());
   double burn_s = 0.0;
   for (std::size_t i = 0; i < subflows.size(); ++i) {
-    MultipathPingReport::Subflow subflow;
+    MultipathPingReport::Subflow& subflow = report.subflows[i];
     subflow.probes = probes[i];
     Result<Path> path = pick_path(dst.ia, subflows[i].sequence);
     if (!path.ok()) {
       subflow.error = path.error();
-      report.subflows.push_back(std::move(subflow));
       continue;
     }
     subflow.path = std::move(path).value();
     if (subflow.probes == 0) {
       // The weight rounded this subflow out of the schedule entirely.
       subflow.ok = true;
-      report.subflows.push_back(std::move(subflow));
       continue;
     }
     Result<std::vector<simnet::NodeId>> route = route_of(subflow.path);
     if (!route.ok()) {
       subflow.error = route.error();
-      report.subflows.push_back(std::move(subflow));
       continue;
     }
     simnet::PingOptions ping_options;
@@ -401,31 +367,25 @@ Result<MultipathPingReport> ScionHost::multipath_ping(
     ping_options.payload_bytes = options.payload_bytes;
     Result<simnet::PingStats> stats =
         compiled_.network.ping(route.value(), ping_options, start);
-    const double schedule_s =
-        static_cast<double>(subflow.probes) * options.interval_s;
+    burn_s = std::max(
+        burn_s, occupied_s(stats.ok() ? nullptr : &stats.error(),
+                           static_cast<double>(subflow.probes) *
+                               options.interval_s));
     if (!stats.ok()) {
       subflow.error = stats.error();
-      if (subflow.error.code == ErrorCode::kTimeout ||
-          subflow.error.code == ErrorCode::kBadResponse) {
-        burn_s = std::max(burn_s, schedule_s);
-      } else if (subflow.error.code == ErrorCode::kUnreachable) {
-        burn_s = std::max(burn_s, config_.scmp_error_fail_fast_s);
-      }
-      report.subflows.push_back(std::move(subflow));
       continue;
     }
-    burn_s = std::max(burn_s, schedule_s);
     subflow.ok = true;
     subflow.stats = std::move(stats).value();
-    report.subflows.push_back(std::move(subflow));
   }
 
   clock_.advance(util::sim_seconds(burn_s));
   control_plane_.sync(clock_.now());
 
   // Post-mortems with the end-of-run control-plane view: mid-probe
-  // revocations reclassify dead subflows, and a fully-lost subflow whose
-  // covering revocation arrived by now reports kRevoked, as in ping().
+  // revocations reclassify dead subflows, and a subflow that lost every
+  // probe on the wire (a flapped link, not a dark server) reports
+  // kRevoked when a covering revocation arrived by the end of the run.
   for (MultipathPingReport::Subflow& subflow : report.subflows) {
     if (!subflow.ok) {
       if (!subflow.path.hops().empty()) {
@@ -452,9 +412,7 @@ Result<MultipathPingReport> ScionHost::multipath_ping(
                                    subflow.stats.rtt_ms.end());
   }
   if (!any_ok) {
-    for (const MultipathPingReport::Subflow& subflow : report.subflows) {
-      if (!subflow.ok) return Result<MultipathPingReport>(subflow.error);
-    }
+    return Result<MultipathPingReport>(report.subflows.front().error);
   }
   return report;
 }
@@ -504,20 +462,15 @@ Result<MultipathBwtestReport> ScionHost::multipath_bwtest(
     for (std::size_t f = 0; f < outcome.value().flows.size(); ++f) {
       MultipathBwtestReport::Subflow& subflow = report.subflows[flow_owner[f]];
       simnet::MultibwtestOutcome::Flow& flow = outcome.value().flows[f];
+      burn_s = std::max(burn_s, occupied_s(flow.ok ? nullptr : &flow.error,
+                                           options.duration_s));
       if (flow.ok) {
         subflow.ok = true;
         subflow.result = flow.result;
-        burn_s = std::max(burn_s, options.duration_s);
         report.attempted_mbps += flow.result.attempted_mbps;
         report.achieved_mbps += flow.result.achieved_mbps;
       } else {
         subflow.error = flow.error;
-        if (flow.error.code == ErrorCode::kBadResponse ||
-            flow.error.code == ErrorCode::kTimeout) {
-          burn_s = std::max(burn_s, options.duration_s);
-        } else if (flow.error.code == ErrorCode::kUnreachable) {
-          burn_s = std::max(burn_s, config_.scmp_error_fail_fast_s);
-        }
       }
     }
     report.shared_bottlenecks = std::move(outcome.value().shared_bottlenecks);
@@ -534,9 +487,7 @@ Result<MultipathBwtestReport> ScionHost::multipath_bwtest(
     }
   }
   if (!any_ok) {
-    for (const MultipathBwtestReport::Subflow& subflow : report.subflows) {
-      if (!subflow.ok) return Result<MultipathBwtestReport>(subflow.error);
-    }
+    return Result<MultipathBwtestReport>(report.subflows.front().error);
   }
   return report;
 }

@@ -158,6 +158,10 @@ class ScionHost {
   [[nodiscard]] util::Result<std::vector<PathListing>> showpaths(
       scion::IsdAsn dst, const ShowpathsOptions& options) const;
 
+  /// `scion ping`: the one-subflow `multipath_ping` over the path named
+  /// by `options.sequence` (the best live path when empty), reported as
+  /// that subflow.  With a zero count it still picks the path, then
+  /// sends nothing and succeeds.
   [[nodiscard]] util::Result<PingReport> ping(const scion::SnetAddress& dst,
                                               const PingOptions& options);
 
@@ -169,8 +173,15 @@ class ScionHost {
 
   /// Probe `dst` over `subflows.size()` concurrent paths, splitting
   /// `options.count` probes by normalized weight (largest remainder).
-  /// Succeeds when at least one subflow delivers; kInvalidArgument on an
-  /// empty spec list or non-positive weights.
+  /// This is the host's one ping life cycle: pick each subflow's path,
+  /// run it on the network, advance the clock once by the longest
+  /// `occupied_s`, then reclassify dead subflows with the end-of-run
+  /// control-plane view (a revocation delivered mid-probe beats expiry
+  /// beats the data-plane error; a subflow that lost every probe on a
+  /// revoked path reports kRevoked).  A subflow weighted down to zero
+  /// probes sends nothing and succeeds.  Succeeds when at least one
+  /// subflow does, else fails with the first subflow's error;
+  /// kInvalidArgument on an empty spec list or non-positive weights.
   [[nodiscard]] util::Result<MultipathPingReport> multipath_ping(
       const scion::SnetAddress& dst, const std::vector<SubflowSpec>& subflows,
       const MultipathPingOptions& options);
@@ -219,6 +230,13 @@ class ScionHost {
   /// the probe window beats expiry beats the original error.
   [[nodiscard]] util::Error classify_dead_path(const scion::Path& path,
                                                util::Error original) const;
+
+  /// Virtual seconds a probe with a `schedule_s` schedule occupies: all
+  /// of it when it ran (`failure` null), timed out or got a garbled
+  /// answer; `scmp_error_fail_fast_s` when the destination was
+  /// unreachable; nothing on an argument error.
+  [[nodiscard]] double occupied_s(const util::Error* failure,
+                                  double schedule_s) const;
 
   const scion::ScionlabEnv& env_;
   scion::Beaconing beaconing_;

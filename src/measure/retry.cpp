@@ -144,11 +144,7 @@ double RetryPolicy::backoff_s(int attempt, util::Rng& rng) const {
   const double exponent = static_cast<double>(std::max(attempt, 1) - 1);
   double backoff = initial_backoff_s * std::pow(backoff_multiplier, exponent);
   backoff = std::min(backoff, max_backoff_s);
-  if (jitter_mode == BackoffJitter::kFull) {
-    // AWS-style full jitter: the whole delay is drawn uniformly, so two
-    // destinations failing off the same fault window desynchronize.
-    backoff = rng.uniform(0.0, backoff);
-  } else if (jitter_frac > 0.0) {
+  if (jitter_frac > 0.0) {
     backoff *= rng.uniform(1.0 - jitter_frac, 1.0 + jitter_frac);
   }
   return std::max(backoff, 0.0);

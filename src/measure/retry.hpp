@@ -47,6 +47,15 @@ enum class FaultKind {
 /// Coarse ErrorCode -> taxonomy mapping.
 [[nodiscard]] FaultKind classify_fault(util::ErrorCode code) noexcept;
 
+/// The control plane killed the path (revoked or expired).  That is an
+/// authoritative fact about the path, not evidence that the destination
+/// is failing: it must not burn circuit-breaker budget.
+[[nodiscard]] inline bool control_plane_death(
+    const util::Error& error) noexcept {
+  return error.code == util::ErrorCode::kRevoked ||
+         error.code == util::ErrorCode::kExpired;
+}
+
 /// Per-category failure counters, reported in TestSuiteProgress.
 struct FaultTaxonomy {
   std::size_t timeouts = 0;
@@ -65,16 +74,6 @@ struct FaultTaxonomy {
   bool operator==(const FaultTaxonomy&) const = default;
 };
 
-/// How backoff jitter is drawn.
-enum class BackoffJitter {
-  /// Backoff scaled by U[1-j, 1+j].  Narrow band: destinations that fail
-  /// together inside a shared fault window retry nearly in lockstep.
-  kScaled,
-  /// Full jitter (U[0, backoff]): decorrelates retry storms after a
-  /// shared fault window at the cost of a smaller expected backoff.
-  kFull,
-};
-
 /// Bounded-retry policy with exponential backoff in virtual time.
 struct RetryPolicy {
   bool enabled = true;
@@ -82,8 +81,7 @@ struct RetryPolicy {
   double initial_backoff_s = 0.5;  ///< sleep before the second attempt
   double backoff_multiplier = 2.0;
   double max_backoff_s = 8.0;
-  double jitter_frac = 0.2;        ///< kScaled: backoff scaled by U[1-j, 1+j]
-  BackoffJitter jitter_mode = BackoffJitter::kScaled;
+  double jitter_frac = 0.2;        ///< backoff scaled by U[1-j, 1+j]
   double timeout_budget_s = 90.0;  ///< virtual-time ceiling per operation
 
   /// Backoff before attempt `attempt + 1` (attempt >= 1), jittered by

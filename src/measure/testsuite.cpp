@@ -323,11 +323,8 @@ Status TestSuite::run_unit(const Destination& destination, int iteration,
       ++progress_.ping_failures;
       metrics_.ping_failures->add();
       note_failure(ping.error());
-      // Control-plane deaths (revoked/expired) are authoritative facts
-      // about the path, not evidence the destination is failing: they
-      // must not burn breaker budget.
-      if (ping.error().code != ErrorCode::kRevoked &&
-          ping.error().code != ErrorCode::kExpired) {
+      // A control-plane death says nothing about the destination.
+      if (!control_plane_death(ping.error())) {
         breaker.record_failure(host_.clock().now());
       }
       util::Log::warn("ping " + sample.path_id +
@@ -347,8 +344,6 @@ Status TestSuite::run_unit(const Destination& destination, int iteration,
       breaker.record_success();
     } else {
       // --- bandwidth: scion-bwtestclient -cs d,{64|MTU},?,target ----
-      bool operation_failed = false;
-      bool data_plane_failed = false;
       const auto run_bwtest = [&](const std::string& spec,
                                   std::string_view label)
           -> Result<apps::BwtestReport> {
@@ -369,24 +364,20 @@ Status TestSuite::run_unit(const Destination& destination, int iteration,
       if (small.ok()) {
         sample.bw_up_64 = small.value().client_to_server.achieved_mbps;
         sample.bw_down_64 = small.value().server_to_client.achieved_mbps;
-      } else {
-        ++progress_.bwtest_failures;
-        metrics_.bwtest_failures->add();
-        note_failure(small.error());
-        operation_failed = true;
-        data_plane_failed |= small.error().code != ErrorCode::kRevoked &&
-                             small.error().code != ErrorCode::kExpired;
       }
       if (mtu.ok()) {
         sample.bw_up_mtu = mtu.value().client_to_server.achieved_mbps;
         sample.bw_down_mtu = mtu.value().server_to_client.achieved_mbps;
-      } else {
+      }
+      bool operation_failed = false;
+      bool data_plane_failed = false;
+      for (const Result<apps::BwtestReport>* leg : {&small, &mtu}) {
+        if (leg->ok()) continue;
         ++progress_.bwtest_failures;
         metrics_.bwtest_failures->add();
-        note_failure(mtu.error());
+        note_failure(leg->error());
         operation_failed = true;
-        data_plane_failed |= mtu.error().code != ErrorCode::kRevoked &&
-                             mtu.error().code != ErrorCode::kExpired;
+        data_plane_failed |= !control_plane_death(leg->error());
       }
 
       if (operation_failed) {

@@ -87,9 +87,8 @@ class Gauge {
 };
 
 /// Fixed-bucket latency histogram.  Bucket math is util::bucket_index —
-/// the same clamped fixed-width binning as util::Histogram, including its
-/// non-finite guard — but the counts are atomics so concurrent observers
-/// never serialize.
+/// clamped fixed-width binning with a non-finite guard — and the counts
+/// are atomics so concurrent observers never serialize.
 class LatencyHistogram {
  public:
   LatencyHistogram(double lo, double hi, std::size_t bins);

@@ -66,8 +66,7 @@ Result<apps::PingReport> PathController::ping(
   }
   Result<apps::PingReport> report = host_.ping(address.value(), pinned);
   if (!report.ok() && it != active_.end() &&
-      (report.error().code == ErrorCode::kRevoked ||
-       report.error().code == ErrorCode::kExpired)) {
+      measure::control_plane_death(report.error())) {
     // The pinned path died under the control plane, not the data plane:
     // fail over inside the intent's policy instead of burning the retry
     // and breaker budget on a path known to be dead.
@@ -165,10 +164,6 @@ std::vector<apps::SubflowSpec> subflow_specs(
   return specs;
 }
 
-bool is_control_plane_death(const util::Error& error) {
-  return error.code == ErrorCode::kRevoked || error.code == ErrorCode::kExpired;
-}
-
 }  // namespace
 
 Result<apps::MultipathPingReport> PathController::multipath_ping(
@@ -187,11 +182,11 @@ Result<apps::MultipathPingReport> PathController::multipath_ping(
                            options);
 
   // Did the control plane kill the run (or any subflow of it)?
-  bool revoked = !report.ok() && is_control_plane_death(report.error());
+  bool revoked = !report.ok() && measure::control_plane_death(report.error());
   if (report.ok()) {
     for (const apps::MultipathPingReport::Subflow& subflow :
          report.value().subflows) {
-      if (!subflow.ok && is_control_plane_death(subflow.error)) {
+      if (!subflow.ok && measure::control_plane_death(subflow.error)) {
         revoked = true;
         break;
       }

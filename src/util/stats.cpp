@@ -97,13 +97,6 @@ BoxStats box_stats(std::span<const double> samples) {
   return stats;
 }
 
-Histogram::Histogram(double lo, double hi, std::size_t bins)
-    : lo_(lo),
-      width_((hi - lo) / static_cast<double>(bins == 0 ? 1 : bins)),
-      counts_(bins == 0 ? 1 : bins, 0) {
-  assert(hi > lo);
-}
-
 std::size_t bucket_index(double lo, double width, std::size_t bins,
                          double sample) noexcept {
   if (bins == 0) return 0;
@@ -112,33 +105,6 @@ std::size_t bucket_index(double lo, double width, std::size_t bins,
   if (!(offset > 0.0)) return 0;  // at-or-below lo, and -inf
   if (offset >= static_cast<double>(bins)) return bins - 1;  // above hi, +inf
   return static_cast<std::size_t>(offset);
-}
-
-void Histogram::add(double sample) noexcept {
-  ++counts_[bucket_index(lo_, width_, counts_.size(), sample)];
-  ++total_;
-}
-
-double Histogram::bin_low(std::size_t bin) const {
-  assert(bin < counts_.size());
-  return lo_ + width_ * static_cast<double>(bin);
-}
-
-double pearson(std::span<const double> xs, std::span<const double> ys) {
-  assert(xs.size() == ys.size());
-  if (xs.size() < 2) return 0.0;
-  const double mx = mean(xs);
-  const double my = mean(ys);
-  double sxy = 0.0, sxx = 0.0, syy = 0.0;
-  for (std::size_t i = 0; i < xs.size(); ++i) {
-    const double dx = xs[i] - mx;
-    const double dy = ys[i] - my;
-    sxy += dx * dy;
-    sxx += dx * dx;
-    syy += dy * dy;
-  }
-  if (sxx == 0.0 || syy == 0.0) return 0.0;
-  return sxy / std::sqrt(sxx * syy);
 }
 
 }  // namespace upin::util

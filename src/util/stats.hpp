@@ -3,7 +3,8 @@
 // The paper presents its results as whisker (box) plots, histograms and
 // averages (§6).  This module computes exactly those summaries: Tukey box
 // statistics (quartiles, IQR fences, outliers), quantiles with linear
-// interpolation, streaming moments (Welford), and fixed-bin histograms.
+// interpolation, streaming moments (Welford), and the fixed-width bucket
+// math behind the metrics layer's histograms.
 #pragma once
 
 #include <cstddef>
@@ -62,38 +63,12 @@ struct BoxStats {
 /// Compute box statistics.  Asserts on an empty sample.
 [[nodiscard]] BoxStats box_stats(std::span<const double> samples);
 
-/// Fixed-width bucket math shared by Histogram and the metrics layer
-/// (obs::LatencyHistogram).  Samples outside [lo, lo + width*bins) are
+/// Fixed-width bucket math of the metrics layer (obs::LatencyHistogram).  Samples outside [lo, lo + width*bins) are
 /// clamped into the edge bins.  Non-finite input is guarded: NaN and -inf
 /// land in bin 0, +inf in the last bin — the cast of an unbounded offset
 /// to an index would otherwise be undefined behaviour.
 [[nodiscard]] std::size_t bucket_index(double lo, double width,
                                        std::size_t bins,
                                        double sample) noexcept;
-
-/// Fixed-width histogram over [lo, hi) with `bins` bins; samples outside
-/// the range are clamped into the edge bins.
-class Histogram {
- public:
-  Histogram(double lo, double hi, std::size_t bins);
-
-  void add(double sample) noexcept;
-  [[nodiscard]] std::size_t bin_count() const noexcept { return counts_.size(); }
-  [[nodiscard]] std::size_t count(std::size_t bin) const { return counts_.at(bin); }
-  [[nodiscard]] std::size_t total() const noexcept { return total_; }
-  /// Inclusive lower edge of a bin.
-  [[nodiscard]] double bin_low(std::size_t bin) const;
-  [[nodiscard]] double bin_width() const noexcept { return width_; }
-
- private:
-  double lo_;
-  double width_;
-  std::vector<std::size_t> counts_;
-  std::size_t total_ = 0;
-};
-
-/// Pearson correlation of two equally sized samples; 0 when degenerate.
-[[nodiscard]] double pearson(std::span<const double> xs,
-                             std::span<const double> ys);
 
 }  // namespace upin::util

@@ -89,12 +89,6 @@ std::string format(const char* fmt, ...) {
   return out;
 }
 
-std::string to_lower(std::string_view text) {
-  std::string out(text);
-  for (char& c : out) c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
-  return out;
-}
-
 bool wildcard_match(std::string_view pattern, std::string_view text) noexcept {
   // Iterative matcher with backtracking over the last '*'.
   std::size_t p = 0, t = 0;

@@ -36,9 +36,6 @@ namespace upin::util {
 [[nodiscard]] std::string format(const char* fmt, ...)
     __attribute__((format(printf, 1, 2)));
 
-/// Lowercase a copy (ASCII).
-[[nodiscard]] std::string to_lower(std::string_view text);
-
 /// Glob-free wildcard match used by simple filters: `*` matches any run of
 /// characters, `?` exactly one.
 [[nodiscard]] bool wildcard_match(std::string_view pattern,

@@ -5,8 +5,6 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
-
 #include "util/clock.hpp"
 
 namespace upin::measure {
@@ -102,43 +100,6 @@ TEST(RetryPolicyBackoff, RetryableOnlyForTransientFaults) {
   // Control-plane verdicts are authoritative: failing over beats waiting.
   EXPECT_FALSE(RetryPolicy::retryable(ErrorCode::kRevoked));
   EXPECT_FALSE(RetryPolicy::retryable(ErrorCode::kExpired));
-}
-
-TEST(RetryPolicyBackoff, FullJitterSpansZeroToBase) {
-  RetryPolicy policy;
-  policy.initial_backoff_s = 4.0;
-  policy.backoff_multiplier = 2.0;
-  policy.max_backoff_s = 8.0;
-  policy.jitter_mode = BackoffJitter::kFull;
-  util::Rng rng(11);
-  double lo = 1e9, hi = -1e9, sum = 0.0;
-  for (int i = 0; i < 1000; ++i) {
-    const double backoff = policy.backoff_s(1, rng);
-    EXPECT_GE(backoff, 0.0);
-    EXPECT_LE(backoff, 4.0);
-    lo = std::min(lo, backoff);
-    hi = std::max(hi, backoff);
-    sum += backoff;
-  }
-  // Full jitter actually uses the whole band, unlike the scaled mode.
-  EXPECT_LT(lo, 0.5) << "draws should reach near zero";
-  EXPECT_GT(hi, 3.5) << "draws should reach near the base backoff";
-  EXPECT_NEAR(sum / 1000.0, 2.0, 0.3) << "mean ~ base/2";
-}
-
-TEST(RetryPolicyBackoff, FullJitterStillClampsToMaxAndIsSeeded) {
-  RetryPolicy policy;
-  policy.initial_backoff_s = 4.0;
-  policy.backoff_multiplier = 4.0;
-  policy.max_backoff_s = 6.0;
-  policy.jitter_mode = BackoffJitter::kFull;
-  for (int attempt = 2; attempt <= 6; ++attempt) {
-    util::Rng rng(3);
-    EXPECT_LE(policy.backoff_s(attempt, rng), 6.0);
-  }
-  // Same seed, same draw: the schedule is a pure function of the rng.
-  util::Rng rng_a(42), rng_b(42);
-  EXPECT_DOUBLE_EQ(policy.backoff_s(2, rng_a), policy.backoff_s(2, rng_b));
 }
 
 TEST(RunWithRetry, SuccessOnFirstAttemptLeavesClockAlone) {

@@ -140,33 +140,6 @@ TEST(BoxStats, InvariantOrdering) {
   EXPECT_LE(box.whisker_high, box.maximum);
 }
 
-TEST(Histogram, BinsAndClamping) {
-  Histogram h(0.0, 10.0, 5);
-  h.add(0.5);   // bin 0
-  h.add(3.0);   // bin 1
-  h.add(9.99);  // bin 4
-  h.add(-5.0);  // clamped to bin 0
-  h.add(42.0);  // clamped to bin 4
-  EXPECT_EQ(h.total(), 5u);
-  EXPECT_EQ(h.count(0), 2u);
-  EXPECT_EQ(h.count(1), 1u);
-  EXPECT_EQ(h.count(2), 0u);
-  EXPECT_EQ(h.count(4), 2u);
-}
-
-TEST(Histogram, BinEdges) {
-  Histogram h(10.0, 20.0, 4);
-  EXPECT_DOUBLE_EQ(h.bin_width(), 2.5);
-  EXPECT_DOUBLE_EQ(h.bin_low(0), 10.0);
-  EXPECT_DOUBLE_EQ(h.bin_low(3), 17.5);
-}
-
-TEST(Histogram, BoundaryLandsInUpperBin) {
-  Histogram h(0.0, 10.0, 5);
-  h.add(2.0);  // exactly on the 0/1 edge -> bin 1
-  EXPECT_EQ(h.count(1), 1u);
-}
-
 TEST(BucketIndex, EmptyLayoutIsBinZero) {
   EXPECT_EQ(bucket_index(0.0, 1.0, 0, 5.0), 0u);
 }
@@ -191,36 +164,6 @@ TEST(BucketIndex, NonFiniteGuard) {
   EXPECT_EQ(bucket_index(0.0, 2.0, 5, inf), 4u);
   EXPECT_EQ(bucket_index(0.0, 2.0, 5, -inf), 0u);
   EXPECT_EQ(bucket_index(0.0, 2.0, 5, std::nan("")), 0u);
-}
-
-TEST(Histogram, EmptyHistogramReadsAsZeros) {
-  Histogram h(0.0, 10.0, 5);
-  EXPECT_EQ(h.total(), 0u);
-  for (std::size_t bin = 0; bin < 5; ++bin) EXPECT_EQ(h.count(bin), 0u);
-}
-
-TEST(Histogram, InfinitiesClampToEdgeBins) {
-  Histogram h(0.0, 10.0, 5);
-  h.add(std::numeric_limits<double>::infinity());
-  h.add(-std::numeric_limits<double>::infinity());
-  EXPECT_EQ(h.count(4), 1u);
-  EXPECT_EQ(h.count(0), 1u);
-  EXPECT_EQ(h.total(), 2u);
-}
-
-TEST(Pearson, PerfectCorrelations) {
-  const std::vector<double> xs{1, 2, 3, 4};
-  const std::vector<double> ys{2, 4, 6, 8};
-  EXPECT_NEAR(pearson(xs, ys), 1.0, 1e-12);
-  const std::vector<double> neg{8, 6, 4, 2};
-  EXPECT_NEAR(pearson(xs, neg), -1.0, 1e-12);
-}
-
-TEST(Pearson, DegenerateInputs) {
-  const std::vector<double> xs{1, 1, 1};
-  const std::vector<double> ys{1, 2, 3};
-  EXPECT_DOUBLE_EQ(pearson(xs, ys), 0.0);   // zero variance
-  EXPECT_DOUBLE_EQ(pearson({}, {}), 0.0);   // empty
 }
 
 }  // namespace

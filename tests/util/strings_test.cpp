@@ -81,11 +81,6 @@ TEST(Format, PrintfSemantics) {
   EXPECT_EQ(format("nothing"), "nothing");
 }
 
-TEST(ToLower, AsciiOnly) {
-  EXPECT_EQ(to_lower("AbC-17"), "abc-17");
-  EXPECT_EQ(to_lower(""), "");
-}
-
 TEST(WildcardMatch, Literals) {
   EXPECT_TRUE(wildcard_match("abc", "abc"));
   EXPECT_FALSE(wildcard_match("abc", "abd"));
