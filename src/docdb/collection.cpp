@@ -68,20 +68,19 @@ struct CandidatePlan {
   bool usable = false;
 };
 
-/// Build the best plan one index can offer for the filter's extractable
-/// bounds: consume equalities into a key prefix left to right, then
-/// terminate with either one `$in` fan-out or one range window.
-CandidatePlan build_index_plan(
-    const OrderedIndex& index,
-    const std::vector<std::pair<std::string, std::vector<Filter::Bound>>>&
-        bounds,
-    std::size_t total_clauses) {
-  using Bound = Filter::Bound;
+/// Build the best plan one index can offer for the filter's predicates:
+/// consume equalities into a key prefix left to right, then terminate
+/// with either one `$in` fan-out or one range window.  `$ne`/`$nin`
+/// never consume a column; they stay in the residual.
+CandidatePlan build_index_plan(const OrderedIndex& index,
+                               const Filter& filter) {
+  using Op = Filter::Op;
+  using Predicate = Filter::Predicate;
   CandidatePlan out;
   const std::size_t columns = index.fields().size();
 
   std::vector<Value> prefix;
-  const std::vector<Value>* in_list = nullptr;
+  const Value::Array* in_list = nullptr;
   const Value* lower = nullptr;
   const Value* upper = nullptr;
   bool lower_inclusive = true;
@@ -100,47 +99,48 @@ CandidatePlan build_index_plan(
   };
 
   for (std::size_t column = 0; column < columns; ++column) {
-    const std::vector<Bound>* field_bounds = nullptr;
-    for (const auto& [field, list] : bounds) {
-      if (field == index.fields()[column]) {
-        field_bounds = &list;
+    const std::vector<Predicate>* predicates = nullptr;
+    for (const Filter::Field& field : filter.fields()) {
+      if (field.path == index.fields()[column]) {
+        predicates = &field.predicates;
         break;
       }
     }
-    if (field_bounds == nullptr) break;
+    if (predicates == nullptr) break;
 
     // Equality pins this column and extends the prefix.
-    const Bound* eq = nullptr;
-    for (const Bound& bound : *field_bounds) {
-      if (bound.op == Bound::Op::kEq && key_usable(*bound.operand, index)) {
-        eq = &bound;
+    const Value* eq = nullptr;
+    for (const Predicate& predicate : *predicates) {
+      if (predicate.op == Op::kEq && key_usable(predicate.operand, index)) {
+        eq = &predicate.operand;
         break;
       }
     }
     if (eq != nullptr) {
       // An array operand never contains-matches (filter semantics), but
       // element-expanded keys would surface such documents.
-      if (eq->operand->is_array()) dirty = true;
-      if (eq->operand->is_null() && null_dirty(column)) dirty = true;
-      prefix.push_back(*eq->operand);
+      if (eq->is_array()) dirty = true;
+      if (eq->is_null() && null_dirty(column)) dirty = true;
+      prefix.push_back(*eq);
       ++consumed;
       continue;
     }
 
     // $in fans out into one point range per element; terminal.
-    for (const Bound& bound : *field_bounds) {
-      if (bound.op != Bound::Op::kIn) continue;
+    for (const Predicate& predicate : *predicates) {
+      if (predicate.op != Op::kIn) continue;
+      const Value::Array& list = predicate.operand.as_array();
       bool ok = true;
-      for (const Value& element : *bound.list) {
+      for (const Value& element : list) {
         if (!key_usable(element, index)) {
           ok = false;
           break;
         }
       }
       if (!ok) continue;
-      in_list = bound.list;
+      in_list = &list;
       ++consumed;
-      for (const Value& element : *bound.list) {
+      for (const Value& element : list) {
         if (element.is_array()) dirty = true;
         if (element.is_null() && null_dirty(column)) dirty = true;
       }
@@ -152,28 +152,28 @@ CandidatePlan build_index_plan(
     // per side — the looser clauses are implied, hence consumed too.
     std::size_t lower_clauses = 0;
     std::size_t upper_clauses = 0;
-    for (const Bound& bound : *field_bounds) {
-      switch (bound.op) {
-        case Bound::Op::kGt:
-        case Bound::Op::kGte: {
+    for (const Predicate& predicate : *predicates) {
+      switch (predicate.op) {
+        case Op::kGt:
+        case Op::kGte: {
           ++lower_clauses;
-          const bool inclusive = bound.op == Bound::Op::kGte;
+          const bool inclusive = predicate.op == Op::kGte;
           const int c =
-              lower == nullptr ? 1 : compare_values(*bound.operand, *lower);
+              lower == nullptr ? 1 : compare_values(predicate.operand, *lower);
           if (c > 0 || (c == 0 && !inclusive)) {
-            lower = bound.operand;
+            lower = &predicate.operand;
             lower_inclusive = inclusive;
           }
           break;
         }
-        case Bound::Op::kLt:
-        case Bound::Op::kLte: {
+        case Op::kLt:
+        case Op::kLte: {
           ++upper_clauses;
-          const bool inclusive = bound.op == Bound::Op::kLte;
+          const bool inclusive = predicate.op == Op::kLte;
           const int c =
-              upper == nullptr ? -1 : compare_values(*bound.operand, *upper);
+              upper == nullptr ? -1 : compare_values(predicate.operand, *upper);
           if (c < 0 || (c == 0 && !inclusive)) {
-            upper = bound.operand;
+            upper = &predicate.operand;
             upper_inclusive = inclusive;
           }
           break;
@@ -210,8 +210,8 @@ CandidatePlan build_index_plan(
   QueryPlan& plan = out.plan;
   plan.index = &index;
   plan.consumed_clauses = consumed;
-  plan.total_clauses = total_clauses;
-  plan.residual = consumed < total_clauses || dirty;
+  plan.total_clauses = filter.clause_count();
+  plan.residual = consumed < plan.total_clauses || dirty;
 
   if (in_list != nullptr) {
     // One point range per distinct element, ascending — the order a
@@ -497,19 +497,15 @@ QueryPlan Collection::plan_locked(const Filter& filter,
 
   const bool force_scan = options != nullptr && options->force_scan;
   if (!force_scan && !indexes_.empty() && plan.total_clauses > 0) {
-    const auto bounds = filter.extractable_bounds();
-    if (!bounds.empty()) {
-      double best_cost = plan.estimated_candidates;
-      for (const auto& index : indexes_) {
-        CandidatePlan candidate =
-            build_index_plan(*index, bounds, plan.total_clauses);
-        if (!candidate.usable) continue;
-        if (candidate.plan.estimated_candidates < best_cost ||
-            (candidate.plan.estimated_candidates == best_cost &&
-             candidate.plan.consumed_clauses > plan.consumed_clauses)) {
-          best_cost = candidate.plan.estimated_candidates;
-          plan = std::move(candidate.plan);
-        }
+    double best_cost = plan.estimated_candidates;
+    for (const auto& index : indexes_) {
+      CandidatePlan candidate = build_index_plan(*index, filter);
+      if (!candidate.usable) continue;
+      if (candidate.plan.estimated_candidates < best_cost ||
+          (candidate.plan.estimated_candidates == best_cost &&
+           candidate.plan.consumed_clauses > plan.consumed_clauses)) {
+        best_cost = candidate.plan.estimated_candidates;
+        plan = std::move(candidate.plan);
       }
     }
   }

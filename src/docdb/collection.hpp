@@ -113,7 +113,7 @@ class Collection {
 
   /// Visit the documents matching `filter`, honoring `options`, in place
   /// and in find()'s order; return false from `fn` to stop the walk.  The
-  /// planner turns extractable `$eq`/`$in`/range bounds into an
+  /// planner turns the filter's `$eq`/`$in`/range predicates into an
   /// ordered-index range scan; the filter re-runs per candidate only
   /// when the plan is residual (a residual-free plan's candidates provably
   /// match).  Results come in insertion order — identical to a scan —

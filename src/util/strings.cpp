@@ -89,26 +89,4 @@ std::string format(const char* fmt, ...) {
   return out;
 }
 
-bool wildcard_match(std::string_view pattern, std::string_view text) noexcept {
-  // Iterative matcher with backtracking over the last '*'.
-  std::size_t p = 0, t = 0;
-  std::size_t star = std::string_view::npos, match = 0;
-  while (t < text.size()) {
-    if (p < pattern.size() && (pattern[p] == '?' || pattern[p] == text[t])) {
-      ++p;
-      ++t;
-    } else if (p < pattern.size() && pattern[p] == '*') {
-      star = p++;
-      match = t;
-    } else if (star != std::string_view::npos) {
-      p = star + 1;
-      t = ++match;
-    } else {
-      return false;
-    }
-  }
-  while (p < pattern.size() && pattern[p] == '*') ++p;
-  return p == pattern.size();
-}
-
 }  // namespace upin::util

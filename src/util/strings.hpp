@@ -36,9 +36,4 @@ namespace upin::util {
 [[nodiscard]] std::string format(const char* fmt, ...)
     __attribute__((format(printf, 1, 2)));
 
-/// Glob-free wildcard match used by simple filters: `*` matches any run of
-/// characters, `?` exactly one.
-[[nodiscard]] bool wildcard_match(std::string_view pattern,
-                                  std::string_view text) noexcept;
-
 }  // namespace upin::util

@@ -143,91 +143,11 @@ TEST(Filter, NinOperator) {
   EXPECT_TRUE(f.matches(doc("{}")));  // vacuously true
 }
 
-TEST(Filter, ExistsOperator) {
-  const Filter yes = compile(R"({"latency_ms": {"$exists": true}})");
-  const Filter no = compile(R"({"latency_ms": {"$exists": false}})");
-  EXPECT_TRUE(yes.matches(doc(R"({"latency_ms": 12})")));
-  EXPECT_FALSE(yes.matches(doc("{}")));
-  EXPECT_TRUE(no.matches(doc("{}")));
-  EXPECT_FALSE(no.matches(doc(R"({"latency_ms": null})")));  // null exists
-}
-
-TEST(Filter, SizeOperator) {
-  const Filter f = compile(R"({"isds": {"$size": 2}})");
-  EXPECT_TRUE(f.matches(doc(R"({"isds": [16, 17]})")));
-  EXPECT_FALSE(f.matches(doc(R"({"isds": [16]})")));
-  EXPECT_FALSE(f.matches(doc(R"({"isds": 2})")));
-}
-
-TEST(Filter, AllOperator) {
-  const Filter f = compile(R"({"isds": {"$all": [16, 17]}})");
-  EXPECT_TRUE(f.matches(doc(R"({"isds": [17, 19, 16]})")));
-  EXPECT_FALSE(f.matches(doc(R"({"isds": [16, 19]})")));
-}
-
-TEST(Filter, ElemMatchOperator) {
-  const Filter f = compile(
-      R"({"runs": {"$elemMatch": {"loss": {"$gt": 50}, "size": 64}}})");
-  EXPECT_TRUE(f.matches(
-      doc(R"({"runs": [{"loss": 90, "size": 64}, {"loss": 0, "size": 1452}]})")));
-  // No single element satisfies both conditions.
-  EXPECT_FALSE(f.matches(
-      doc(R"({"runs": [{"loss": 90, "size": 1452}, {"loss": 0, "size": 64}]})")));
-}
-
-TEST(Filter, AndOperator) {
-  const Filter f = compile(
-      R"({"$and": [{"server_id": 2}, {"hop_count": {"$lte": 6}}]})");
-  EXPECT_TRUE(f.matches(doc(R"({"server_id": 2, "hop_count": 6})")));
-  EXPECT_FALSE(f.matches(doc(R"({"server_id": 2, "hop_count": 7})")));
-}
-
-TEST(Filter, OrOperator) {
-  const Filter f = compile(R"({"$or": [{"a": 1}, {"b": 2}]})");
-  EXPECT_TRUE(f.matches(doc(R"({"a": 1})")));
-  EXPECT_TRUE(f.matches(doc(R"({"b": 2})")));
-  EXPECT_FALSE(f.matches(doc(R"({"a": 2, "b": 1})")));
-}
-
-TEST(Filter, NorOperator) {
-  const Filter f = compile(R"({"$nor": [{"a": 1}, {"b": 2}]})");
-  EXPECT_FALSE(f.matches(doc(R"({"a": 1})")));
-  EXPECT_TRUE(f.matches(doc(R"({"a": 2})")));
-}
-
-TEST(Filter, NotOperator) {
-  const Filter f = compile(R"({"loss_pct": {"$not": {"$gt": 10}}})");
-  EXPECT_TRUE(f.matches(doc(R"({"loss_pct": 5})")));
-  EXPECT_FALSE(f.matches(doc(R"({"loss_pct": 50})")));
-  EXPECT_TRUE(f.matches(doc("{}")));  // $not of a non-match
-}
-
 TEST(Filter, ImplicitTopLevelConjunction) {
   const Filter f = compile(R"({"a": 1, "b": {"$lt": 5}})");
   EXPECT_TRUE(f.matches(doc(R"({"a": 1, "b": 3})")));
   EXPECT_FALSE(f.matches(doc(R"({"a": 1, "b": 7})")));
   EXPECT_FALSE(f.matches(doc(R"({"a": 2, "b": 3})")));
-}
-
-TEST(Filter, NestedLogicalOperators) {
-  const Filter f = compile(
-      R"({"$or": [{"$and": [{"a": 1}, {"b": 1}]}, {"c": {"$gte": 10}}]})");
-  EXPECT_TRUE(f.matches(doc(R"({"a": 1, "b": 1})")));
-  EXPECT_TRUE(f.matches(doc(R"({"c": 10})")));
-  EXPECT_FALSE(f.matches(doc(R"({"a": 1, "c": 9})")));
-}
-
-TEST(Filter, RegexOperator) {
-  const Filter f = compile(R"({"address": {"$regex": "^16-ffaa"}})");
-  EXPECT_TRUE(f.matches(doc(R"({"address": "16-ffaa:0:1002,[1.2.3.4]"})")));
-  EXPECT_FALSE(f.matches(doc(R"({"address": "17-ffaa:0:1107"})")));
-  EXPECT_FALSE(f.matches(doc(R"({"address": 16})")));
-}
-
-TEST(Filter, LikeOperatorWildcards) {
-  const Filter f = compile(R"({"path_id": {"$like": "2_*"}})");
-  EXPECT_TRUE(f.matches(doc(R"({"path_id": "2_15"})")));
-  EXPECT_FALSE(f.matches(doc(R"({"path_id": "3_15"})")));
 }
 
 TEST(Filter, CompileRejectsBadQueries) {
@@ -249,26 +169,21 @@ TEST(Filter, CompileRejectsBadQueries) {
       Filter::compile(Value::parse(R"({"a": {"$regex": "["}})").value()).ok());
   EXPECT_FALSE(
       Filter::compile(Value::parse(R"({"a": {"$regex": 7}})").value()).ok());
-}
-
-TEST(Filter, EqualityOnDetectsIndexableField) {
-  const Filter f = compile(R"({"path_id": "2_15", "loss": {"$lt": 5}})");
-  const Value* pinned = f.equality_on("path_id");
-  ASSERT_NE(pinned, nullptr);
-  EXPECT_EQ(pinned->as_string(), "2_15");
-  EXPECT_EQ(f.equality_on("loss"), nullptr);
-  EXPECT_EQ(f.equality_on("other"), nullptr);
-}
-
-TEST(Filter, EqualityOnSingleClause) {
-  const Filter f = compile(R"({"server_id": 2})");
-  ASSERT_NE(f.equality_on("server_id"), nullptr);
-  EXPECT_EQ(f.equality_on("server_id")->as_int(), 2);
-}
-
-TEST(Filter, EqualityOnIgnoresDisjunctions) {
-  const Filter f = compile(R"({"$or": [{"a": 1}, {"a": 2}]})");
-  EXPECT_EQ(f.equality_on("a"), nullptr);
+  // The logical and array operators are not part of the language.
+  EXPECT_FALSE(
+      Filter::compile(Value::parse(R"({"$or": [{"a": 1}]})").value()).ok());
+  EXPECT_FALSE(
+      Filter::compile(Value::parse(R"({"$nor": [{"a": 1}]})").value()).ok());
+  EXPECT_FALSE(
+      Filter::compile(Value::parse(R"({"a": {"$not": {"$gt": 1}}})").value())
+          .ok());
+  EXPECT_FALSE(
+      Filter::compile(Value::parse(R"({"a": {"$all": [1]}})").value()).ok());
+  EXPECT_FALSE(Filter::compile(
+                   Value::parse(R"({"a": {"$elemMatch": {"b": 1}}})").value())
+                   .ok());
+  EXPECT_FALSE(
+      Filter::compile(Value::parse(R"({"a": {"$like": "x*"}})").value()).ok());
 }
 
 TEST(CompareValues, TotalOrderAcrossTypes) {
@@ -290,54 +205,35 @@ TEST(CompareValues, ArraysCompareLexicographically) {
   EXPECT_EQ(compare_values(Value::array({1, 2}), Value::array({1, 2})), 0);
 }
 
-// ------------------------------------------------- planner bound extraction
+// ------------------------------------------------------ what the planner reads
 
 TEST(FilterBounds, ExtractsEqualityRangeAndIn) {
   const Filter f = compile(
       R"({"path_id": 3, "loss_pct": {"$gte": 0, "$lt": 10},
           "server_id": {"$in": [1, 2]}})");
-  const auto bounds = f.extractable_bounds();
-  ASSERT_EQ(bounds.size(), 3u);
-  EXPECT_EQ(bounds[0].first, "path_id");
-  ASSERT_EQ(bounds[0].second.size(), 1u);
-  EXPECT_EQ(bounds[0].second[0].op, Filter::Bound::Op::kEq);
-  EXPECT_EQ(*bounds[0].second[0].operand, Value(3));
-  EXPECT_EQ(bounds[1].first, "loss_pct");
-  ASSERT_EQ(bounds[1].second.size(), 2u);
-  EXPECT_EQ(bounds[1].second[0].op, Filter::Bound::Op::kGte);
-  EXPECT_EQ(bounds[1].second[1].op, Filter::Bound::Op::kLt);
-  EXPECT_EQ(bounds[2].first, "server_id");
-  ASSERT_EQ(bounds[2].second.size(), 1u);
-  EXPECT_EQ(bounds[2].second[0].op, Filter::Bound::Op::kIn);
-  ASSERT_NE(bounds[2].second[0].list, nullptr);
-  EXPECT_EQ(bounds[2].second[0].list->size(), 2u);
+  const auto& fields = f.fields();
+  ASSERT_EQ(fields.size(), 3u);
+  EXPECT_EQ(fields[0].path, "path_id");
+  ASSERT_EQ(fields[0].predicates.size(), 1u);
+  EXPECT_EQ(fields[0].predicates[0].op, Filter::Op::kEq);
+  EXPECT_EQ(fields[0].predicates[0].operand, Value(3));
+  EXPECT_EQ(fields[1].path, "loss_pct");
+  ASSERT_EQ(fields[1].predicates.size(), 2u);
+  EXPECT_EQ(fields[1].predicates[0].op, Filter::Op::kGte);
+  EXPECT_EQ(fields[1].predicates[1].op, Filter::Op::kLt);
+  EXPECT_EQ(fields[2].path, "server_id");
+  ASSERT_EQ(fields[2].predicates.size(), 1u);
+  EXPECT_EQ(fields[2].predicates[0].op, Filter::Op::kIn);
+  ASSERT_TRUE(fields[2].predicates[0].operand.is_array());
+  EXPECT_EQ(fields[2].predicates[0].operand.as_array().size(), 2u);
   EXPECT_EQ(f.clause_count(), 4u);
 }
 
-TEST(FilterBounds, FlattensNestedAnd) {
-  const Filter f = compile(
-      R"({"$and": [{"a": 1}, {"$and": [{"b": {"$gt": 2}}, {"c": 3}]}]})");
-  const auto bounds = f.extractable_bounds();
-  ASSERT_EQ(bounds.size(), 3u);
-  EXPECT_EQ(bounds[0].first, "a");
-  EXPECT_EQ(bounds[1].first, "b");
-  EXPECT_EQ(bounds[2].first, "c");
-  EXPECT_EQ(f.clause_count(), 3u);
-}
-
-TEST(FilterBounds, DisjunctionsStayOpaque) {
-  const Filter f =
-      compile(R"({"a": 1, "$or": [{"b": 2}, {"c": 3}]})");
-  const auto bounds = f.extractable_bounds();
-  ASSERT_EQ(bounds.size(), 1u);
-  EXPECT_EQ(bounds[0].first, "a");
-  // The $or subtree counts as one unextractable clause.
-  EXPECT_EQ(f.clause_count(), 2u);
-}
-
 TEST(FilterBounds, UnextractableOperatorsCountAsClauses) {
-  const Filter f = compile(R"({"a": {"$ne": 1}, "b": {"$exists": true}})");
-  EXPECT_TRUE(f.extractable_bounds().empty());
+  const Filter f = compile(R"({"a": {"$ne": 1}, "b": {"$nin": [2]}})");
+  ASSERT_EQ(f.fields().size(), 2u);
+  EXPECT_EQ(f.fields()[0].predicates[0].op, Filter::Op::kNe);
+  EXPECT_EQ(f.fields()[1].predicates[0].op, Filter::Op::kNin);
   EXPECT_EQ(f.clause_count(), 2u);
 }
 

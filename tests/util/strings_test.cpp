@@ -81,38 +81,5 @@ TEST(Format, PrintfSemantics) {
   EXPECT_EQ(format("nothing"), "nothing");
 }
 
-TEST(WildcardMatch, Literals) {
-  EXPECT_TRUE(wildcard_match("abc", "abc"));
-  EXPECT_FALSE(wildcard_match("abc", "abd"));
-  EXPECT_FALSE(wildcard_match("abc", "ab"));
-}
-
-TEST(WildcardMatch, Star) {
-  EXPECT_TRUE(wildcard_match("*", ""));
-  EXPECT_TRUE(wildcard_match("*", "anything"));
-  EXPECT_TRUE(wildcard_match("16-*", "16-ffaa:0:1002"));
-  EXPECT_TRUE(wildcard_match("*1002", "16-ffaa:0:1002"));
-  EXPECT_TRUE(wildcard_match("16-*:1002", "16-ffaa:0:1002"));
-  EXPECT_FALSE(wildcard_match("17-*", "16-ffaa:0:1002"));
-}
-
-TEST(WildcardMatch, QuestionMark) {
-  EXPECT_TRUE(wildcard_match("a?c", "abc"));
-  EXPECT_FALSE(wildcard_match("a?c", "ac"));
-  EXPECT_FALSE(wildcard_match("a?c", "abbc"));
-}
-
-TEST(WildcardMatch, StarBacktracking) {
-  EXPECT_TRUE(wildcard_match("a*b*c", "axxbyyc"));
-  EXPECT_TRUE(wildcard_match("a*b*c", "abbc"));
-  EXPECT_FALSE(wildcard_match("a*b*c", "axxbyy"));
-  EXPECT_TRUE(wildcard_match("**", "x"));
-}
-
-TEST(WildcardMatch, EmptyPattern) {
-  EXPECT_TRUE(wildcard_match("", ""));
-  EXPECT_FALSE(wildcard_match("", "x"));
-}
-
 }  // namespace
 }  // namespace upin::util
