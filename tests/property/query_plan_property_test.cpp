@@ -54,7 +54,7 @@ Value random_query(Rng& rng) {
   const std::int64_t clauses = rng.uniform_int(1, 3);
   for (std::int64_t i = 0; i < clauses; ++i) {
     const std::string field = kFields[rng.uniform_int(0, 2)];
-    const std::int64_t op = rng.uniform_int(0, 7);
+    const std::int64_t op = rng.uniform_int(0, 8);
     if (op == 0) {
       query.set(field, random_field_value(rng));
       continue;
@@ -66,11 +66,12 @@ Value random_query(Rng& rng) {
       case 3: block.set("$gte", random_scalar(rng)); break;
       case 4: block.set("$lt", random_scalar(rng)); break;
       case 5: block.set("$lte", random_scalar(rng)); break;
-      case 6: {
-        Value::Array in;
+      case 6:
+      case 7: {
+        Value::Array list;
         const std::int64_t n = rng.uniform_int(0, 3);
-        for (std::int64_t j = 0; j < n; ++j) in.push_back(random_scalar(rng));
-        block.set("$in", Value(std::move(in)));
+        for (std::int64_t j = 0; j < n; ++j) list.push_back(random_scalar(rng));
+        block.set(op == 6 ? "$in" : "$nin", Value(std::move(list)));
         break;
       }
       default: block.set("$ne", random_scalar(rng)); break;
