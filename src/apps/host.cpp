@@ -251,7 +251,6 @@ Result<BwtestReport> ScionHost::bwtestclient(const SnetAddress& server,
     clock_.advance(util::sim_seconds(occupied_s(
         result.ok() ? nullptr : &result.error(), *spec.duration_s)));
     if (!result.ok()) {
-      control_plane_.sync(clock_.now());
       return Result<simnet::BwtestResult>(
           classify_dead_path(path.value(), result.error()));
     }
@@ -380,12 +379,12 @@ Result<MultipathPingReport> ScionHost::multipath_ping(
   }
 
   clock_.advance(util::sim_seconds(burn_s));
-  control_plane_.sync(clock_.now());
 
-  // Post-mortems with the end-of-run control-plane view: mid-probe
-  // revocations reclassify dead subflows, and a subflow that lost every
-  // probe on the wire (a flapped link, not a dark server) reports
-  // kRevoked when a covering revocation arrived by the end of the run.
+  // Post-mortems at the end-of-run instant (the revocation log is read
+  // by time, so no sync is needed): mid-probe revocations reclassify dead
+  // subflows, and a subflow that lost every probe on the wire (a flapped
+  // link, not a dark server) reports kRevoked when a covering revocation
+  // arrived by the end of the run.
   for (MultipathPingReport::Subflow& subflow : report.subflows) {
     if (!subflow.ok) {
       if (!subflow.path.hops().empty()) {
@@ -477,7 +476,6 @@ Result<MultipathBwtestReport> ScionHost::multipath_bwtest(
   }
 
   clock_.advance(util::sim_seconds(burn_s));
-  control_plane_.sync(clock_.now());
   bool any_ok = false;
   for (MultipathBwtestReport::Subflow& subflow : report.subflows) {
     if (subflow.ok) {
