@@ -4,13 +4,14 @@
 // hop-sequence formatting and parsing, the per-unit control-plane
 // checkpoint and its restore), the selection read path (per-destination
 // paths_stats summaries, the per-document stats view and whole
-// select_with requests), probe dispatch (host ping / bwtestclient next
-// to the bare network call on the same route) and a full
+// select_with requests), probe dispatch (host ping / bwtestclient and
+// the bare network call on the same route, timed in one loop) and a full
 // single-destination campaign iteration.  Not a paper figure; a
 // regression harness for contributors.
 #include <benchmark/benchmark.h>
 
 #include <array>
+#include <chrono>
 #include <memory>
 #include <optional>
 #include <string>
@@ -231,52 +232,94 @@ struct ProbeTarget {
   std::vector<simnet::NodeId> route;
 };
 
-/// `scion ping -c 30 --sequence S` through the host (path pick included),
-/// or the bare Network::ping on the same route at the same instants: the
-/// difference is the host's dispatch cost per probe.
-void BM_HostPing(benchmark::State& state, bool through_host) {
-  ProbeTarget target;
-  apps::PingOptions options;
-  options.sequence = target.sequence;
-  const simnet::PingOptions network_options;
-  util::VirtualClock& clock = target.host.clock();
+/// Runs both arms once per iteration, the first arm swapping every
+/// iteration, times each with steady_clock and reports their means and
+/// the difference (the host's dispatch cost) in µs per iteration.  Both
+/// arms share the machine's state at every moment, so drift between
+/// separate runs cannot show up as dispatch cost.
+template <typename HostArm, typename NetworkArm>
+void time_both_arms(benchmark::State& state, HostArm host_arm,
+                    NetworkArm network_arm) {
+  using Clock = std::chrono::steady_clock;
+  Clock::duration host{};
+  Clock::duration network{};
+  const auto timed = [](auto& arm, Clock::duration& total) {
+    const Clock::time_point start = Clock::now();
+    arm();
+    total += Clock::now() - start;
+  };
+  bool host_first = true;
   for (auto _ : state) {
-    if (through_host) {
-      benchmark::DoNotOptimize(target.host.ping(target.server, options));
+    if (host_first) {
+      timed(host_arm, host);
+      timed(network_arm, network);
     } else {
-      benchmark::DoNotOptimize(target.host.network().ping(
-          target.route, network_options, clock.now()));
-      clock.advance(util::sim_seconds(3.0));
+      timed(network_arm, network);
+      timed(host_arm, host);
     }
+    host_first = !host_first;
   }
+  const auto us = [](Clock::duration d) {
+    return std::chrono::duration<double, std::micro>(d).count();
+  };
+  using benchmark::Counter;
+  state.counters["host_us"] = Counter(us(host), Counter::kAvgIterations);
+  state.counters["network_us"] = Counter(us(network), Counter::kAvgIterations);
+  state.counters["dispatch_us"] =
+      Counter(us(host - network), Counter::kAvgIterations);
 }
 
-/// `scion-bwtestclient -cs 3,64,?,12Mbps --sequence S` through the host,
-/// or the two bare Network::bwtest runs (both directions) it makes.
-void BM_HostBwtestclient(benchmark::State& state, bool through_host) {
-  ProbeTarget target;
+/// `scion ping -c 30 --sequence S` through the host (path pick included)
+/// against the bare Network::ping on the same route.  Each arm has its
+/// own target, so both probe at the same virtual instants.
+void BM_HostPing(benchmark::State& state) {
+  ProbeTarget through_host;
+  ProbeTarget bare;
+  apps::PingOptions options;
+  options.sequence = through_host.sequence;
+  const simnet::PingOptions network_options;
+  util::VirtualClock& clock = bare.host.clock();
+  time_both_arms(
+      state,
+      [&] {
+        benchmark::DoNotOptimize(
+            through_host.host.ping(through_host.server, options));
+      },
+      [&] {
+        benchmark::DoNotOptimize(
+            bare.host.network().ping(bare.route, network_options, clock.now()));
+        clock.advance(util::sim_seconds(3.0));
+      });
+}
+
+/// `scion-bwtestclient -cs 3,64,?,12Mbps --sequence S` through the host
+/// against the two bare Network::bwtest runs (both directions) it makes.
+void BM_HostBwtestclient(benchmark::State& state) {
+  ProbeTarget through_host;
+  ProbeTarget bare;
   apps::BwtestOptions options;
   options.cs_spec = "3,64,?,12Mbps";
-  options.sequence = target.sequence;
+  options.sequence = through_host.sequence;
   simnet::BwtestOptions network_options;
   network_options.packet_bytes = 64.0;
-  const std::vector<simnet::NodeId> reverse(target.route.rbegin(),
-                                            target.route.rend());
+  const std::vector<simnet::NodeId> reverse(bare.route.rbegin(),
+                                            bare.route.rend());
   const std::array<const std::vector<simnet::NodeId>*, 2> routes = {
-      &target.route, &reverse};
-  util::VirtualClock& clock = target.host.clock();
-  for (auto _ : state) {
-    if (through_host) {
-      benchmark::DoNotOptimize(
-          target.host.bwtestclient(target.server, options));
-    } else {
-      for (const std::vector<simnet::NodeId>* route : routes) {
+      &bare.route, &reverse};
+  util::VirtualClock& clock = bare.host.clock();
+  time_both_arms(
+      state,
+      [&] {
         benchmark::DoNotOptimize(
-            target.host.network().bwtest(*route, network_options, clock.now()));
-        clock.advance(util::sim_seconds(network_options.duration_s));
-      }
-    }
-  }
+            through_host.host.bwtestclient(through_host.server, options));
+      },
+      [&] {
+        for (const std::vector<simnet::NodeId>* route : routes) {
+          benchmark::DoNotOptimize(
+              bare.host.network().bwtest(*route, network_options, clock.now()));
+          clock.advance(util::sim_seconds(network_options.duration_s));
+        }
+      });
 }
 
 void BM_CampaignIteration(benchmark::State& state) {
@@ -424,10 +467,8 @@ BENCHMARK(BM_ParseSequence);
 BENCHMARK(BM_ControlPlaneCheckpoint);
 BENCHMARK(BM_ControlPlaneRestoreCheckpoint);
 BENCHMARK(BM_PingMeasurement);
-BENCHMARK_CAPTURE(BM_HostPing, host, true);
-BENCHMARK_CAPTURE(BM_HostPing, network, false);
-BENCHMARK_CAPTURE(BM_HostBwtestclient, host, true);
-BENCHMARK_CAPTURE(BM_HostBwtestclient, network, false);
+BENCHMARK(BM_HostPing);
+BENCHMARK(BM_HostBwtestclient);
 BENCHMARK(BM_CampaignIteration);
 BENCHMARK_CAPTURE(BM_SelectorSummarize, windowed, true);
 BENCHMARK_CAPTURE(BM_SelectorSummarize, full, false);
