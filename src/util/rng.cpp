@@ -36,6 +36,17 @@ std::uint64_t fnv1a64_extend(std::uint64_t hash, std::int64_t value) noexcept {
 }
 
 std::uint64_t fnv1a64_extend_fixed(std::uint64_t hash, double value) noexcept {
+  // An integral value below 2^53 (every bwtest knob) prints as its sign,
+  // its integer digits and ".000000": hash those without the formatter.
+  // The sign comes from the bit, so -0.0 stays "-0.000000".
+  const double magnitude = std::fabs(value);
+  if (magnitude < 0x1p53) {
+    const auto integral = static_cast<std::int64_t>(magnitude);
+    if (static_cast<double>(integral) == magnitude) {
+      if (std::signbit(value)) hash = fnv1a64_extend(hash, "-");
+      return fnv1a64_extend(fnv1a64_extend(hash, integral), ".000000");
+    }
+  }
   // A sign, the 309 integer digits of DBL_MAX, the point and six decimals.
   char text[320];
   const std::to_chars_result written = std::to_chars(

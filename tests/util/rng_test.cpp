@@ -259,7 +259,8 @@ TEST(Fnv1a64, ExtendByDoubleHashesItsToStringText) {
       -std::numeric_limits<double>::infinity(),
       std::numeric_limits<double>::quiet_NaN(),
       -std::numeric_limits<double>::quiet_NaN(),
-      0.0078125, 0.0234375, -1.0078125};  // exact ties at the 7th decimal
+      0.0078125, 0.0234375, -1.0078125,  // exact ties at the 7th decimal
+      9007199254740991.0, -9007199254740992.0, -64.0};  // 2^53 - 1, -2^53
   Rng rng(77);
   for (int i = 0; i < 2000; ++i) {
     values.push_back(rng.uniform(-1e4, 1e4));
