@@ -357,21 +357,38 @@ bool Network::frame_survives(std::span<Hop> hops, SimTime t, Rng& rng) const {
   return true;
 }
 
+Result<Network::Route> Network::prepare(
+    const std::vector<NodeId>& nodes) const {
+  Route route;
+  route.nodes_[0] = nodes;
+  route.nodes_[1].assign(nodes.rbegin(), nodes.rend());
+  for (std::size_t way = 0; way < 2; ++way) {
+    Result<Hops> hops = resolve(route.nodes_[way]);
+    if (!hops.ok()) return Result<Route>(hops.error());
+    route.hops_[way] = std::move(hops).value();
+    route.bwerr_prefix_[way] = route_prefix("bwerr", route.nodes_[way]);
+    route.bwtest_prefix_[way] = route_prefix("bwtest", route.nodes_[way]);
+  }
+  route.ping_prefix_ = route_prefix("ping", nodes);
+  return route;
+}
+
 Result<PingStats> Network::ping(const std::vector<NodeId>& route,
                                 const PingOptions& options,
                                 SimTime start) const {
-  Result<Hops> forward = resolve(route);
-  if (!forward.ok()) return Result<PingStats>(forward.error());
+  const Result<Route> prepared = prepare(route);
+  if (!prepared.ok()) return Result<PingStats>(prepared.error());
+  return ping(prepared.value(), options, start);
+}
 
-  const std::vector<NodeId> reverse_route(route.rbegin(), route.rend());
-  Result<Hops> backward = resolve(reverse_route);
-  if (!backward.ok()) return Result<PingStats>(backward.error());
-
+Result<PingStats> Network::ping(const Route& route, const PingOptions& options,
+                                SimTime start) const {
+  const std::vector<NodeId>& nodes = route.nodes();
   // Injected destination faults (§4.1.2 fault classes), checked at the
   // operation's start time: a dark server refuses outright, a slow one
   // exhausts the probe timeout, a garbling one answers unparseably.
   if (faults_.active()) {
-    const NodeId destination = route.back();
+    const NodeId destination = nodes.back();
     if (faults_.server_down(destination, start)) {
       return util::Error{ErrorCode::kUnreachable,
                          "injected fault: destination server down"};
@@ -380,28 +397,31 @@ Result<PingStats> Network::ping(const std::vector<NodeId>& route,
       return util::Error{ErrorCode::kTimeout,
                          "injected fault: destination responding too slowly"};
     }
-    if (faults_.garbled("ping:" + route_label(route), start)) {
+    if (faults_.garbled("ping:" + route_label(nodes), start)) {
       return util::Error{ErrorCode::kBadResponse,
                          "injected fault: garbled echo response"};
     }
   }
 
+  // Fresh memos for this probe train: copies of the route's pristine hops.
+  Hops forward = route.hops_[0];
+  Hops backward = route.hops_[1];
   PingStats stats;
   stats.rtt_ms.reserve(options.count);
   // Probe substreams are "ping:<route>:<t ns>"; only <t> varies.
-  const std::uint64_t probe_prefix = route_prefix("ping", route);
   for (std::size_t i = 0; i < options.count; ++i) {
     const SimTime t = start + options.interval * static_cast<std::int64_t>(i);
-    Rng rng = master_.fork_hashed(util::fnv1a64_extend(probe_prefix, t.count()));
-    const bool delivered_fwd = frame_survives(forward.value(), t, rng);
+    Rng rng = master_.fork_hashed(
+        util::fnv1a64_extend(route.ping_prefix_, t.count()));
+    const bool delivered_fwd = frame_survives(forward, t, rng);
     const bool delivered_bwd =
-        delivered_fwd && frame_survives(backward.value(), t, rng);
+        delivered_fwd && frame_survives(backward, t, rng);
     if (!delivered_fwd || !delivered_bwd) {
       stats.rtt_ms.push_back(std::nullopt);
       continue;
     }
-    const double rtt = one_way_ms(forward.value(), t, rng) +
-                       one_way_ms(backward.value(), t, rng);
+    const double rtt =
+        one_way_ms(forward, t, rng) + one_way_ms(backward, t, rng);
     stats.rtt_ms.push_back(rtt);
   }
   return stats;
@@ -442,15 +462,23 @@ Result<TraceResult> Network::traceroute(const std::vector<NodeId>& route,
 Result<BwtestResult> Network::bwtest(const std::vector<NodeId>& route,
                                      const BwtestOptions& options,
                                      SimTime start) const {
-  return bwtest_loaded(route, options, start, nullptr, 0.0);
+  const Result<Route> prepared = prepare(route);
+  if (!prepared.ok()) return Result<BwtestResult>(prepared.error());
+  return bwtest(prepared.value(), Direction::kUpstream, options, start);
+}
+
+Result<BwtestResult> Network::bwtest(const Route& route, Direction direction,
+                                     const BwtestOptions& options,
+                                     SimTime start) const {
+  return bwtest_loaded(route, direction, options, start, nullptr, 0.0);
 }
 
 Result<BwtestResult> Network::bwtest_loaded(
-    const std::vector<NodeId>& route, const BwtestOptions& options,
+    const Route& route, Direction direction, const BwtestOptions& options,
     SimTime start, const std::unordered_map<std::uint64_t, double>* total_wire_mbps,
     double own_wire_mbps) const {
-  Result<Hops> resolved = resolve(route);
-  if (!resolved.ok()) return Result<BwtestResult>(resolved.error());
+  const std::size_t way = Route::index(direction);
+  const std::vector<NodeId>& nodes = route.nodes_[way];
   if (options.packet_bytes < 4.0) {
     return util::Error{ErrorCode::kInvalidArgument,
                        "bwtest packet size must be >= 4 bytes"};
@@ -462,7 +490,7 @@ Result<BwtestResult> Network::bwtest_loaded(
 
   // Injected destination faults, mirroring the ping checks above.
   if (faults_.active()) {
-    const NodeId destination = route.back();
+    const NodeId destination = nodes.back();
     if (faults_.server_down(destination, start)) {
       return util::Error{ErrorCode::kUnreachable,
                          "injected fault: bwtest server down"};
@@ -471,7 +499,7 @@ Result<BwtestResult> Network::bwtest_loaded(
       return util::Error{ErrorCode::kTimeout,
                          "injected fault: bwtest server responding too slowly"};
     }
-    if (faults_.garbled("bwtest:" + route_label(route), start)) {
+    if (faults_.garbled("bwtest:" + route_label(nodes), start)) {
       return util::Error{ErrorCode::kBadResponse,
                          "injected fault: garbled bwtest response"};
     }
@@ -481,7 +509,7 @@ Result<BwtestResult> Network::bwtest_loaded(
   // but replies with an error; the caller must tolerate it.
   {
     Rng error_rng = master_.fork_hashed(
-        util::fnv1a64_extend(route_prefix("bwerr", route), start.count()));
+        util::fnv1a64_extend(route.bwerr_prefix_[way], start.count()));
     if (error_rng.bernoulli(config_.server_error_prob)) {
       return util::Error{ErrorCode::kBadResponse,
                          "bwtestserver returned an error"};
@@ -501,7 +529,8 @@ Result<BwtestResult> Network::bwtest_loaded(
   double frame_survival = 1.0;
   double bottleneck_available = std::numeric_limits<double>::infinity();
   const SimTime mid = start + util::sim_seconds(options.duration_s / 2.0);
-  for (Hop& hop : resolved.value()) {
+  Hops hops = route.hops_[way];
+  for (Hop& hop : hops) {
     const LinkSpec& link = hop.link->spec;
     const NodeId from = link.from;
     const NodeId to = link.to;
@@ -530,7 +559,7 @@ Result<BwtestResult> Network::bwtest_loaded(
 
   // "bwtest:<route>:<start ns>:<packet bytes>:<target Mbps>", streamed.
   std::uint64_t label =
-      util::fnv1a64_extend(route_prefix("bwtest", route), start.count());
+      util::fnv1a64_extend(route.bwtest_prefix_[way], start.count());
   for (const double knob : {options.packet_bytes, options.target_mbps}) {
     label = util::fnv1a64_extend_fixed(util::fnv1a64_extend(label, ":"),
                                        knob);
@@ -561,11 +590,19 @@ Result<MultibwtestOutcome> Network::multibwtest(
   // Dry pass: each flow alone decides whether it sends at all (route
   // validation, injected faults, server-side errors).  Every verdict is
   // label-deterministic, so the loaded re-run below reaches the same one.
+  std::vector<std::optional<Route>> routes(flows.size());
   std::vector<bool> sends(flows.size(), false);
   std::vector<double> flow_wire(flows.size(), 0.0);
   for (std::size_t i = 0; i < flows.size(); ++i) {
+    Result<Route> prepared = prepare(flows[i].route);
+    if (!prepared.ok()) {
+      outcome.flows[i].error = prepared.error();
+      continue;
+    }
+    routes[i] = std::move(prepared).value();
     const Result<BwtestResult> dry =
-        bwtest_loaded(flows[i].route, flows[i].options, start, nullptr, 0.0);
+        bwtest_loaded(*routes[i], Direction::kUpstream, flows[i].options,
+                      start, nullptr, 0.0);
     if (!dry.ok()) {
       outcome.flows[i].error = dry.error();
       continue;
@@ -600,8 +637,9 @@ Result<MultibwtestOutcome> Network::multibwtest(
   // Loaded pass: every sending flow against the others' wire load.
   for (std::size_t i = 0; i < flows.size(); ++i) {
     if (!sends[i]) continue;
-    Result<BwtestResult> loaded = bwtest_loaded(
-        flows[i].route, flows[i].options, start, &total_wire, flow_wire[i]);
+    Result<BwtestResult> loaded =
+        bwtest_loaded(*routes[i], Direction::kUpstream, flows[i].options,
+                      start, &total_wire, flow_wire[i]);
     if (!loaded.ok()) {
       outcome.flows[i].error = loaded.error();
       continue;

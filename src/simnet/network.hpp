@@ -24,6 +24,7 @@
 // isolation regardless of what ran before it.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <limits>
 #include <optional>
@@ -159,6 +160,10 @@ struct SharedBottleneck {
   double offered_wire_mbps = 0.0;  ///< summed wire load of those subflows
 };
 
+/// Which way a bandwidth test runs over a prepared route: client to
+/// server (the route's own order) or server to client (its reversal).
+enum class Direction : std::uint8_t { kUpstream = 0, kDownstream = 1 };
+
 /// Outcome of `multibwtest`: per-flow results (a flow can fail
 /// individually, e.g. its destination is down) plus the contention report.
 struct MultibwtestOutcome {
@@ -199,9 +204,20 @@ class Network {
   [[nodiscard]] const FaultPlan& faults() const noexcept { return faults_; }
 
   // ---- measurements ----------------------------------------------------
-  /// Probe `route` (node sequence source..destination) with `options.count`
-  /// echo packets starting at virtual time `start`.
-  /// kInvalidArgument when the route skips a missing link.
+  class Route;
+
+  /// Resolve `nodes` (source..destination) and its reversal once, for any
+  /// number of probes: kInvalidArgument on fewer than two nodes, an
+  /// unknown node or a missing link, the forward route checked before the
+  /// reverse one (the errors `ping` reports).
+  [[nodiscard]] util::Result<Route> prepare(
+      const std::vector<NodeId>& nodes) const;
+
+  /// Probe `route` with `options.count` echo packets starting at virtual
+  /// time `start`.  The vector overload is `prepare` + this.
+  [[nodiscard]] util::Result<PingStats> ping(const Route& route,
+                                             const PingOptions& options,
+                                             util::SimTime start) const;
   [[nodiscard]] util::Result<PingStats> ping(const std::vector<NodeId>& route,
                                              const PingOptions& options,
                                              util::SimTime start) const;
@@ -209,7 +225,12 @@ class Network {
   [[nodiscard]] util::Result<TraceResult> traceroute(
       const std::vector<NodeId>& route, util::SimTime start) const;
 
-  /// Constant-rate flow along `route` (in the direction of data).
+  /// Constant-rate flow over `route` in `direction`.  The vector overload
+  /// is `prepare` + an upstream run: the flow goes along `route`, whose
+  /// links must exist both ways.
+  [[nodiscard]] util::Result<BwtestResult> bwtest(
+      const Route& route, Direction direction, const BwtestOptions& options,
+      util::SimTime start) const;
   [[nodiscard]] util::Result<BwtestResult> bwtest(
       const std::vector<NodeId>& route, const BwtestOptions& options,
       util::SimTime start) const;
@@ -219,7 +240,8 @@ class Network {
   /// link headroom minus the wire load of the other flows crossing it
   /// (`share = min(1, available / (own_wire + cross_wire))`).  A single
   /// flow reproduces `bwtest` bit-identically.  Flows fail individually
-  /// (injected faults, server errors); failed flows offer no load.
+  /// (an unresolvable route, injected faults, server errors); failed
+  /// flows offer no load.  Each flow is prepared once, for both passes.
   /// kInvalidArgument when `flows` is empty.
   [[nodiscard]] util::Result<MultibwtestOutcome> multibwtest(
       const std::vector<FlowSpec>& flows, util::SimTime start) const;
@@ -271,6 +293,34 @@ class Network {
   };
   using Hops = std::vector<Hop>;
 
+ public:
+  /// A route resolved once and probed many times (a host keeps one per
+  /// hop sequence it measures): the node list and its reversal, the links
+  /// both ways, and the FNV-1a states of the "ping:<route>:" label and of
+  /// the "bwerr:<route>:" and "bwtest:<route>:" labels in each direction.
+  /// Its hops' memos stay pristine; every probe copies them, so a probe
+  /// draws exactly what it would on a freshly prepared route.  Points into
+  /// the network's links: valid while the network lives and gains no link.
+  class Route {
+   public:
+    [[nodiscard]] const std::vector<NodeId>& nodes(
+        Direction direction = Direction::kUpstream) const noexcept {
+      return nodes_[index(direction)];
+    }
+
+   private:
+    friend class Network;
+    static constexpr std::size_t index(Direction direction) noexcept {
+      return static_cast<std::size_t>(direction);
+    }
+    std::array<std::vector<NodeId>, 2> nodes_;
+    std::array<Hops, 2> hops_;
+    std::uint64_t ping_prefix_ = 0;
+    std::array<std::uint64_t, 2> bwerr_prefix_{};
+    std::array<std::uint64_t, 2> bwtest_prefix_{};
+  };
+
+ private:
   [[nodiscard]] const Link* find(NodeId from, NodeId to) const;
   /// One hop per consecutive node pair of a route of two or more known
   /// nodes; a missing link is a null hop.
@@ -295,7 +345,7 @@ class Network {
   /// that link, `own_wire_mbps` this flow's contribution.  Null map means
   /// a lone flow — the exact legacy bwtest computation.
   [[nodiscard]] util::Result<BwtestResult> bwtest_loaded(
-      const std::vector<NodeId>& route, const BwtestOptions& options,
+      const Route& route, Direction direction, const BwtestOptions& options,
       util::SimTime start,
       const std::unordered_map<std::uint64_t, double>* total_wire_mbps,
       double own_wire_mbps) const;

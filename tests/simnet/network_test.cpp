@@ -4,6 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include "scion/beacon.hpp"
+#include "scion/scionlab.hpp"
+#include "support/random_topology.hpp"
+
 namespace upin::simnet {
 namespace {
 
@@ -404,6 +408,198 @@ TEST(Multibwtest, ReportsSharedBottleneckLinks) {
   EXPECT_EQ(shared.flows, (std::vector<std::size_t>{0, 1}));
   EXPECT_GT(shared.offered_wire_mbps, 0.0);
   EXPECT_GT(shared.available_mbps, 0.0);
+}
+
+// ---- Route: prepared once, probed many times ---------------------------
+
+void expect_same(const util::Result<PingStats>& got,
+                 const util::Result<PingStats>& want) {
+  ASSERT_EQ(got.ok(), want.ok());
+  if (!got.ok()) {
+    EXPECT_EQ(got.error(), want.error());
+    return;
+  }
+  EXPECT_EQ(got.value().rtt_ms, want.value().rtt_ms);
+}
+
+void expect_same(const util::Result<BwtestResult>& got,
+                 const util::Result<BwtestResult>& want) {
+  ASSERT_EQ(got.ok(), want.ok());
+  if (!got.ok()) {
+    EXPECT_EQ(got.error(), want.error());
+    return;
+  }
+  EXPECT_EQ(got.value().attempted_mbps, want.value().attempted_mbps);
+  EXPECT_EQ(got.value().achieved_mbps, want.value().achieved_mbps);
+  EXPECT_EQ(got.value().packets_sent, want.value().packets_sent);
+  EXPECT_EQ(got.value().packets_lost, want.value().packets_lost);
+  EXPECT_EQ(got.value().frames_per_packet, want.value().frames_per_packet);
+  EXPECT_EQ(got.value().bottleneck_available_mbps,
+            want.value().bottleneck_available_mbps);
+}
+
+/// Faults off, or garbled answers and server-down windows frequent enough
+/// that a probe train meets both.
+NetworkConfig route_oracle_config(bool faults) {
+  NetworkConfig config;
+  if (faults) {
+    config.faults.garble_prob = 0.15;
+    config.faults.server_down_per_hour = 4.0;
+    config.faults.server_down_min_s = 300.0;
+    config.faults.server_down_max_s = 900.0;
+  }
+  return config;
+}
+
+/// A 40-call train over one reused Route — a ping, an upstream and a
+/// downstream bwtest per call at a random instant — against a Route
+/// prepared for each call alone and against the vector entry points.
+/// Returns how many probes failed.
+std::size_t check_route_train(const Network& net,
+                              const std::vector<NodeId>& nodes,
+                              util::Rng& rng) {
+  std::size_t failures = 0;
+  const util::Result<Network::Route> reused = net.prepare(nodes);
+  EXPECT_TRUE(reused.ok()) << reused.error().message;
+  if (!reused.ok()) return failures;
+  EXPECT_EQ(reused.value().nodes(), nodes);
+  const std::vector<NodeId> reversed(nodes.rbegin(), nodes.rend());
+  EXPECT_EQ(reused.value().nodes(Direction::kDownstream), reversed);
+  for (int call = 0; call < 40; ++call) {
+    SCOPED_TRACE("call " + std::to_string(call));
+    const SimTime start = sim_seconds(rng.uniform(0.0, 20'000.0));
+    const util::Result<Network::Route> fresh = net.prepare(nodes);
+    if (!fresh.ok()) {
+      ADD_FAILURE() << fresh.error().message;
+      return failures;
+    }
+
+    PingOptions ping;
+    ping.count = static_cast<std::size_t>(rng.uniform_int(1, 30));
+    const util::Result<PingStats> pinged = net.ping(reused.value(), ping, start);
+    expect_same(pinged, net.ping(fresh.value(), ping, start));
+    expect_same(pinged, net.ping(nodes, ping, start));
+    if (!pinged.ok()) ++failures;
+
+    BwtestOptions bw;
+    bw.packet_bytes = rng.bernoulli(0.5) ? 64.0 : 1472.0;
+    bw.target_mbps = rng.bernoulli(0.5) ? 12.0 : 150.0;
+    for (const Direction direction :
+         {Direction::kUpstream, Direction::kDownstream}) {
+      const util::Result<BwtestResult> measured =
+          net.bwtest(reused.value(), direction, bw, start);
+      expect_same(measured, net.bwtest(fresh.value(), direction, bw, start));
+      expect_same(measured,
+                  net.bwtest(direction == Direction::kUpstream ? nodes
+                                                               : reversed,
+                             bw, start));
+      if (!measured.ok()) ++failures;
+    }
+  }
+  return failures;
+}
+
+TEST(RouteOracle, ReusedRouteEqualsFreshOnScionlabRoutes) {
+  const scion::ScionlabEnv env = scion::scionlab_topology();
+  const scion::Beaconing beaconing(env.topology);
+  for (const bool faults : {false, true}) {
+    SCOPED_TRACE(faults ? "faults on" : "faults off");
+    const scion::Topology::Compiled compiled =
+        env.topology.compile(2024, route_oracle_config(faults));
+    util::Rng rng(faults ? 11 : 10);
+    std::size_t routes = 0;
+    std::size_t failures = 0;
+    for (const scion::SnetAddress& server : env.servers) {
+      const std::vector<scion::Path>& paths =
+          beaconing.paths(env.user_as, server.ia);
+      if (paths.empty() || !rng.bernoulli(0.5)) continue;
+      const scion::Path& path = paths[static_cast<std::size_t>(
+          rng.uniform_int(0, static_cast<std::int64_t>(paths.size()) - 1))];
+      std::vector<NodeId> nodes;
+      for (const scion::PathHop& hop : path.hops()) {
+        nodes.push_back(compiled.node_of.at(hop.ia));
+      }
+      SCOPED_TRACE(path.sequence());
+      failures += check_route_train(compiled.network, nodes, rng);
+      ++routes;
+    }
+    EXPECT_GE(routes, 5u);
+    // With faults on, the trains also compare error results.
+    if (faults) {
+      EXPECT_GT(failures, 0u);
+    }
+  }
+}
+
+TEST(RouteOracle, ReusedRouteEqualsFreshOnRandomTopologies) {
+  for (const bool faults : {false, true}) {
+    SCOPED_TRACE(faults ? "faults on" : "faults off");
+    std::size_t routes = 0;
+    std::size_t failures = 0;
+    for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+      util::Rng rng(seed);
+      const scion::Topology topology = test_support::random_topology(rng);
+      const scion::Topology::Compiled compiled =
+          topology.compile(seed, route_oracle_config(faults));
+      const scion::Beaconing beaconing(topology);
+      const std::vector<scion::AsInfo>& ases = topology.ases();
+      for (int pick = 0; pick < 3; ++pick) {
+        const auto as_index = [&] {
+          return static_cast<std::size_t>(rng.uniform_int(
+              0, static_cast<std::int64_t>(ases.size()) - 1));
+        };
+        const scion::IsdAsn src = ases[as_index()].ia;
+        const scion::IsdAsn dst = ases[as_index()].ia;
+        if (src == dst) continue;
+        const std::vector<scion::Path>& paths = beaconing.paths(src, dst);
+        if (paths.empty()) continue;
+        std::vector<NodeId> nodes;
+        for (const scion::PathHop& hop : paths.back().hops()) {
+          nodes.push_back(compiled.node_of.at(hop.ia));
+        }
+        SCOPED_TRACE("seed " + std::to_string(seed) + " " +
+                     paths.back().sequence());
+        failures += check_route_train(compiled.network, nodes, rng);
+        ++routes;
+      }
+    }
+    EXPECT_GE(routes, 8u);
+    if (faults) {
+      EXPECT_GT(failures, 0u);
+    }
+  }
+}
+
+TEST(RouteOracle, PrepareFailsAsPingDoes) {
+  LineFixture fix;
+  // A one-way link: the route resolves forward, not back.
+  const NodeId d = fix.net.add_node({"D", {48.86, 2.35}});
+  LinkSpec one_way;
+  one_way.from = fix.c;
+  one_way.to = d;
+  ASSERT_TRUE(fix.net.add_link(one_way).ok());
+
+  const std::vector<std::vector<NodeId>> broken = {
+      {fix.a},              // fewer than two nodes
+      {fix.a, 99},          // unknown node
+      {fix.a, fix.c},       // missing forward link
+      {fix.b, fix.c, d},    // missing reverse link
+  };
+  for (const std::vector<NodeId>& nodes : broken) {
+    const util::Result<Network::Route> prepared = fix.net.prepare(nodes);
+    ASSERT_FALSE(prepared.ok());
+    const util::Result<PingStats> pinged =
+        fix.net.ping(nodes, {}, SimTime::zero());
+    ASSERT_FALSE(pinged.ok());
+    EXPECT_EQ(prepared.error(), pinged.error());
+    const util::Result<BwtestResult> measured =
+        fix.net.bwtest(nodes, {}, SimTime::zero());
+    ASSERT_FALSE(measured.ok());
+    EXPECT_EQ(prepared.error(), measured.error());
+  }
+  EXPECT_EQ(fix.net.prepare({fix.a, fix.c}).error().message, "no link A -> C");
+  EXPECT_EQ(fix.net.prepare({fix.b, fix.c, d}).error().message,
+            "no link D -> C");
 }
 
 }  // namespace
