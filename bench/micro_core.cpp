@@ -10,7 +10,6 @@
 // regression harness for contributors.
 #include <benchmark/benchmark.h>
 
-#include <array>
 #include <chrono>
 #include <memory>
 #include <optional>
@@ -208,7 +207,9 @@ void BM_PingMeasurement(benchmark::State& state) {
 }
 
 /// A host on a calm network and one stored path to Ireland (the middle
-/// of its showpaths list), as a §5 campaign probes it by sequence.
+/// of its showpaths list), as a §5 campaign probes it by sequence.  The
+/// path's route is prepared once, as the host prepares it once per
+/// sequence, so a bare-network arm times the probe alone.
 struct ProbeTarget {
   ProbeTarget()
       : env(scion::scionlab_topology()),
@@ -218,7 +219,7 @@ struct ProbeTarget {
         host.beaconing().paths(env.user_as, server.ia);
     const scion::Path& path = paths[paths.size() / 2];
     sequence = path.sequence();
-    route = host.route_of(path).value();
+    route = host.network().prepare(host.route_of(path).value()).value();
   }
   static simnet::NetworkConfig calm() {
     simnet::NetworkConfig config;
@@ -229,7 +230,7 @@ struct ProbeTarget {
   apps::ScionHost host;
   scion::SnetAddress server;
   std::string sequence;
-  std::vector<simnet::NodeId> route;
+  simnet::Network::Route route;
 };
 
 /// Runs both arms once per iteration, the first arm swapping every
@@ -302,10 +303,6 @@ void BM_HostBwtestclient(benchmark::State& state) {
   options.sequence = through_host.sequence;
   simnet::BwtestOptions network_options;
   network_options.packet_bytes = 64.0;
-  const std::vector<simnet::NodeId> reverse(bare.route.rbegin(),
-                                            bare.route.rend());
-  const std::array<const std::vector<simnet::NodeId>*, 2> routes = {
-      &bare.route, &reverse};
   util::VirtualClock& clock = bare.host.clock();
   time_both_arms(
       state,
@@ -314,9 +311,10 @@ void BM_HostBwtestclient(benchmark::State& state) {
             through_host.host.bwtestclient(through_host.server, options));
       },
       [&] {
-        for (const std::vector<simnet::NodeId>* route : routes) {
-          benchmark::DoNotOptimize(
-              bare.host.network().bwtest(*route, network_options, clock.now()));
+        for (const simnet::Direction direction :
+             {simnet::Direction::kUpstream, simnet::Direction::kDownstream}) {
+          benchmark::DoNotOptimize(bare.host.network().bwtest(
+              bare.route, direction, network_options, clock.now()));
           clock.advance(util::sim_seconds(network_options.duration_s));
         }
       });

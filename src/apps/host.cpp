@@ -81,30 +81,48 @@ Result<std::vector<PathListing>> ScionHost::showpaths(
   return listings;
 }
 
-Result<Path> ScionHost::pick_path(IsdAsn dst, const std::string& sequence) {
+namespace {
+
+/// The AS chain a hop sequence names.
+Result<std::vector<IsdAsn>> sequence_ases(const std::string& sequence) {
+  const Result<Path> parsed = Path::parse_sequence(sequence);
+  if (!parsed.ok()) return parsed.error();
+  std::vector<IsdAsn> ases;
+  ases.reserve(parsed.value().hops().size());
+  for (const scion::PathHop& hop : parsed.value().hops()) {
+    ases.push_back(hop.ia);
+  }
+  return ases;
+}
+
+}  // namespace
+
+Result<ScionHost::PickedPath> ScionHost::pick_path(
+    IsdAsn dst, const std::string& sequence) {
   const SimTime now = clock_.now();
   control_plane_.sync(now);
   // A sequence names its path by the AS chain.  A malformed one still
   // costs the lookup, and "no path" is reported before it.
-  std::optional<util::Error> malformed;
-  std::vector<IsdAsn> ases;
+  SequenceMemo* memo = nullptr;
   if (!sequence.empty()) {
-    const Result<Path> wanted = Path::parse_sequence(sequence);
-    if (wanted.ok()) {
-      ases.reserve(wanted.value().hops().size());
-      for (const scion::PathHop& hop : wanted.value().hops()) {
-        ases.push_back(hop.ia);
-      }
-    } else {
-      malformed = wanted.error();
+    auto it = sequences_.find(sequence);
+    if (it == sequences_.end()) {
+      it = sequences_
+               .emplace(sequence,
+                        SequenceMemo{sequence_ases(sequence), std::nullopt})
+               .first;
     }
+    memo = &it->second;
   }
-  scion::PathPick pick = control_plane_.pick(local_as_, dst, ases, now);
+  static const std::vector<IsdAsn> kBestPath;
+  scion::PathPick pick = control_plane_.pick(
+      local_as_, dst,
+      memo != nullptr && memo->ases.ok() ? memo->ases.value() : kBestPath, now);
   if (!pick.any) {
     return util::Error{ErrorCode::kUnreachable,
                        "no path to " + dst.to_string()};
   }
-  if (malformed.has_value()) return *malformed;
+  if (memo != nullptr && !memo->ases.ok()) return memo->ases.error();
   if (!pick.path.has_value()) {
     return util::Error{ErrorCode::kNotFound,
                        "no discovered path matches sequence: " + sequence};
@@ -122,7 +140,25 @@ Result<Path> ScionHost::pick_path(IsdAsn dst, const std::string& sequence) {
     return util::Error{ErrorCode::kRevoked,
                        "path revoked by control plane: " + sequence};
   }
-  return std::move(*pick.path);
+  return PickedPath{std::move(*pick.path), memo};
+}
+
+Result<const simnet::Network::Route*> ScionHost::prepared_route(
+    const Path& path, SequenceMemo* memo, PreparedRoute& scratch) {
+  PreparedRoute& slot = memo != nullptr ? memo->route : scratch;
+  if (!slot.has_value()) {
+    const Result<std::vector<simnet::NodeId>> nodes = route_of(path);
+    slot = nodes.ok() ? compiled_.network.prepare(nodes.value())
+                      : Result<simnet::Network::Route>(nodes.error());
+  }
+  if (!slot->ok()) return slot->error();
+  return &slot->value();
+}
+
+const Result<BwSpec>& ScionHost::parsed_spec(const std::string& text) {
+  auto it = specs_.find(text);
+  if (it == specs_.end()) it = specs_.emplace(text, BwSpec::parse(text)).first;
+  return it->second;
 }
 
 util::Error ScionHost::classify_dead_path(const Path& path,
@@ -203,9 +239,9 @@ Result<PingReport> ScionHost::ping(const SnetAddress& dst,
 
 Result<TracerouteReport> ScionHost::traceroute(const SnetAddress& dst,
                                                const std::string& sequence) {
-  Result<Path> path = pick_path(dst.ia, sequence);
-  if (!path.ok()) return Result<TracerouteReport>(path.error());
-  Result<std::vector<simnet::NodeId>> route = route_of(path.value());
+  Result<PickedPath> picked = pick_path(dst.ia, sequence);
+  if (!picked.ok()) return Result<TracerouteReport>(picked.error());
+  Result<std::vector<simnet::NodeId>> route = route_of(picked.value().path);
   if (!route.ok()) return Result<TracerouteReport>(route.error());
 
   Result<simnet::TraceResult> trace =
@@ -214,59 +250,60 @@ Result<TracerouteReport> ScionHost::traceroute(const SnetAddress& dst,
   clock_.advance(util::sim_seconds(1.0));
 
   TracerouteReport report;
-  report.path = std::move(path).value();
+  report.path = std::move(picked.value().path);
   report.trace = std::move(trace).value();
   return report;
 }
 
 Result<BwtestReport> ScionHost::bwtestclient(const SnetAddress& server,
                                              const BwtestOptions& options) {
-  Result<Path> path = pick_path(server.ia, options.sequence);
-  if (!path.ok()) return Result<BwtestReport>(path.error());
-  Result<std::vector<simnet::NodeId>> route = route_of(path.value());
+  Result<PickedPath> picked = pick_path(server.ia, options.sequence);
+  if (!picked.ok()) return Result<BwtestReport>(picked.error());
+  Path& path = picked.value().path;
+  PreparedRoute scratch;
+  const Result<const simnet::Network::Route*> route =
+      prepared_route(path, picked.value().memo, scratch);
   if (!route.ok()) return Result<BwtestReport>(route.error());
 
-  Result<BwSpec> cs_parsed = BwSpec::parse(options.cs_spec);
+  const Result<BwSpec>& cs_parsed = parsed_spec(options.cs_spec);
   if (!cs_parsed.ok()) return Result<BwtestReport>(cs_parsed.error());
-  Result<BwSpec> cs = cs_parsed.value().resolve(path.value().mtu());
+  Result<BwSpec> cs = cs_parsed.value().resolve(path.mtu());
   if (!cs.ok()) return Result<BwtestReport>(cs.error());
 
   // "The parameters for the client-to-server direction ... by default,
   // they are used for the server-to-client too" (§3.3).
-  Result<BwSpec> sc_parsed = BwSpec::parse(
-      options.sc_spec.empty() ? options.cs_spec : options.sc_spec);
+  const Result<BwSpec>& sc_parsed =
+      parsed_spec(options.sc_spec.empty() ? options.cs_spec : options.sc_spec);
   if (!sc_parsed.ok()) return Result<BwtestReport>(sc_parsed.error());
-  Result<BwSpec> sc = sc_parsed.value().resolve(path.value().mtu());
+  Result<BwSpec> sc = sc_parsed.value().resolve(path.mtu());
   if (!sc.ok()) return Result<BwtestReport>(sc.error());
 
-  const auto run = [&](const BwSpec& spec,
-                       const std::vector<simnet::NodeId>& direction_route)
+  const auto run = [&](const BwSpec& spec, simnet::Direction direction)
       -> Result<simnet::BwtestResult> {
     simnet::BwtestOptions bw_options;
     bw_options.duration_s = *spec.duration_s;
     bw_options.packet_bytes = *spec.packet_bytes;
     bw_options.target_mbps = *spec.target_mbps;
-    Result<simnet::BwtestResult> result =
-        compiled_.network.bwtest(direction_route, bw_options, clock_.now());
+    Result<simnet::BwtestResult> result = compiled_.network.bwtest(
+        *route.value(), direction, bw_options, clock_.now());
     clock_.advance(util::sim_seconds(occupied_s(
         result.ok() ? nullptr : &result.error(), *spec.duration_s)));
     if (!result.ok()) {
       return Result<simnet::BwtestResult>(
-          classify_dead_path(path.value(), result.error()));
+          classify_dead_path(path, result.error()));
     }
     return result;
   };
 
-  Result<simnet::BwtestResult> cs_result = run(cs.value(), route.value());
+  Result<simnet::BwtestResult> cs_result =
+      run(cs.value(), simnet::Direction::kUpstream);
   if (!cs_result.ok()) return Result<BwtestReport>(cs_result.error());
-
-  std::vector<simnet::NodeId> reverse_route(route.value().rbegin(),
-                                            route.value().rend());
-  Result<simnet::BwtestResult> sc_result = run(sc.value(), reverse_route);
+  Result<simnet::BwtestResult> sc_result =
+      run(sc.value(), simnet::Direction::kDownstream);
   if (!sc_result.ok()) return Result<BwtestReport>(sc_result.error());
 
   BwtestReport report;
-  report.path = std::move(path).value();
+  report.path = std::move(path);
   report.cs_resolved = std::move(cs).value();
   report.sc_resolved = std::move(sc).value();
   report.client_to_server = cs_result.value();
@@ -344,18 +381,20 @@ Result<MultipathPingReport> ScionHost::multipath_ping(
   for (std::size_t i = 0; i < subflows.size(); ++i) {
     MultipathPingReport::Subflow& subflow = report.subflows[i];
     subflow.probes = probes[i];
-    Result<Path> path = pick_path(dst.ia, subflows[i].sequence);
-    if (!path.ok()) {
-      subflow.error = path.error();
+    Result<PickedPath> picked = pick_path(dst.ia, subflows[i].sequence);
+    if (!picked.ok()) {
+      subflow.error = picked.error();
       continue;
     }
-    subflow.path = std::move(path).value();
+    subflow.path = std::move(picked.value().path);
     if (subflow.probes == 0) {
       // The weight rounded this subflow out of the schedule entirely.
       subflow.ok = true;
       continue;
     }
-    Result<std::vector<simnet::NodeId>> route = route_of(subflow.path);
+    PreparedRoute scratch;
+    const Result<const simnet::Network::Route*> route =
+        prepared_route(subflow.path, picked.value().memo, scratch);
     if (!route.ok()) {
       subflow.error = route.error();
       continue;
@@ -365,7 +404,7 @@ Result<MultipathPingReport> ScionHost::multipath_ping(
     ping_options.interval = util::sim_seconds(options.interval_s);
     ping_options.payload_bytes = options.payload_bytes;
     Result<simnet::PingStats> stats =
-        compiled_.network.ping(route.value(), ping_options, start);
+        compiled_.network.ping(*route.value(), ping_options, start);
     burn_s = std::max(
         burn_s, occupied_s(stats.ok() ? nullptr : &stats.error(),
                            static_cast<double>(subflow.probes) *
@@ -430,12 +469,12 @@ Result<MultipathBwtestReport> ScionHost::multipath_bwtest(
   for (std::size_t i = 0; i < subflows.size(); ++i) {
     MultipathBwtestReport::Subflow& subflow = report.subflows[i];
     subflow.target_mbps = weights.value()[i] * options.total_target_mbps;
-    Result<Path> path = pick_path(server.ia, subflows[i].sequence);
-    if (!path.ok()) {
-      subflow.error = path.error();
+    Result<PickedPath> picked = pick_path(server.ia, subflows[i].sequence);
+    if (!picked.ok()) {
+      subflow.error = picked.error();
       continue;
     }
-    subflow.path = std::move(path).value();
+    subflow.path = std::move(picked.value().path);
     Result<std::vector<simnet::NodeId>> route = route_of(subflow.path);
     if (!route.ok()) {
       subflow.error = route.error();

@@ -17,6 +17,9 @@
 #pragma once
 
 #include <memory>
+#include <optional>
+#include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "apps/bwspec.hpp"
@@ -219,12 +222,42 @@ class ScionHost {
       const scion::Path& path) const;
 
  private:
+  /// What the host keeps per `--sequence` text, since a campaign probes
+  /// the same few hundred sequences over and over: the parsed AS chain
+  /// (or the parse error) and the prepared route, built from the first
+  /// path picked for the text.  A picked path's AS chain equals the
+  /// parsed one, so every later pick of the text runs on that route.
+  /// Each probe still syncs the control plane and picks the path, so
+  /// revocation, expiry and cache statistics are read per probe.  The
+  /// best-path (empty) sequence names no fixed path and is not kept.
+  using PreparedRoute = std::optional<util::Result<simnet::Network::Route>>;
+  struct SequenceMemo {
+    util::Result<std::vector<scion::IsdAsn>> ases;
+    PreparedRoute route;
+  };
+
+  /// A path picked for a probe, with the memo of the sequence that named
+  /// it (null for the best-path pick).
+  struct PickedPath {
+    scion::Path path;
+    SequenceMemo* memo = nullptr;
+  };
+
   /// Path selected by `sequence` (validated against discovered paths), or
   /// the best (first-ranked) live path when the sequence is empty.  Never
   /// returns a path whose revocation was delivered before now — a pinned
   /// revoked sequence fails with kRevoked without touching the network.
-  [[nodiscard]] util::Result<scion::Path> pick_path(
+  [[nodiscard]] util::Result<PickedPath> pick_path(
       scion::IsdAsn dst, const std::string& sequence);
+
+  /// The prepared route of `path`, picked for the sequence of `memo`:
+  /// the memo's, prepared on first use, or for a best-path pick (null
+  /// `memo`) one prepared into `scratch`.
+  [[nodiscard]] util::Result<const simnet::Network::Route*> prepared_route(
+      const scion::Path& path, SequenceMemo* memo, PreparedRoute& scratch);
+
+  /// `BwSpec::parse(text)`, memoized by text.
+  [[nodiscard]] const util::Result<BwSpec>& parsed_spec(const std::string& text);
 
   /// Reclassify a probe that died mid-flight: revocation delivered inside
   /// the probe window beats expiry beats the original error.
@@ -246,6 +279,8 @@ class ScionHost {
   util::VirtualClock clock_;
   scion::IsdAsn local_as_;
   std::string local_host_ip_;
+  std::unordered_map<std::string, SequenceMemo> sequences_;
+  std::unordered_map<std::string, util::Result<BwSpec>> specs_;
 };
 
 }  // namespace upin::apps

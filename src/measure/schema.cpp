@@ -66,6 +66,8 @@ Document path_document(int server_id, int path_index,
 
 Document stats_document(const StatsSample& sample) {
   JsonObject doc;
+  doc.reserve(9 + static_cast<std::size_t>(sample.latency_ms.has_value()) +
+              static_cast<std::size_t>(sample.jitter_ms.has_value()));
   doc.set("_id", Value(stats_doc_id(sample.path_id, sample.timestamp)));
   doc.set("path_id", Value(sample.path_id));
   doc.set("server_id", Value(sample.server_id));
@@ -73,6 +75,7 @@ Document stats_document(const StatsSample& sample) {
           Value(static_cast<std::int64_t>(sample.timestamp.count() / 1'000'000)));
   doc.set("hop_count", Value(sample.hop_count));
   Value::Array isds;
+  isds.reserve(sample.isds.size());
   for (const std::int64_t isd : sample.isds) isds.emplace_back(isd);
   doc.set("isds", Value(std::move(isds)));
   if (sample.latency_ms.has_value()) {
@@ -83,6 +86,10 @@ Document stats_document(const StatsSample& sample) {
     doc.set("jitter_ms", Value(*sample.jitter_ms));
   }
   JsonObject bw;
+  bw.reserve(static_cast<std::size_t>(sample.bw_up_64.has_value()) +
+             static_cast<std::size_t>(sample.bw_down_64.has_value()) +
+             static_cast<std::size_t>(sample.bw_up_mtu.has_value()) +
+             static_cast<std::size_t>(sample.bw_down_mtu.has_value()));
   if (sample.bw_up_64.has_value()) bw.set("up_64", Value(*sample.bw_up_64));
   if (sample.bw_down_64.has_value()) bw.set("down_64", Value(*sample.bw_down_64));
   if (sample.bw_up_mtu.has_value()) bw.set("up_mtu", Value(*sample.bw_up_mtu));

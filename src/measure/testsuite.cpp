@@ -99,6 +99,7 @@ std::vector<TestSuite::Destination> TestSuite::selected_destinations() const {
 
 Status TestSuite::collect_paths() {
   docdb::Collection& paths = db_.collection(kPaths);
+  path_records_.clear();
 
   for (const Destination& destination : selected_destinations()) {
     apps::ShowpathsOptions options;
@@ -255,30 +256,44 @@ void TestSuite::record_metrics_snapshot(const std::string& id,
   }
 }
 
-Status TestSuite::run_unit(const Destination& destination, int iteration,
-                           bool shed_bandwidth) {
-  const obs::ScopedSpan unit_span(
-      config_.tracer, host_.clock(),
-      util::format("unit s%d i%d", destination.server_id, iteration));
-  docdb::Collection& paths = db_.collection(kPaths);
+Result<const std::vector<Result<PathRecord>>*> TestSuite::path_records(
+    int server_id) {
+  auto it = path_records_.find(server_id);
+  if (it != path_records_.end()) return &it->second;
   util::JsonObject query;
-  query.set("server_id", Value(destination.server_id));
+  query.set("server_id", Value(server_id));
   Result<Filter> by_server = Filter::compile(Value(std::move(query)));
-  if (!by_server.ok()) return Status(by_server.error());
+  if (!by_server.ok()) return by_server.error();
   docdb::FindOptions in_order;
   in_order.sort_by = "path_index";
-  const std::vector<Document> path_docs =
-      paths.find(by_server.value(), in_order);
+  std::vector<Result<PathRecord>> records;
+  for (const Document& path_doc :
+       db_.collection(kPaths).find(by_server.value(), in_order)) {
+    records.push_back(parse_path_document(path_doc));
+  }
+  return &path_records_.emplace(server_id, std::move(records)).first->second;
+}
+
+Status TestSuite::run_unit(const Destination& destination, int iteration,
+                           bool shed_bandwidth) {
+  // Span names are built only for a tracer that records them.
+  const bool traced = config_.tracer != nullptr;
+  const obs::ScopedSpan unit_span(
+      config_.tracer, host_.clock(),
+      traced ? util::format("unit s%d i%d", destination.server_id, iteration)
+             : std::string());
+  const Result<const std::vector<Result<PathRecord>>*> records =
+      path_records(destination.server_id);
+  if (!records.ok()) return Status(records.error());
 
   CircuitBreaker& breaker = breaker_for(destination.server_id);
 
   // One batch per destination: losing a crash's worth of data drops
   // at most one balanced sample per path (paper §4.2.2).
   std::vector<Document> batch;
-  batch.reserve(path_docs.size());
+  batch.reserve(records.value()->size());
 
-  for (const Document& path_doc : path_docs) {
-    Result<PathRecord> record = parse_path_document(path_doc);
+  for (const Result<PathRecord>& record : *records.value()) {
     if (!record.ok()) {
       util::Log::warn("skipping malformed path doc: " +
                       record.error().message);
@@ -296,8 +311,9 @@ Status TestSuite::run_unit(const Destination& destination, int iteration,
       metrics_.breaker_skips->add();
       continue;
     }
-    const obs::ScopedSpan path_span(config_.tracer, host_.clock(),
-                                    "path " + record.value().id);
+    const obs::ScopedSpan path_span(
+        config_.tracer, host_.clock(),
+        traced ? "path " + record.value().id : std::string());
 
     StatsSample sample;
     sample.path_id = record.value().id;

@@ -233,6 +233,11 @@ class TestSuite {
   /// `shed_bandwidth` skips the two bwtest probes (fleet degraded mode).
   [[nodiscard]] util::Status run_unit(const Destination& destination,
                                       int iteration, bool shed_bandwidth);
+  /// The path documents of `server_id` in path_index order, each parsed
+  /// (or its parse error), read from the database on first use only:
+  /// collect_paths() is their one writer, and it drops what is kept.
+  [[nodiscard]] util::Result<const std::vector<util::Result<PathRecord>>*>
+  path_records(int server_id);
   /// Store a registry snapshot under `id` in campaign_metrics.
   void record_metrics_snapshot(const std::string& id,
                                const std::string& stage);
@@ -252,6 +257,7 @@ class TestSuite {
   scion::TrustStore* trust_ = nullptr;
   std::uint64_t batch_counter_ = 0;
   std::map<int, CircuitBreaker> breakers_;
+  std::map<int, std::vector<util::Result<PathRecord>>> path_records_;
 
   // Stepping plan (prepare_plan / step state).
   bool plan_ready_ = false;

@@ -38,6 +38,8 @@ class JsonObject {
   [[nodiscard]] Value* find(std::string_view key) noexcept;
   /// Insert or overwrite.
   void set(std::string key, Value value);
+  /// Room for `count` entries, for a builder that knows its size.
+  void reserve(std::size_t count) { entries_.reserve(count); }
   /// Remove `key` if present; returns whether something was removed.
   bool erase(std::string_view key);
 

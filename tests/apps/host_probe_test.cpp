@@ -288,5 +288,62 @@ TEST(ScionHost, ZeroCountPingSendsNothing) {
       << "one probe meets the dark server";
 }
 
+TEST(ScionHost, PinnedSequencesSeeEveryRevocation) {
+  // The host keeps a route per sequence text, but not the pick: a pinned
+  // path whose revocation was delivered before a probe is refused, on
+  // the first call with that text and on every later one.
+  const scion::ScionlabEnv env = scion::scionlab_topology();
+  simnet::FaultPlanConfig faults;
+  faults.link_flap_per_hour = 6.0;
+  faults.server_down_per_hour = 2.0;
+  simnet::NetworkConfig net;
+  net.server_error_prob = 0.0;
+  net.faults = faults;
+  ScionHost host(env, 42, env.user_as, "10.0.8.1", net);
+
+  std::vector<std::pair<scion::SnetAddress, std::string>> pinned;
+  for (const std::size_t server : {2u, 4u, 9u}) {
+    const scion::SnetAddress& dst = env.servers[server];
+    const auto listings = host.showpaths(dst.ia, {});
+    ASSERT_TRUE(listings.ok());
+    for (const PathListing& listing : listings.value()) {
+      pinned.emplace_back(dst, listing.path.sequence());
+    }
+  }
+  std::size_t probes = 0;
+  std::size_t revoked = 0;
+  for (std::size_t step = 0; step < 600; ++step) {
+    const auto& [dst, sequence] = pinned[step % pinned.size()];
+    const util::SimTime before = host.clock().now();
+    const util::Result<scion::Path> probed = [&]() -> util::Result<scion::Path> {
+      if (step % 2 == 0) {
+        PingOptions options;
+        options.count = 3;
+        options.sequence = sequence;
+        auto report = host.ping(dst, options);
+        if (!report.ok()) return report.error();
+        return std::move(report.value().path);
+      }
+      BwtestOptions options;
+      options.sequence = sequence;
+      auto report = host.bwtestclient(dst, options);
+      if (!report.ok()) return report.error();
+      return std::move(report.value().path);
+    }();
+    if (probed.ok()) {
+      ++probes;
+      EXPECT_EQ(probed.value().sequence(), sequence);
+      EXPECT_FALSE(host.control_plane().path_revoked(probed.value(), before))
+          << "step " << step << ": probed a revoked path " << sequence;
+    } else if (probed.error().code == util::ErrorCode::kRevoked &&
+               probed.error().message.starts_with("path revoked by")) {
+      ++revoked;
+    }
+    host.clock().advance(util::sim_seconds(20.0));
+  }
+  EXPECT_GT(probes, 100u);
+  EXPECT_GT(revoked, 0u) << "the storm must revoke pinned paths";
+}
+
 }  // namespace
 }  // namespace upin::apps
