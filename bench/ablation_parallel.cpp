@@ -44,9 +44,9 @@ int main(int argc, char** argv) {
                 "samples");
   }
 
-  const scion::ScionlabEnv env = scion::scionlab_topology();
+  const std::size_t servers = scion::scionlab_topology().servers.size();
   std::vector<fleet::CampaignSpec> specs;
-  for (std::size_t i = 0; i < env.servers.size(); ++i) {
+  for (std::size_t i = 0; i < servers; ++i) {
     fleet::CampaignSpec spec;
     spec.campaign_id = static_cast<int>(i) + 1;
     spec.server_ids = {spec.campaign_id};
@@ -59,6 +59,9 @@ int main(int argc, char** argv) {
   util::Value::Array runs;
   for (const std::size_t threads : {std::size_t{1}, std::size_t{2},
                                     std::size_t{4}, std::size_t{8}}) {
+    // A fresh testbed per row: its segment store starts empty, so every
+    // row pays the same segment combination.
+    const scion::ScionlabEnv env = scion::scionlab_topology();
     fleet::FleetConfig config;
     config.suite.iterations = 4;
     config.threads = threads;

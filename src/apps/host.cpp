@@ -19,10 +19,9 @@ ScionHost::ScionHost(const scion::ScionlabEnv& env, std::uint64_t seed,
                      IsdAsn local_as, std::string local_host_ip,
                      simnet::NetworkConfig net_config, HostConfig config)
     : env_(env),
-      beaconing_(env.topology),
       compiled_(env.topology.compile(seed, net_config)),
       config_(config),
-      control_plane_(seed, config.control_plane, env.topology, beaconing_,
+      control_plane_(seed, config.control_plane, env.topology, env.beaconing(),
                      compiled_.node_of, compiled_.network.faults(), local_as),
       local_as_(local_as),
       local_host_ip_(std::move(local_host_ip)) {}

@@ -142,8 +142,10 @@ struct MultipathBwtestReport {
   std::vector<simnet::SharedBottleneck> shared_bottlenecks;
 };
 
-/// A host inside the testbed.  Not copyable; shares the env and clock by
-/// reference (one campaign = one host on one timeline).
+/// A host inside the testbed.  Not copyable.  Refers to the env, and
+/// through it to the testbed's segment store, which every host on the env
+/// shares; owns its compiled network, control plane and clock (one
+/// campaign = one host on one timeline).
 class ScionHost {
  public:
   /// `local_host_ip` is this host's address within its AS.
@@ -206,7 +208,11 @@ class ScionHost {
                      double drop_prob = 1.0);
 
   [[nodiscard]] const scion::ScionlabEnv& env() const noexcept { return env_; }
-  [[nodiscard]] const scion::Beaconing& beaconing() const noexcept { return beaconing_; }
+  /// The testbed's segment store (`ScionlabEnv::beaconing`), which every
+  /// host on the env shares; the host keeps no store of its own.
+  [[nodiscard]] const scion::Beaconing& beaconing() const {
+    return env_.beaconing();
+  }
   [[nodiscard]] const simnet::Network& network() const noexcept {
     return compiled_.network;
   }
@@ -272,7 +278,6 @@ class ScionHost {
                                   double schedule_s) const;
 
   const scion::ScionlabEnv& env_;
-  scion::Beaconing beaconing_;
   scion::Topology::Compiled compiled_;
   HostConfig config_;
   mutable scion::ControlPlane control_plane_;

@@ -237,4 +237,8 @@ bool DeferredSync::defers(const Journal* journal) {
   return journal != nullptr && journal == deferred_journal;
 }
 
+bool DeferredSync::defers(const Database& db) {
+  return defers(db.journal_.get());
+}
+
 }  // namespace upin::docdb

@@ -147,6 +147,9 @@ class DeferredSync {
   /// Collection hook: whether this thread's innermost DeferredSync is
   /// open for `journal` (then the call does not wait).
   [[nodiscard]] static bool defers(const Journal* journal);
+  /// Whether this thread's innermost DeferredSync is open for durable
+  /// `db`: a caller's deferral a callee can leave its wait to.
+  [[nodiscard]] static bool defers(const Database& db);
 
  private:
   const Journal* const previous_;  ///< restored when this one ends

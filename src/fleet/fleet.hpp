@@ -17,6 +17,8 @@
 //   * its own obs::Registry, so `campaign_metrics` snapshots contain
 //     only its counters;
 //   * its own RNG stream, split from the fleet seed by campaign id.
+// Tenants share only the testbed's segment store
+// (`ScionlabEnv::beaconing`), a read-only pure function of the topology.
 // The invariant the chaos harness enforces: a campaign's shard bytes in
 // a fleet run under somebody else's faults equal its solo-run bytes.
 //

@@ -605,7 +605,9 @@ Status TestSuite::run() {
 
 Status TestSuite::begin() {
   // The set-up's writes (server registry, indexes, path snapshots) share
-  // one durability wait.
+  // one durability wait: the caller's when it defers this database's
+  // waits itself, else this call's.
+  const bool caller_waits = docdb::DeferredSync::defers(db_);
   const docdb::DeferredSync setup_writes(db_);
   Status init = initialize();
   if (!init.ok()) return init;
@@ -615,7 +617,7 @@ Status TestSuite::begin() {
   }
   const Status planned = prepare_plan();
   if (!planned.ok()) return planned;
-  return db_.sync();
+  return caller_waits ? Status::success() : db_.sync();
 }
 
 Status TestSuite::finish() {

@@ -161,7 +161,10 @@ class TestSuite {
 
   /// Prepare stepping: initialize(), collect_paths() (unless skipped) and
   /// resume planning.  Equivalent to the preamble of run().  Its writes
-  /// share one durability wait and are on disk when it returns.
+  /// share one durability wait and are on disk when it returns — unless
+  /// the calling thread holds a docdb::DeferredSync on this suite's
+  /// database: then the writes are only enqueued, and the caller's
+  /// Database::sync() is the wait (and reports a failed commit).
   [[nodiscard]] util::Status begin();
 
   /// Execute (or fast-forward) the next planned unit.  Durability is

@@ -43,6 +43,36 @@ struct CoreRow {
 
 }  // namespace
 
+ScionlabEnv::ScionlabEnv(const ScionlabEnv& other)
+    : topology(other.topology), user_as(other.user_as), servers(other.servers) {}
+
+ScionlabEnv::ScionlabEnv(ScionlabEnv&& other) noexcept
+    : topology(std::move(other.topology)),
+      user_as(other.user_as),
+      servers(std::move(other.servers)) {}
+
+ScionlabEnv& ScionlabEnv::operator=(const ScionlabEnv& other) {
+  if (this != &other) *this = ScionlabEnv(other);
+  return *this;
+}
+
+ScionlabEnv& ScionlabEnv::operator=(ScionlabEnv&& other) noexcept {
+  if (this != &other) {
+    topology = std::move(other.topology);
+    user_as = other.user_as;
+    servers = std::move(other.servers);
+    const std::lock_guard<std::mutex> lock(store_mutex_);
+    store_.reset();
+  }
+  return *this;
+}
+
+const Beaconing& ScionlabEnv::beaconing() const {
+  const std::lock_guard<std::mutex> lock(store_mutex_);
+  if (store_ == nullptr) store_ = std::make_unique<const Beaconing>(topology);
+  return *store_;
+}
+
 ScionlabEnv scionlab_topology() {
   ScionlabEnv env;
   env.user_as = scionlab::kUserAs;

@@ -13,17 +13,43 @@
 // second-last hop — exactly the paper's observation.
 #pragma once
 
+#include <memory>
+#include <mutex>
 #include <vector>
 
+#include "scion/beacon.hpp"
 #include "scion/topology.hpp"
 
 namespace upin::scion {
 
-/// The assembled testbed: topology + user AS + availableServers registry.
+/// The assembled testbed: topology + user AS + availableServers registry,
+/// and the testbed's one segment store.
 struct ScionlabEnv {
+  ScionlabEnv() = default;
+  /// A copied, moved or assigned env starts with no store of its own and
+  /// builds one from its own topology on first use, so no env refers to
+  /// another's topology.  Assignment drops the target's store: hosts on
+  /// the target must not outlive its old topology anyway.
+  ScionlabEnv(const ScionlabEnv& other);
+  ScionlabEnv(ScionlabEnv&& other) noexcept;
+  ScionlabEnv& operator=(const ScionlabEnv& other);
+  ScionlabEnv& operator=(ScionlabEnv&& other) noexcept;
+
   Topology topology;
   IsdAsn user_as;                     ///< "MY_AS", 17-ffaa:1:f00
   std::vector<SnetAddress> servers;   ///< 21 destinations, ids 1..21 in order
+
+  /// The segment store of this testbed, shared by every host on it, as a
+  /// deployment's path servers are: built from `topology` (default
+  /// `BeaconConfig`) on the first call, under a lock, and the same object
+  /// from then on.  `Beaconing::paths` is a pure, thread-safe memo, so
+  /// hosts on several threads share it freely.  Finish `topology` before
+  /// the first call: the store does not see later edits.
+  [[nodiscard]] const Beaconing& beaconing() const;
+
+ private:
+  mutable std::mutex store_mutex_;
+  mutable std::unique_ptr<const Beaconing> store_;
 };
 
 /// Well-known ASes (the paper's featured destinations).

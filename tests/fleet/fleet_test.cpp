@@ -8,10 +8,13 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <fstream>
 #include <set>
+#include <sstream>
 #include <string>
 
 #include "apps/host.hpp"
+#include "docdb/vfs.hpp"
 #include "measure/schema.hpp"
 #include "obs/metrics.hpp"
 #include "obs/span.hpp"
@@ -60,6 +63,13 @@ class FleetTest : public ::testing::Test {
     EXPECT_EQ(a.units_skipped, b.units_skipped);
     EXPECT_EQ(a.checkpoints_recorded, b.checkpoints_recorded);
     EXPECT_EQ(a.probes_shed, b.probes_shed);
+  }
+
+  static std::string read_file(const std::filesystem::path& path) {
+    std::ifstream in(path, std::ios::binary);
+    std::stringstream buffer;
+    buffer << in.rdbuf();
+    return buffer.str();
   }
 
   scion::ScionlabEnv env_;
@@ -232,6 +242,54 @@ TEST_F(FleetTest, TenantFinishedBeforeAnyClaimLeavesTheFleetRunning) {
     expect_progress_equal(healthy.progress, solo.value().progress);
     std::filesystem::remove_all(dir);
   }
+}
+
+TEST_F(FleetTest, FailedSetUpSyncFailsOnlyThatTenant) {
+  // Campaign 1's shard fails its first fsync, the commit of its set-up
+  // writes.  The set-up durability wait reports it: the tenant ends
+  // Failed with that status before any unit runs.  The tenants around
+  // it run exactly as they do alone, shard bytes included.
+  const std::filesystem::path dir = test_support::temp_path("fleet_setup_sync");
+  std::filesystem::remove_all(dir);
+  docdb::FaultVfs faulty(docdb::FaultVfsConfig{.fail_sync_at = 1});
+  CampaignSpec broken = spec_for(1, 5);
+  broken.storage.vfs = &faulty;
+  const std::vector<CampaignSpec> specs = {spec_for(0, 3), broken,
+                                           spec_for(2, 7)};
+  FleetConfig config = base_config();
+  config.data_dir = (dir / "fleet").string();
+  const auto result = FleetScheduler(env_, config).run(specs);
+  ASSERT_TRUE(result.ok()) << result.error().message;
+
+  const CampaignStatus& failed = result.value().campaigns[1];
+  EXPECT_EQ(failed.state, TenantState::kFailed);
+  EXPECT_EQ(failed.units_run, 0u);
+  EXPECT_EQ(failed.progress.path_tests_run, 0u);
+  ASSERT_FALSE(failed.failure.ok());
+  EXPECT_EQ(failed.failure.error().code, util::ErrorCode::kDataLoss);
+  EXPECT_EQ(failed.failure.error().message,
+            "journal sync failed: journal group commit failed: fsync "
+            "failed (injected): " +
+                (dir / "fleet" / shard_filename(1)).string());
+  EXPECT_EQ(result.value().failed, 1u);
+
+  std::filesystem::create_directories(dir / "solo");
+  for (const std::size_t i : {std::size_t{0}, std::size_t{2}}) {
+    SCOPED_TRACE("campaign " + std::to_string(i));
+    const std::string shard = shard_filename(specs[i].campaign_id);
+    const auto solo =
+        run_campaign_solo(env_, config, specs[i], (dir / "solo" / shard).string());
+    ASSERT_TRUE(solo.ok());
+    const CampaignStatus& got = result.value().campaigns[i];
+    EXPECT_EQ(got.state, TenantState::kHealthy);
+    EXPECT_EQ(got.state, solo.value().state);
+    EXPECT_EQ(got.units_run, solo.value().units_run);
+    expect_progress_equal(got.progress, solo.value().progress);
+    const std::string bytes = read_file(dir / "fleet" / shard);
+    EXPECT_FALSE(bytes.empty());
+    EXPECT_EQ(bytes, read_file(dir / "solo" / shard));
+  }
+  std::filesystem::remove_all(dir);
 }
 
 TEST_F(FleetTest, TenantBurningItsErrorBudgetIsQuarantined) {

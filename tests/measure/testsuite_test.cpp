@@ -88,6 +88,51 @@ TEST_F(TestSuiteTest, DurableUnitsWaitOnceForThePreviousUnitsWrites) {
   std::filesystem::remove(path);
 }
 
+TEST_F(TestSuiteTest, BeginLeavesItsWaitToACallersDeferral) {
+  // Under a DeferredSync its caller holds on the same database, begin()
+  // enqueues the set-up writes and makes no durability wait; the
+  // caller's sync() makes the one wait, and then the journal holds the
+  // server registry, the index declarations and the path snapshots.
+  const std::string path =
+      test_support::temp_path("testsuite_deferred_setup", ".jsonl");
+  std::filesystem::remove(path);
+  obs::LatencyHistogram& sync_waits = obs::Registry::global().histogram(
+      "upin_journal_sync_wait_us", 0.0, 5000.0, 50);
+  auto opened = docdb::Database::open(path);
+  ASSERT_TRUE(opened.ok());
+  docdb::Database& db = *opened.value();
+  obs::Registry registry;
+  TestSuiteConfig config = ireland_config();
+  config.registry = &registry;
+  TestSuite suite(host_, db, config);
+
+  const std::uint64_t waits = sync_waits.total();
+  {
+    const docdb::DeferredSync setup_writes(db);
+    ASSERT_TRUE(suite.begin().ok());
+    EXPECT_EQ(sync_waits.total() - waits, 0u) << "begin";
+  }
+  ASSERT_TRUE(db.sync().ok());
+  EXPECT_EQ(sync_waits.total() - waits, 1u) << "the caller's sync";
+
+  // Durable before the database closes: read the file, not the drain.
+  auto reopened = docdb::Database::open(path);
+  ASSERT_TRUE(reopened.ok());
+  docdb::Database& journal = *reopened.value();
+  EXPECT_EQ(journal.collection(kAvailableServers).size(), 21u);
+  for (const char* name : {kAvailableServers, kPaths, kPathsStats}) {
+    EXPECT_EQ(journal.collection(name).indexed_fields(),
+              db.collection(name).indexed_fields())
+        << name;
+  }
+  const auto snapshots = db.collection(kPaths).find(Filter::match_all());
+  ASSERT_FALSE(snapshots.empty());
+  EXPECT_EQ(journal.collection(kPaths).find(Filter::match_all()), snapshots);
+  reopened.value().reset();
+  opened.value().reset();
+  std::filesystem::remove(path);
+}
+
 TEST_F(TestSuiteTest, InitializePopulatesAvailableServers) {
   TestSuite suite(host_, db_, {});
   ASSERT_TRUE(suite.initialize().ok());
